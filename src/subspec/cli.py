@@ -4,8 +4,7 @@ Subcommands: gen, estimate, pair, verify, oracle, ks.  Exit codes: 0 on
 success, 1 when a computation or verification fails, 2 for usage and
 configuration errors.  All outputs are UTF-8 text; JSON and CSV numbers are
 printed with 17 significant digits so reruns with the same configuration
-are byte-identical (the thread count is an execution detail and is
-deliberately excluded from emitted configs).
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json as _json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from statistics import median
 from typing import Sequence
 
@@ -28,8 +25,8 @@ from .linalg import DenseMatrix, Spectrum
 from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimate_supnorm,
                          pointwise_tail_bound, standard_metadata, supnorm_mean_bound,
                          supnorm_tail_bound)
-from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_check, exact_F,
-                     exact_pointwise_profile, exact_supnorm_distribution, subset_count)
+from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_check, mean_cdf, pointwise_profile,
+                     subset_count, subset_spectra, supnorm_law)
 from .sampling import SeedPlan, random_k_subset, subset_spectrum
 from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample
 
@@ -122,9 +119,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise UsageError("k must satisfy 1 <= k <= n")
     r_grid = _r_grid(args)
     reference, ref_note = choose_reference(matrix, args.k, args.mode, args.samples,
-                                           args.seed, args.cap, args.threads)
+                                           args.seed, args.cap)
     report = estimate_supnorm(matrix, args.k, args.mode, args.samples, args.seed,
-                              reference, threads=args.threads, metadata_note=ref_note)
+                              reference, metadata_note=ref_note)
     curve = empirical_tail(report, r_grid)
     violations = compare_tail(curve)
     if args.format == "csv":
@@ -163,22 +160,13 @@ def cmd_pair(args: argparse.Namespace) -> int:
     plan = SeedPlan(args.seed)
     k_eff = args.k - args.exclude_top
 
-    def one_pair(p: int) -> tuple[StepCdf, StepCdf, object]:
-        sample_a = random_k_subset(n, args.k, plan.stream(2 * p))
-        sample_b = random_k_subset(n, args.k, plan.stream(2 * p + 1))
-        cdf_a = _truncated_esd(subset_spectrum(matrix, sample_a, args.mode),
-                               args.exclude_top)
-        cdf_b = _truncated_esd(subset_spectrum(matrix, sample_b, args.mode),
-                               args.exclude_top)
-        return cdf_a, cdf_b, ks_two_sample(cdf_a, cdf_b, k_eff, k_eff)
+    def sample_cdf(stream: int) -> StepCdf:
+        sample = random_k_subset(n, args.k, plan.stream(stream))
+        return _truncated_esd(subset_spectrum(matrix, sample, args.mode), args.exclude_top)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            computed = list(pool.map(one_pair, range(args.pairs)))
-    else:
-        computed = [one_pair(p) for p in range(args.pairs)]
-    results = [ks for _, _, ks in computed]
-    first_pair_cdfs = (computed[0][0], computed[0][1])
+    cdfs = [(sample_cdf(2 * p), sample_cdf(2 * p + 1)) for p in range(args.pairs)]
+    results = [ks_two_sample(cdf_a, cdf_b, k_eff, k_eff) for cdf_a, cdf_b in cdfs]
+    first_pair_cdfs = cdfs[0]
     ds = sorted(r.statistic for r in results)
     share = sum(1 for r in results if r.p_value >= 0.05) / args.pairs
     summary = {
@@ -216,8 +204,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spectrum_grid(matrix: DenseMatrix, k: int, mode: str, points: int) -> np.ndarray:
-    full = exact_F(matrix, k, mode)
+def _spectrum_grid(full: StepCdf, points: int) -> np.ndarray:
     lo, hi = float(full.jumps[0]), float(full.jumps[-1])
     if lo == hi:
         return np.array([lo])
@@ -257,8 +244,10 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
         r_grid = np.linspace(0.0, 5.0, 26)
         rng = np.random.default_rng(rng_seed + n)
         for label, matrix in matrices.items():
+            tables = {k: subset_spectra(matrix, k) for k in range(1, n)}
+            exact = {k: mean_cdf(table) for k, table in tables.items()}
             for k in range(2, n):
-                xs = _spectrum_grid(matrix, k, "eigen", 20)
+                xs = _spectrum_grid(exact[k], 20)
                 worst = walk.verify_triple_norm_bound(matrix, k, xs)
                 record(f"one-step-norm-n{n}-k{k}-{label}", worst, 4.0,
                        worst <= 4.0 + 1e-9)
@@ -285,7 +274,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                        violations == 0, worst_esd_gap=worst_gap)
 
             for k in range(1, min(4, n - 1) + 1):
-                dist = exact_supnorm_distribution(matrix, k)
+                dist = supnorm_law(tables[k], exact[k])
                 tail_violations = sum(
                     1 for r in r_grid
                     if dist.tail_prob(1.0 / math.sqrt(k) + float(r)) >
@@ -294,8 +283,8 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                 record(f"exact-supnorm-tail-n{n}-k{k}-{label}", tail_violations, 0.0,
                        tail_violations == 0 and mean_ok, mean=dist.mean(),
                        mean_bound=supnorm_mean_bound(k))
-                xs = _spectrum_grid(matrix, k, "eigen", 8)
-                profile = exact_pointwise_profile(matrix, k, xs)
+                xs = _spectrum_grid(exact[k], 8)
+                profile = pointwise_profile(tables[k], xs)
                 pw_violations = sum(
                     1 for xi in range(xs.size) for r in r_grid
                     if profile.tail(xi, float(r)) > pointwise_tail_bound(k, float(r)))
@@ -335,11 +324,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise UsageError(
             f"subset count C({matrix.rows},{args.k}) exceeds the enumeration cap "
             f"{args.cap}; use the Monte Carlo estimate subcommand instead")
-    dist = exact_supnorm_distribution(matrix, args.k, args.mode, args.cap)
+    table = subset_spectra(matrix, args.k, args.mode, args.cap)
+    reference = mean_cdf(table)
+    dist = supnorm_law(table, reference)
     if args.format == "csv":
         _emit(dist.to_csv(), args.out)
         return 0
-    reference = exact_F(matrix, args.k, args.mode, args.cap)
     doc = {
         "config": {
             "subcommand": "oracle", **matrix_desc, "k": args.k, "mode": args.mode,
@@ -353,7 +343,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "mean_bound": supnorm_mean_bound(args.k),
     }
     if args.x is not None:
-        profile = exact_pointwise_profile(matrix, args.k, args.x, args.mode, args.cap)
+        profile = pointwise_profile(table, args.x)
         r_grid = np.linspace(0.0, 1.0, 21)
         doc["pointwise"] = [
             {"x": float(x), "F": float(profile.f[i]),
@@ -397,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subspec",
         description="Spectral distributions of random submatrices: estimates, "
                     "exact oracles, and inequality verification.")
-    default_threads = int(os.environ.get("SUBSPEC_THREADS", "1"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="write a matrix file")
@@ -413,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("eigen", "singular"), default="eigen")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=2.0)
     p.add_argument("--r-points", type=int, default=41)
@@ -429,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-top", type=int, default=4)
     p.add_argument("--pairs", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair)

@@ -112,11 +112,17 @@ def is_hermitian(m: DenseMatrix, tol: float) -> bool:
     return float(np.max(np.abs(diff))) <= tol
 
 
-def eigenvalues_hermitian(m: DenseMatrix) -> Spectrum:
-    """All eigenvalues of a Hermitian matrix, repeated by multiplicity, ascending."""
+def require_hermitian(m: DenseMatrix) -> None:
+    """Raise ValueError("not Hermitian") unless M is Hermitian to within
+    1e-10 times its largest entry (or 1e-10 for the zero matrix)."""
     scale = m.max_abs()
     if not is_hermitian(m, 1e-10 * (scale if scale > 0 else 1.0)):
         raise ValueError("not Hermitian")
+
+
+def eigenvalues_hermitian(m: DenseMatrix) -> Spectrum:
+    """All eigenvalues of a Hermitian matrix, repeated by multiplicity, ascending."""
+    require_hermitian(m)
     if m.is_complex:
         # Hermitize away the <= 1e-10*scale asymmetry allowed by the guard, so
         # the real part is exactly symmetric and the imaginary part exactly

@@ -4,24 +4,23 @@ checked against.
 
 Determinism contract: every estimate is a pure function of (matrix, k,
 mode, n_samples, master_seed).  Sample i draws its subset from its own
-derived stream, per-subset spectra are cached by index set (identical
-submatrices solve to bit-identical spectra, so the cache cannot change any
-number), and all reductions run in sample-index order.  Worker threads only
-parallelize the per-subset eigensolves; they never touch the reduction.
+derived stream, each distinct subset is solved once (identical submatrices
+solve to bit-identical spectra, so sharing a solve cannot change any
+number), and all reductions are exact counts or run in sample-index order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL, Spectrum, is_hermitian
+from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL, Spectrum, require_hermitian
 from .oracle import DEFAULT_ENUMERATION_CAP, exact_F, subset_count
 from .sampling import PRNG_NAME, SeedPlan, SubsetSample, random_k_subset, subset_spectrum
-from .spectra import StepCdf, esd, sup_distance
+from .spectra import StepCdf, esd, step_cdf, sup_distance
 
 QUANTILE_PROBS = (0.5, 0.9, 0.99)
 
@@ -139,9 +138,7 @@ def _draw_subsets(m: DenseMatrix, k: int, mode: str, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if mode == "eigen":
-        scale = m.max_abs()
-        if not is_hermitian(m, 1e-10 * (scale if scale > 0 else 1.0)):
-            raise ValueError("not Hermitian")
+        require_hermitian(m)
     elif mode != "singular":
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
     plan = SeedPlan(master_seed)
@@ -150,39 +147,23 @@ def _draw_subsets(m: DenseMatrix, k: int, mode: str, n_samples: int,
             for i in range(n_samples)]
 
 
-def _solve_distinct(m: DenseMatrix, mode: str, subsets: list[tuple[int, ...]],
-                    n: int, threads: int) -> dict[tuple[int, ...], Spectrum]:
-    distinct = list(dict.fromkeys(subsets))
-
-    def solve(indices: tuple[int, ...]) -> Spectrum:
-        return subset_spectrum(m, SubsetSample(indices, n), mode)
-
-    if threads > 1 and len(distinct) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            spectra = list(pool.map(solve, distinct))
-    else:
-        spectra = [solve(s) for s in distinct]
-    return dict(zip(distinct, spectra))
+def _solve_distinct(m: DenseMatrix, mode: str,
+                    subsets: list[tuple[int, ...]]) -> dict[tuple[int, ...], Spectrum]:
+    return {s: subset_spectrum(m, SubsetSample(s, m.rows), mode)
+            for s in dict.fromkeys(subsets)}
 
 
 def _average_esd(spectra: dict[tuple[int, ...], Spectrum],
                  subsets: list[tuple[int, ...]]) -> StepCdf:
     """Equal-weight average of the per-sample ESDs via exact value counts."""
-    counts: dict[tuple[int, ...], int] = {}
-    for s in subsets:
-        counts[s] = counts.get(s, 0) + 1
-    all_values = np.concatenate([spectra[s].values for s in counts])
-    all_weights = np.concatenate(
-        [np.full(spectra[s].count, c, dtype=np.float64) for s, c in counts.items()])
-    uniq, inverse = np.unique(all_values, return_inverse=True)
-    per_value = np.bincount(inverse, weights=all_weights, minlength=uniq.size)
-    cum = np.cumsum(per_value) / (len(subsets) * spectra[subsets[0]].count)
-    cum[-1] = 1.0
-    return StepCdf(uniq, cum)
+    counts = Counter(subsets)
+    values = np.concatenate([spectra[s].values for s in counts])
+    weights = np.repeat(list(counts.values()), [spectra[s].count for s in counts])
+    return step_cdf(values, weights)
 
 
 def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
-               master_seed: int, threads: int = 1, stream_offset: int = 0) -> StepCdf:
+               master_seed: int, stream_offset: int = 0) -> StepCdf:
     """Equal-weight average of the sampled submatrix ESDs.
 
     `stream_offset` shifts the per-sample stream indices, so a run of
@@ -190,17 +171,17 @@ def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
     [N1, N1 + N2).
     """
     subsets = _draw_subsets(m, k, mode, n_samples, master_seed, stream_offset)
-    spectra = _solve_distinct(m, mode, subsets, m.rows, threads)
+    spectra = _solve_distinct(m, mode, subsets)
     return _average_esd(spectra, subsets)
 
 
 def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
                      master_seed: int, reference: StepCdf,
-                     threads: int = 1, metadata_note: str = "") -> EstimateReport:
+                     metadata_note: str = "") -> EstimateReport:
     """Monte Carlo law of the sup-norm distance between sampled ESDs and a
     caller-supplied reference CDF, plus the averaged F_hat."""
     subsets = _draw_subsets(m, k, mode, n_samples, master_seed)
-    spectra = _solve_distinct(m, mode, subsets, m.rows, threads)
+    spectra = _solve_distinct(m, mode, subsets)
     distances = {s: sup_distance(esd(spec), reference) for s, spec in spectra.items()}
     samples = np.array([distances[s] for s in subsets], dtype=np.float64)
     mean = math.fsum(samples.tolist()) / n_samples
@@ -243,13 +224,13 @@ def compare_tail(curve: TailCurve) -> list[dict]:
 
 
 def choose_reference(m: DenseMatrix, k: int, mode: str, n_samples: int,
-                     master_seed: int, cap: int = DEFAULT_ENUMERATION_CAP,
-                     threads: int = 1) -> tuple[StepCdf, str]:
+                     master_seed: int,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[StepCdf, str]:
     """Reference CDF for tail experiments: the exact expected CDF when full
     enumeration fits under the cap, otherwise an independent-seed estimate
     with ten times the samples.  Returns the CDF and a metadata note."""
     if subset_count(m.rows, k) <= cap:
         return exact_F(m, k, mode, cap), "reference=exact_F"
     independent_seed = SeedPlan(master_seed).seed_for(2**32)
-    ref = estimate_F(m, k, mode, 10 * n_samples, independent_seed, threads)
+    ref = estimate_F(m, k, mode, 10 * n_samples, independent_seed)
     return ref, f"reference=estimate_F(samples={10 * n_samples},seed={independent_seed})"

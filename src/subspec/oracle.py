@@ -4,6 +4,11 @@ Everything here enumerates all C(n, k) subsets, so results are exact laws
 rather than estimates.  The enumeration refuses to run past a configurable
 cap instead of silently subsampling; callers who outgrow it should switch
 to the Monte Carlo estimators.
+
+`subset_spectra` is the one enumerate-and-solve pass: it returns every
+subset's spectrum as one table, and the exact laws (`mean_cdf`,
+`supnorm_law`, `pointwise_profile`) are reductions of that table, so a
+caller that needs several of them solves each subset once.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .linalg import DenseMatrix
 from .sampling import SubsetSample, subset_spectrum
-from .spectra import StepCdf, esd, quantile_grid, sup_distance
+from .spectra import StepCdf, quantile_grid, step_cdf, sup_distance
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -80,51 +85,38 @@ def enumerate_subsets(n: int, k: int,
     return (SubsetSample(combo, n) for combo in combinations(range(1, n + 1), k))
 
 
-def _merge_counts(values: np.ndarray, counts: np.ndarray,
-                  extra: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    stacked = np.concatenate([values] + extra)
-    weights = np.concatenate([counts, np.ones(sum(a.size for a in extra))])
-    uniq, inverse = np.unique(stacked, return_inverse=True)
-    summed = np.bincount(inverse, weights=weights, minlength=uniq.size)
-    return uniq, summed
+def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """Read-only (C(n, k), k) float64 table whose row i is the sorted
+    spectrum of the i-th subset of `enumerate_subsets` (lexicographic).
+
+    In singular mode a matrix with fewer than k columns gives cols values
+    per subset, and the table is that wide.  The table takes
+    C(n, k) * k * 8 bytes, 119 MB at n = 23, k = 11.  The exact expected
+    CDF of a generic matrix has that many distinct jumps, so building it
+    costs that much memory with or without the table.
+    """
+    subsets = enumerate_subsets(m.rows, k, cap)
+    width = min(k, m.cols) if mode == "singular" else k
+    table = np.empty((math.comb(m.rows, k), width), dtype=np.float64)
+    for i, s in enumerate(subsets):
+        table[i] = subset_spectrum(m, s, mode).values
+    table.setflags(write=False)
+    return table
 
 
-def exact_F(m: DenseMatrix, k: int, mode: str = "eigen",
-            cap: int = DEFAULT_ENUMERATION_CAP) -> StepCdf:
-    """The expected spectral distribution as an exact equal-weight average
-    over every subset's submatrix ESD."""
-    n = m.rows
-    total = math.comb(n, k)
-    values = np.empty(0)
-    counts = np.empty(0)
-    buffer: list[np.ndarray] = []
-    buffered = 0
-    for s in enumerate_subsets(n, k, cap):
-        spec = subset_spectrum(m, s, mode)
-        buffer.append(spec.values)
-        buffered += spec.count
-        if buffered >= 100_000:
-            values, counts = _merge_counts(values, counts, buffer)
-            buffer, buffered = [], 0
-    if buffer:
-        values, counts = _merge_counts(values, counts, buffer)
-    cum = np.cumsum(counts) / (total * k)
-    cum[-1] = 1.0
-    return StepCdf(values, cum)
+def mean_cdf(table: np.ndarray) -> StepCdf:
+    """Equal-weight average of the per-row ESDs of a `subset_spectra` table."""
+    return step_cdf(table.ravel())
 
 
-def exact_supnorm_distribution(m: DenseMatrix, k: int, mode: str = "eigen",
-                               cap: int = DEFAULT_ENUMERATION_CAP) -> ExactDistribution:
-    """Exact law of the sup-norm distance between a uniform subset's ESD and
-    the exact expected CDF."""
-    reference = exact_F(m, k, mode, cap)
-    n = m.rows
-    total = math.comb(n, k)
-    distances = np.empty(total, dtype=np.float64)
-    for i, s in enumerate(enumerate_subsets(n, k, cap)):
-        distances[i] = sup_distance(esd(subset_spectrum(m, s, mode)), reference)
+def supnorm_law(table: np.ndarray, reference: StepCdf) -> ExactDistribution:
+    """Exact law of the sup-norm distance between a uniform row's ESD and
+    `reference`."""
+    distances = np.array([sup_distance(step_cdf(row), reference) for row in table],
+                         dtype=np.float64)
     uniq, counts = np.unique(distances, return_counts=True)
-    return ExactDistribution(uniq, counts / total)
+    return ExactDistribution(uniq, counts / table.shape[0])
 
 
 @dataclass(frozen=True)
@@ -144,18 +136,34 @@ class PointwiseProfile:
         return float(np.count_nonzero(dev >= r)) / self.fa.shape[0]
 
 
+def pointwise_profile(table: np.ndarray, xs: Sequence[float]) -> PointwiseProfile:
+    """Every row's ESD evaluated at each x, and their mean."""
+    xs_arr = np.array(xs, dtype=np.float64)
+    fa = np.empty((table.shape[0], xs_arr.size), dtype=np.float64)
+    for i, row in enumerate(table):
+        fa[i] = np.searchsorted(row, xs_arr, side="right") / row.size
+    return PointwiseProfile(xs_arr, fa.sum(axis=0) / table.shape[0], fa)
+
+
+def exact_F(m: DenseMatrix, k: int, mode: str = "eigen",
+            cap: int = DEFAULT_ENUMERATION_CAP) -> StepCdf:
+    """The expected spectral distribution as an exact equal-weight average
+    over every subset's submatrix ESD."""
+    return mean_cdf(subset_spectra(m, k, mode, cap))
+
+
+def exact_supnorm_distribution(m: DenseMatrix, k: int, mode: str = "eigen",
+                               cap: int = DEFAULT_ENUMERATION_CAP) -> ExactDistribution:
+    """Exact law of the sup-norm distance between a uniform subset's ESD and
+    the exact expected CDF."""
+    table = subset_spectra(m, k, mode, cap)
+    return supnorm_law(table, mean_cdf(table))
+
+
 def exact_pointwise_profile(m: DenseMatrix, k: int, xs: Sequence[float],
                             mode: str = "eigen",
                             cap: int = DEFAULT_ENUMERATION_CAP) -> PointwiseProfile:
-    xs_arr = np.array(xs, dtype=np.float64)
-    n = m.rows
-    total = math.comb(n, k)
-    fa = np.empty((total, xs_arr.size), dtype=np.float64)
-    for i, s in enumerate(enumerate_subsets(n, k, cap)):
-        spec = subset_spectrum(m, s, mode)
-        fa[i] = np.searchsorted(spec.values, xs_arr, side="right") / spec.count
-    f = fa.sum(axis=0) / total
-    return PointwiseProfile(xs_arr, f, fa)
+    return pointwise_profile(subset_spectra(m, k, mode, cap), xs)
 
 
 def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,

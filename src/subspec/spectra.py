@@ -95,12 +95,29 @@ class KsResult:
         return {"statistic": self.statistic, "lambda": self.lam, "p_value": self.p_value}
 
 
-def esd(s: Spectrum) -> StepCdf:
-    """Empirical spectral distribution: mass 1/count at each spectrum value."""
-    uniq, counts = np.unique(s.values, return_counts=True)
-    cum = np.cumsum(counts) / s.count
+def step_cdf(values: np.ndarray, weights: np.ndarray | None = None) -> StepCdf:
+    """Step CDF putting mass proportional to its multiplicity on each value.
+
+    `weights` are optional integer multiplicities, one per entry of
+    `values`; without them every entry counts once.  Counts are exact
+    integers and each cumulative value is one division by the exact total,
+    so the result does not depend on the order of `values`.
+    """
+    if weights is None:
+        uniq, counts = np.unique(values, return_counts=True)
+        total = values.size
+    else:
+        uniq, inverse = np.unique(values, return_inverse=True)
+        counts = np.bincount(inverse, weights=weights, minlength=uniq.size)
+        total = int(np.sum(weights))
+    cum = np.cumsum(counts) / total
     cum[-1] = 1.0
     return StepCdf(uniq, cum)
+
+
+def esd(s: Spectrum) -> StepCdf:
+    """Empirical spectral distribution: mass 1/count at each spectrum value."""
+    return step_cdf(s.values)
 
 
 def sup_distance(f: StepCdf, g: StepCdf) -> float:

@@ -23,7 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import DenseMatrix, eigenvalues_hermitian, gram, numerical_rank
-from .sampling import SubsetSample, row_submatrix, subset_spectrum
+from .oracle import enumerate_subsets, pointwise_profile, subset_spectra
+from .sampling import row_submatrix
 from .spectra import esd, sup_distance
 
 _MAX_DENSE_N = 6
@@ -217,56 +218,43 @@ def triple_norm(f: FunctionOnSn) -> float:
     return math.sqrt(worst / (f.n * f.n))
 
 
-def _observable_spectra(m: DenseMatrix, k: int, mode: str):
-    """Per-rank subset assignment and the sorted spectrum of each distinct
-    subset's submatrix (Gram eigenvalues in singular mode, so the observable
-    is the CDF of A A*)."""
+def _observable_spectra(m: DenseMatrix, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-rank row index into the (C(n, k), k) table of sorted subset
+    spectra, rows in `enumerate_subsets` order (Gram eigenvalues in singular
+    mode, so the observable is the CDF of A A*)."""
     n = m.rows
     if not 2 <= n <= _MAX_DENSE_N:
         raise ValueError(f"matrix order must lie in [2, {_MAX_DENSE_N}]")
     if not 1 <= k <= n:
         raise ValueError("k out of range")
+    if mode == "eigen":
+        table = subset_spectra(m, k, "eigen")
+    elif mode == "singular":
+        # Gram eigenvalues, not the clamped square roots that
+        # subset_spectra(m, k, "singular") holds
+        table = np.array([eigenvalues_hermitian(gram(row_submatrix(m, s))).values
+                          for s in enumerate_subsets(n, k)])
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+    row_of = {s.indices: i for i, s in enumerate(enumerate_subsets(n, k))}
     perms, _ = _perm_table(n)
-    subset_of_rank = np.empty(len(perms), dtype=np.intp)
-    subset_ids: dict[tuple[int, ...], int] = {}
-    spectra: list[np.ndarray] = []
-    for r, perm in enumerate(perms):
-        key = tuple(sorted(p + 1 for p in perm[:k]))
-        sid = subset_ids.get(key)
-        if sid is None:
-            sid = len(spectra)
-            subset_ids[key] = sid
-            sample = SubsetSample(key, n)
-            if mode == "eigen":
-                spec = subset_spectrum(m, sample, "eigen").values
-            elif mode == "singular":
-                spec = eigenvalues_hermitian(gram(row_submatrix(m, sample))).values
-            else:
-                raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
-            spectra.append(spec)
-        subset_of_rank[r] = sid
-    return subset_of_rank, spectra
+    subset_of_rank = np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))]
+                               for perm in perms], dtype=np.intp)
+    return subset_of_rank, table
 
 
 def esd_observable(m: DenseMatrix, k: int, x: float, mode: str = "eigen") -> FunctionOnSn:
     """f(pi) = value at x of the ESD of the submatrix selected by pi's first
     k entries; depends only on the selected set by construction."""
-    subset_of_rank, spectra = _observable_spectra(m, k, mode)
-    per_subset = np.array([np.searchsorted(spec, x, side="right") / spec.size
-                           for spec in spectra])
-    return FunctionOnSn(m.rows, per_subset[subset_of_rank])
+    return esd_observable_grid(m, k, [x], mode)[0]
 
 
 def esd_observable_grid(m: DenseMatrix, k: int, xs: Sequence[float],
                         mode: str = "eigen") -> list[FunctionOnSn]:
     """esd_observable for every x in xs, sharing one subset enumeration."""
-    subset_of_rank, spectra = _observable_spectra(m, k, mode)
-    out = []
-    for x in xs:
-        per_subset = np.array([np.searchsorted(spec, x, side="right") / spec.size
-                               for spec in spectra])
-        out.append(FunctionOnSn(m.rows, per_subset[subset_of_rank]))
-    return out
+    subset_of_rank, table = _observable_spectra(m, k, mode)
+    per_subset = pointwise_profile(table, xs).fa
+    return [FunctionOnSn(m.rows, per_subset[subset_of_rank, j]) for j in range(len(xs))]
 
 
 def verify_triple_norm_bound(m: DenseMatrix, k: int, x_grid: Sequence[float],

@@ -1,12 +1,14 @@
 import json
+import math
 
 import numpy as np
 
 from subspec.cli import main
-from subspec.ensembles import save_matrix
+from subspec.ensembles import load_matrix, save_matrix
 from subspec.linalg import DenseMatrix
-from subspec.oracle import halfones_exact_mean
-from subspec.spectra import cdf_to_csv, esd, ks_two_sample
+from subspec.oracle import enumerate_subsets, halfones_exact_mean
+from subspec.sampling import subset_spectrum
+from subspec.spectra import average_cdfs, cdf_to_csv, esd, ks_two_sample
 from subspec.linalg import Spectrum
 
 
@@ -190,6 +192,37 @@ class TestOracle:
         assert rc == 0
         assert out.read_text().splitlines()[0] == "value,probability"
 
+    def test_solves_each_subset_once(self, tmp_path, monkeypatch):
+        import subspec.oracle
+        real = subspec.oracle.subset_spectrum
+        calls = []
+
+        def counting(m, s, mode):
+            calls.append(s.indices)
+            return real(m, s, mode)
+
+        monkeypatch.setattr(subspec.oracle, "subset_spectrum", counting)
+        rc = run("oracle", "--ensemble", "rw-covariance", "--n", "8", "--k", "3",
+                 "--x", "3", "9", "--out", str(tmp_path / "o.json"))
+        assert rc == 0
+        assert len(calls) == math.comb(8, 3)
+
+    def test_singular_mode_on_narrow_matrix(self, tmp_path):
+        # the 3 x 2 row blocks of a 5 x 2 matrix have two singular values, not k = 3
+        matrix = tmp_path / "m.txt"
+        data = np.arange(1.0, 11.0).reshape(5, 2) ** 1.5
+        save_matrix(DenseMatrix(data), matrix)
+        out = tmp_path / "o.json"
+        rc = run("oracle", "--matrix", str(matrix), "--k", "3", "--mode", "singular",
+                 "--out", str(out))
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        cdfs = [esd(subset_spectrum(load_matrix(matrix), s, "singular"))
+                for s in enumerate_subsets(5, 3)]
+        mixture = average_cdfs(cdfs, [0.1] * 10)
+        assert doc["exact_F"]["jumps"] == mixture.jumps.tolist()
+        np.testing.assert_allclose(doc["exact_F"]["cum"], mixture.cum, atol=1e-15)
+
 
 class TestKs:
     def test_matches_library(self, tmp_path):
@@ -223,29 +256,32 @@ class TestUsage:
         assert run("estimate", "--ensemble", "half-ones", "--k", "2",
                    "--out", str(tmp_path / "x.json")) == 2
 
-    def test_threads_env_default(self, monkeypatch):
-        from subspec.cli import build_parser
+    def test_threads_env_default(self, monkeypatch, tmp_path):
+        # there is no thread option: SUBSPEC_THREADS is ignored and
+        # --threads is a usage error
         monkeypatch.setenv("SUBSPEC_THREADS", "3")
-        args = build_parser().parse_args(
-            ["estimate", "--ensemble", "half-ones", "--n", "4", "--k", "2"])
-        assert args.threads == 3
+        common = ["--ensemble", "half-ones", "--n", "4", "--k", "2"]
+        for argv in (["estimate", *common, "--samples", "10"],
+                     ["pair", *common, "--exclude-top", "1", "--pairs", "2"]):
+            assert run(*argv, "--out", str(tmp_path / "out")) == 0
+            assert run(*argv, "--threads", "2", "--out", str(tmp_path / "out")) == 2
 
 
 class TestByteIdenticalReruns:
-    def test_estimate_threads_do_not_change_output(self, tmp_path):
+    def test_estimate_rerun_identical(self, tmp_path):
         args = ["estimate", "--ensemble", "random-gaussian", "--n", "10",
                 "--matrix-seed", "4", "--k", "3", "--samples", "300", "--seed", "11"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(*args, "--threads", "1", "--out", str(a)) == 0
-        assert run(*args, "--threads", "4", "--out", str(b)) == 0
+        assert run(*args, "--out", str(a)) == 0
+        assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_pair_threads_do_not_change_output(self, tmp_path):
+    def test_pair_rerun_identical(self, tmp_path):
         args = ["pair", "--ensemble", "rw-covariance", "--n", "20", "--k", "6",
                 "--exclude-top", "1", "--pairs", "10", "--seed", "5"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert run(*args, "--threads", "1", "--out", str(a)) == 0
-        assert run(*args, "--threads", "3", "--out", str(b)) == 0
+        assert run(*args, "--out", str(a)) == 0
+        assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_verify_rerun_identical(self, tmp_path):

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from subspec.ensembles import half_ones_diagonal, random_symmetric
+from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
+                               rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, eigenvalues_hermitian
 from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 empirical_tail, estimate_F, estimate_supnorm,
                                 pointwise_tail_bound, supnorm_mean_bound,
                                 supnorm_tail_bound)
 from subspec.oracle import exact_F, exact_supnorm_distribution, halfones_exact_mean
+from subspec.sampling import SeedPlan, SubsetSample, random_k_subset, subset_spectrum
 from subspec.spectra import average_cdfs, esd, sup_distance
 
 
@@ -102,6 +104,39 @@ class TestEstimateF:
         assert f.cum[-1] == 1.0
         assert np.all(f.jumps >= 0)
 
+    @pytest.mark.parametrize("case", ["rw-covariance", "half-ones", "singular",
+                                      "complex-file"])
+    def test_matches_per_sample_count_reference(self, case, tmp_path):
+        # the former _average_esd, kept as the reference for the shared
+        # weighted count reduction; 300 draws of few subsets repeat many
+        if case == "complex-file":
+            rng = np.random.default_rng(5)
+            x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+            save_matrix(DenseMatrix((x + x.conj().T) / 2), tmp_path / "h.txt")
+            m, k, mode = load_matrix(tmp_path / "h.txt"), 3, "eigen"
+        else:
+            m, k, mode = {"rw-covariance": (rw_covariance(9), 4, "eigen"),
+                          "half-ones": (half_ones_diagonal(8), 3, "eigen"),
+                          "singular": (random_symmetric(8, 3, "gaussian"), 3, "singular"),
+                          }[case]
+        plan = SeedPlan(31)
+        subsets = [random_k_subset(m.rows, k, plan.stream(i)).indices for i in range(300)]
+        spectra = {s: subset_spectrum(m, SubsetSample(s, m.rows), mode) for s in subsets}
+        counts = {}
+        for s in subsets:
+            counts[s] = counts.get(s, 0) + 1
+        all_values = np.concatenate([spectra[s].values for s in counts])
+        all_weights = np.concatenate(
+            [np.full(spectra[s].count, c, dtype=np.float64) for s, c in counts.items()])
+        uniq, inverse = np.unique(all_values, return_inverse=True)
+        per_value = np.bincount(inverse, weights=all_weights, minlength=uniq.size)
+        cum = np.cumsum(per_value) / (len(subsets) * k)
+        cum[-1] = 1.0
+        f = estimate_F(m, k, mode, 300, 31)
+        assert len(counts) < len(subsets)
+        assert f.jumps.tobytes() == uniq.tobytes()
+        assert f.cum.tobytes() == cum.tobytes()
+
 
 class TestEstimateSupnorm:
     def test_constant_matrix_all_zero(self):
@@ -128,11 +163,11 @@ class TestEstimateSupnorm:
         vs_exact = estimate_supnorm(m, 2, "eigen", 10, 3, exact_F(m, 2))
         assert vs_self.mean_supnorm < vs_exact.mean_supnorm
 
-    def test_determinism_and_thread_independence(self):
+    def test_rerun_determinism(self):
         m = random_symmetric(9, 8, "gaussian")
         ref = exact_F(m, 3)
-        a = estimate_supnorm(m, 3, "eigen", 400, 17, ref, threads=1)
-        b = estimate_supnorm(m, 3, "eigen", 400, 17, ref, threads=4)
+        a = estimate_supnorm(m, 3, "eigen", 400, 17, ref)
+        b = estimate_supnorm(m, 3, "eigen", 400, 17, ref)
         assert a.mean_supnorm == b.mean_supnorm
         assert a.samples.tolist() == b.samples.tolist()
         assert a.f_hat.jumps.tolist() == b.f_hat.jumps.tolist()

@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
+from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
+                               rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, Spectrum
 from subspec.montecarlo import supnorm_mean_bound
 from subspec.oracle import (ExactDistribution, chaining_check, enumerate_subsets,
                             exact_F, exact_pointwise_profile, exact_pointwise_tail,
                             exact_supnorm_distribution, halfones_exact_mean,
                             hypergeometric_pmf, subset_count)
-from subspec.spectra import esd
+from subspec.sampling import subset_spectrum
+from subspec.spectra import StepCdf, esd, sup_distance
 
 
 class TestEnumerateSubsets:
@@ -55,6 +57,73 @@ class TestExactF:
         reference = esd(eigenvalues_hermitian(m))
         assert f.jumps.tolist() == reference.jumps.tolist()
         assert f.cum.tolist() == reference.cum.tolist()
+
+
+def _case_matrix(case, tmp_path):
+    """Exact-law reference cases: generic, tied, singular-mode and a complex
+    Hermitian matrix read back from a file."""
+    if case == "rw-covariance":
+        return rw_covariance(9), 4, "eigen"
+    if case == "half-ones":
+        return half_ones_diagonal(8), 3, "eigen"
+    if case == "singular":
+        return random_symmetric(8, 3, "gaussian"), 3, "singular"
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    path = tmp_path / "hermitian.txt"
+    save_matrix(DenseMatrix((x + x.conj().T) / 2), path)
+    return load_matrix(path), 3, "eigen"
+
+
+def _buffered_exact_F(m, k, mode, buffer_limit):
+    """The former exact_F: per-subset solves whose value counts are merged
+    buffer by buffer.  Reference for the one-table reduction."""
+    total = math.comb(m.rows, k)
+    values, counts = np.empty(0), np.empty(0)
+    buffer, buffered = [], 0
+
+    def merge(values, counts, extra):
+        stacked = np.concatenate([values] + extra)
+        weights = np.concatenate([counts, np.ones(sum(a.size for a in extra))])
+        uniq, inverse = np.unique(stacked, return_inverse=True)
+        return uniq, np.bincount(inverse, weights=weights, minlength=uniq.size)
+
+    for s in enumerate_subsets(m.rows, k):
+        spec = subset_spectrum(m, s, mode)
+        buffer.append(spec.values)
+        buffered += spec.count
+        if buffered >= buffer_limit:
+            values, counts = merge(values, counts, buffer)
+            buffer, buffered = [], 0
+    if buffer:
+        values, counts = merge(values, counts, buffer)
+    cum = np.cumsum(counts) / (total * k)
+    cum[-1] = 1.0
+    return StepCdf(values, cum)
+
+
+@pytest.mark.parametrize("case", ["rw-covariance", "half-ones", "singular", "complex-file"])
+def test_exact_laws_match_per_subset_reference(case, tmp_path):
+    m, k, mode = _case_matrix(case, tmp_path)
+    reference = _buffered_exact_F(m, k, mode, buffer_limit=10)
+    assert math.comb(m.rows, k) * k >= 100  # the 10-value buffer merges many times
+    f = exact_F(m, k, mode)
+    assert f.jumps.tobytes() == reference.jumps.tobytes()
+    assert f.cum.tobytes() == reference.cum.tobytes()
+
+    spectra = [subset_spectrum(m, s, mode) for s in enumerate_subsets(m.rows, k)]
+    distances = np.array([sup_distance(esd(spec), reference) for spec in spectra])
+    uniq, counts = np.unique(distances, return_counts=True)
+    law = exact_supnorm_distribution(m, k, mode)
+    assert law.values.tobytes() == uniq.tobytes()
+    assert law.probs.tobytes() == (counts / len(spectra)).tobytes()
+
+    xs = np.array([reference.jumps[0] - 1.0, *reference.jumps[::7], 0.5])
+    fa = np.array([np.searchsorted(spec.values, xs, side="right") / spec.count
+                   for spec in spectra])
+    profile = exact_pointwise_profile(m, k, xs, mode)
+    assert profile.fa.tobytes() == fa.tobytes()
+    assert profile.f.tobytes() == (fa.sum(axis=0) / len(spectra)).tobytes()
 
 
 class TestExactSupnormDistribution:
