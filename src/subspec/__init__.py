@@ -16,7 +16,7 @@ from .montecarlo import (EstimateReport, TailCurve, compare_tail, empirical_tail
                          supnorm_mean_bound, supnorm_tail_bound)
 from .oracle import (ExactDistribution, chaining_check, enumerate_subsets, exact_F,
                      exact_pointwise_tail, exact_supnorm_distribution,
-                     halfones_exact_mean)
+                     halfones_exact_mean, subset_spectra)
 from .sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
                        principal_submatrix, random_k_subset, row_submatrix,
                        subset_spectrum)
@@ -41,7 +41,7 @@ __all__ = [
     "EstimateReport", "TailCurve", "estimate_F", "estimate_supnorm", "empirical_tail",
     "compare_tail", "supnorm_tail_bound", "supnorm_mean_bound", "pointwise_tail_bound",
     "ExactDistribution", "enumerate_subsets", "exact_F", "exact_supnorm_distribution",
-    "exact_pointwise_tail", "halfones_exact_mean", "chaining_check",
+    "exact_pointwise_tail", "halfones_exact_mean", "chaining_check", "subset_spectra",
     "PermIndex", "FunctionOnSn", "WalkReport", "kernel_matrix", "verify_kernel",
     "spectral_gap", "dirichlet_form", "variance_mu", "triple_norm", "esd_observable",
     "verify_triple_norm_bound", "verify_gap_concentration", "rank_step_check",

@@ -97,8 +97,8 @@ def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
 
 
 def _r_grid(args: argparse.Namespace) -> np.ndarray:
-    if args.r_points < 2 or args.r_max <= args.r_min or args.r_min < 0:
-        raise UsageError("need 0 <= r-min < r-max and at least two r-points")
+    if args.r_points < 2 or not 0 <= args.r_min < args.r_max < math.inf:
+        raise UsageError("need finite 0 <= r-min < r-max and at least two r-points")
     return np.linspace(args.r_min, args.r_max, args.r_points)
 
 
@@ -117,6 +117,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
     if not 1 <= args.k <= matrix.rows:
         raise UsageError("k must satisfy 1 <= k <= n")
+    if args.samples < 1:
+        raise UsageError("samples must be positive")
     r_grid = _r_grid(args)
     reference, ref_note = choose_reference(matrix, args.k, args.mode, args.samples,
                                            args.seed, args.cap)
@@ -248,11 +250,11 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
             exact = {k: mean_cdf(table) for k, table in tables.items()}
             for k in range(2, n):
                 xs = _spectrum_grid(exact[k], 20)
-                worst = walk.verify_triple_norm_bound(matrix, k, xs)
+                worst = walk.verify_triple_norm_bound(tables[k], n, xs)
                 record(f"one-step-norm-n{n}-k{k}-{label}", worst, 4.0,
                        worst <= 4.0 + 1e-9)
                 mid = xs[len(xs) // 2]
-                f = walk.esd_observable(matrix, k, float(mid))
+                f = walk.esd_observable(tables[k], n, float(mid))
                 ok = True
                 worst_excess = 0.0
                 for signed in (f, walk.FunctionOnSn(n, -f.values)):
@@ -266,7 +268,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                 for _ in range(40):
                     perm = tuple(int(v) for v in rng.permutation(n))
                     i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-                    rank_diff, f_gap = walk.rank_step_check(matrix, k, perm, (i, j))
+                    rank_diff, f_gap = walk.rank_step_check(matrix, tables[k], perm, (i, j))
                     worst_gap = max(worst_gap, f_gap)
                     if rank_diff > 2 or f_gap > 2.0 / k + 1e-12:
                         violations += 1
@@ -320,6 +322,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
     if not 1 <= args.k <= matrix.rows:
         raise UsageError("k must satisfy 1 <= k <= n")
+    if args.x is not None and not all(math.isfinite(x) for x in args.x):
+        raise UsageError("--x values must be finite")
     if subset_count(matrix.rows, args.k) > args.cap:
         raise UsageError(
             f"subset count C({matrix.rows},{args.k}) exceeds the enumeration cap "

@@ -54,14 +54,7 @@ class Xoshiro256pp:
 
     @classmethod
     def from_seed(cls, seed: int) -> "Xoshiro256pp":
-        state = seed & _MASK64
-        words = []
-        for _ in range(4):
-            state = (state + _GOLDEN) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX_C1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX_C2) & _MASK64
-            words.append(z ^ (z >> 31))
-        return cls(*words)
+        return cls(*(splitmix64_mix((seed + i * _GOLDEN) & _MASK64) for i in range(4)))
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3

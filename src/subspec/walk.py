@@ -10,6 +10,12 @@ by direct matrix inspection.
 Dense n! x n! work is capped at n = 6 (720^2 floats); rank/unrank and the
 matrix-free neighbor sums (Dirichlet form, worst-case one-step increment)
 additionally work for n = 7 and 8.
+
+A permutation acts on the matrix only through the set of its first k
+entries, so the ESD observables and the one-step ESD gap read rows of the
+`oracle.subset_spectra(m, k)` table and solve no subset themselves.  The
+singular-mode observable of the k x n row block A reads the table of
+`gram(m)`, since A A* is the principal block (m m*)[S, S].
 """
 
 from __future__ import annotations
@@ -22,10 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DenseMatrix, eigenvalues_hermitian, gram, numerical_rank
-from .oracle import enumerate_subsets, pointwise_profile, subset_spectra
-from .sampling import row_submatrix
-from .spectra import esd, sup_distance
+from .linalg import DenseMatrix, eigenvalues_hermitian, numerical_rank
+from .oracle import enumerate_subsets, pointwise_profile
+from .spectra import step_cdf, sup_distance
 
 _MAX_DENSE_N = 6
 _MAX_PERM_N = 8
@@ -218,54 +223,50 @@ def triple_norm(f: FunctionOnSn) -> float:
     return math.sqrt(worst / (f.n * f.n))
 
 
-def _observable_spectra(m: DenseMatrix, k: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-rank row index into the (C(n, k), k) table of sorted subset
-    spectra, rows in `enumerate_subsets` order (Gram eigenvalues in singular
-    mode, so the observable is the CDF of A A*)."""
-    n = m.rows
-    if not 2 <= n <= _MAX_DENSE_N:
-        raise ValueError(f"matrix order must lie in [2, {_MAX_DENSE_N}]")
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    if mode == "eigen":
-        table = subset_spectra(m, k, "eigen")
-    elif mode == "singular":
-        # Gram eigenvalues, not the clamped square roots that
-        # subset_spectra(m, k, "singular") holds
-        table = np.array([eigenvalues_hermitian(gram(row_submatrix(m, s))).values
-                          for s in enumerate_subsets(n, k)])
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+@lru_cache(maxsize=32)
+def _subset_rows(n: int, k: int) -> np.ndarray:
+    """_subset_rows(n, k)[r] is the row, in `enumerate_subsets` order, of
+    the set of permutation r's first k entries."""
     row_of = {s.indices: i for i, s in enumerate(enumerate_subsets(n, k))}
     perms, _ = _perm_table(n)
-    subset_of_rank = np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))]
-                               for perm in perms], dtype=np.intp)
-    return subset_of_rank, table
+    rows = np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))] for perm in perms],
+                    dtype=np.intp)
+    rows.setflags(write=False)
+    return rows
 
 
-def esd_observable(m: DenseMatrix, k: int, x: float, mode: str = "eigen") -> FunctionOnSn:
+def _table_rows(table: np.ndarray, n: int) -> np.ndarray:
+    """Per-rank rows into a `subset_spectra` table of k = table.shape[1]."""
+    if not 2 <= n <= _MAX_DENSE_N:
+        raise ValueError(f"matrix order must lie in [2, {_MAX_DENSE_N}]")
+    k = table.shape[1]
+    if not 1 <= k <= n or table.shape[0] != math.comb(n, k):
+        raise ValueError(f"table must have C(n, k) = C({n}, {k}) rows, one per subset")
+    return _subset_rows(n, k)
+
+
+def esd_observable(table: np.ndarray, n: int, x: float) -> FunctionOnSn:
     """f(pi) = value at x of the ESD of the submatrix selected by pi's first
-    k entries; depends only on the selected set by construction."""
-    return esd_observable_grid(m, k, [x], mode)[0]
+    k entries, read from `table` = `subset_spectra(m, k)` of an order-n m
+    (k = table.shape[1]); depends only on the selected set by construction."""
+    return esd_observable_grid(table, n, [x])[0]
 
 
-def esd_observable_grid(m: DenseMatrix, k: int, xs: Sequence[float],
-                        mode: str = "eigen") -> list[FunctionOnSn]:
-    """esd_observable for every x in xs, sharing one subset enumeration."""
-    subset_of_rank, table = _observable_spectra(m, k, mode)
+def esd_observable_grid(table: np.ndarray, n: int, xs: Sequence[float]) -> list[FunctionOnSn]:
+    """esd_observable for every x in xs."""
+    rows = _table_rows(table, n)
     per_subset = pointwise_profile(table, xs).fa
-    return [FunctionOnSn(m.rows, per_subset[subset_of_rank, j]) for j in range(len(xs))]
+    return [FunctionOnSn(n, per_subset[rows, j]) for j in range(len(xs))]
 
 
-def verify_triple_norm_bound(m: DenseMatrix, k: int, x_grid: Sequence[float],
-                             mode: str = "eigen") -> float:
+def verify_triple_norm_bound(table: np.ndarray, n: int, x_grid: Sequence[float]) -> float:
     """Assert the worst-case one-step estimate triple_norm(f_x)^2 <= 4/(kn)
     for every x in the grid; returns the largest kn * triple_norm^2 seen."""
-    n = m.rows
+    k = table.shape[1]
     budget = 4.0 / (k * n)
     worst = 0.0
     offenders = []
-    for x, f in zip(x_grid, esd_observable_grid(m, k, x_grid, mode)):
+    for x, f in zip(x_grid, esd_observable_grid(table, n, x_grid)):
         tn2 = triple_norm(f) ** 2
         worst = max(worst, k * n * tn2)
         if tn2 > budget + 1e-12:
@@ -302,20 +303,22 @@ def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
     return rows
 
 
-def rank_step_check(m: DenseMatrix, k: int, sigma: PermIndex | Sequence[int],
+def rank_step_check(m: DenseMatrix, table: np.ndarray, sigma: PermIndex | Sequence[int],
                     tau: tuple[int, int], rel_tol: float = 1e-7) -> tuple[int, float]:
     """One walk step seen through the submatrix: rank of A(sigma) - A(sigma tau)
-    and the sup-norm gap of the two ESDs.
+    and the sup-norm gap of the two ESDs, for k = table.shape[1].
 
     The submatrices keep the permutation's own row/column order; that is what
-    confines the difference to one changed position (rank at most 2).
+    confines the difference to one changed position (rank at most 2).  The
+    ESDs are rows of `table`, `subset_spectra(m, k)`, so a step that keeps
+    the selected set has gap exactly 0.
     """
     perm = sigma.permutation() if isinstance(sigma, PermIndex) else tuple(sigma)
     n = len(perm)
     if not m.is_square() or m.rows != n:
         raise ValueError("matrix order must match the permutation length")
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
+    rows = _table_rows(table, n)
+    k = table.shape[1]
     i, j = tau
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError("tau must be two distinct positions in [0, n)")
@@ -323,13 +326,11 @@ def rank_step_check(m: DenseMatrix, k: int, sigma: PermIndex | Sequence[int],
     moved[i], moved[j] = moved[j], moved[i]
     sel_a = np.array(perm[:k], dtype=np.intp)
     sel_b = np.array(moved[:k], dtype=np.intp)
-    sub_a = DenseMatrix(m.data[np.ix_(sel_a, sel_a)])
-    sub_b = DenseMatrix(m.data[np.ix_(sel_b, sel_b)])
-    diff = sub_a.data - sub_b.data
+    diff = m.data[np.ix_(sel_a, sel_a)] - m.data[np.ix_(sel_b, sel_b)]
     if np.all(diff == 0):
         rank_diff = 0
     else:
         rank_diff = numerical_rank(DenseMatrix(diff), rel_tol)
-    f_gap = sup_distance(esd(eigenvalues_hermitian(sub_a)),
-                         esd(eigenvalues_hermitian(sub_b)))
+    f_gap = sup_distance(step_cdf(table[rows[perm_rank(perm)]]),
+                         step_cdf(table[rows[perm_rank(moved)]]))
     return rank_diff, f_gap

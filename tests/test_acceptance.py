@@ -20,7 +20,7 @@ from subspec.montecarlo import (estimate_supnorm, pointwise_tail_bound,
                                 supnorm_mean_bound, supnorm_tail_bound)
 from subspec.oracle import (chaining_check, exact_F, exact_pointwise_profile,
                             exact_supnorm_distribution, halfones_exact_mean,
-                            hypergeometric_pmf)
+                            hypergeometric_pmf, subset_spectra)
 from subspec.spectra import StepCdf, esd, sup_distance
 
 
@@ -89,7 +89,8 @@ def test_criterion_3_one_step_norm_budget():
         for label, matrix in hermitian_test_matrices(n, range(201, 206)).items():
             xs = eigen_range_grid(matrix, 20)
             for k in range(2, n):
-                worst = max(worst, walk.verify_triple_norm_bound(matrix, k, xs))
+                table = subset_spectra(matrix, k)
+                worst = max(worst, walk.verify_triple_norm_bound(table, n, xs))
                 cases += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 4.0 + 1e-9 and elapsed < 120.0
@@ -107,7 +108,7 @@ def test_criterion_4_gap_concentration():
         for matrix in hermitian_test_matrices(n, range(201, 206)).values():
             xs = eigen_range_grid(matrix, 20)
             for k in range(2, n):
-                for f in walk.esd_observable_grid(matrix, k, xs):
+                for f in walk.esd_observable_grid(subset_spectra(matrix, k), n, xs):
                     for signed in (f, walk.FunctionOnSn(n, -f.values)):
                         functions += 1
                         rows = walk.verify_gap_concentration(signed, r_grid, gap)

@@ -80,6 +80,20 @@ class TestEstimate:
                  "--out", str(tmp_path / "x.json"))
         assert rc == 2
 
+    def test_nonpositive_samples_is_usage_error(self, tmp_path):
+        for samples in ("0", "-3"):
+            rc = run("estimate", "--ensemble", "half-ones", "--n", "4", "--k", "2",
+                     "--samples", samples, "--out", str(tmp_path / "x.json"))
+            assert rc == 2
+
+    def test_non_finite_r_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.json"
+        for flags in (("--r-min", "nan"), ("--r-max", "nan"), ("--r-max", "inf")):
+            rc = run("estimate", "--ensemble", "half-ones", "--n", "4", "--k", "2",
+                     "--samples", "5", *flags, "--out", str(out))
+            assert rc == 2
+        assert not out.exists()
+
 
 class TestPair:
     def test_full_subset_gives_identical_cdfs(self, tmp_path):
@@ -150,6 +164,22 @@ class TestVerify:
     def test_rejects_large_n(self, tmp_path):
         assert run("verify", "--n", "7", "--out", str(tmp_path / "x.json")) == 2
 
+    def test_solves_each_subset_once(self, tmp_path, monkeypatch):
+        # one table per (n, matrix, k) with k < n, three matrices per n:
+        # 3 * (6 + 14 + 30) = 150 distinct subset problems
+        import subspec.oracle
+        real = subspec.oracle.subset_spectrum
+        calls = []
+
+        def counting(m, s, mode):
+            calls.append(s.indices)
+            return real(m, s, mode)
+
+        monkeypatch.setattr(subspec.oracle, "subset_spectrum", counting)
+        rc = run("verify", "--n", "3", "4", "5", "--out", str(tmp_path / "v.json"))
+        assert rc == 0
+        assert len(calls) == 3 * sum(math.comb(n, k) for n in (3, 4, 5) for k in range(1, n))
+
 
 class TestOracle:
     def test_half_ones_mean(self, tmp_path):
@@ -184,6 +214,14 @@ class TestOracle:
         assert doc["pointwise"][0]["x"] == 0.0
         assert all(t["probability"] <= t["bound"] + 1e-15
                    for t in doc["pointwise"][0]["tails"])
+
+    def test_non_finite_x_is_usage_error(self, tmp_path):
+        out = tmp_path / "o.json"
+        for x in ("nan", "inf", "-inf"):
+            rc = run("oracle", "--ensemble", "half-ones", "--n", "4", "--k", "2",
+                     "--x", "0.0", x, "--out", str(out))
+            assert rc == 2
+        assert not out.exists()
 
     def test_csv_distribution(self, tmp_path):
         out = tmp_path / "dist.csv"

@@ -42,6 +42,18 @@ class TestXoshiro:
         b = Xoshiro256pp.from_seed(5)
         assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
 
+    def test_known_answer_streams(self):
+        # first outputs pinned at the extremes of the seed range
+        expected = {
+            0: [0x53175D61490B23DF, 0x61DA6F3DC380D507,
+                0x5C0FDF91EC9A7BFC, 0x02EEBF8C3BBE5E1A],
+            2**64 - 1: [0x56CCF8CE948E27B2, 0xE68588432E5A5B90,
+                        0xE3E9B5A48119CA8B, 0x460F19495532AE73],
+        }
+        for seed, words in expected.items():
+            rng = Xoshiro256pp.from_seed(seed)
+            assert [rng.next_u64() for _ in range(4)] == words
+
     def test_unit_interval(self):
         rng = Xoshiro256pp.from_seed(1)
         draws = [rng.next_unit() for _ in range(1000)]

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
-from subspec.linalg import DenseMatrix
+from subspec.linalg import DenseMatrix, eigenvalues_hermitian, gram
 from subspec.montecarlo import pointwise_tail_bound
+from subspec.oracle import subset_spectra
+from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
+from subspec.spectra import esd, sup_distance
 from subspec.walk import (FunctionOnSn, PermIndex, WalkReport, dirichlet_form,
                           esd_observable, esd_observable_grid, gap_concentration_bound,
                           kernel_errors, kernel_matrix, neighbor_table, perm_rank,
@@ -150,21 +153,19 @@ class TestTripleNorm:
 
 class TestEsdObservable:
     def test_extremes(self):
-        m = rw_covariance(4)
-        assert np.all(esd_observable(m, 2, 1e6).values == 1.0)
-        assert np.all(esd_observable(m, 2, -1e6).values == 0.0)
+        table = subset_spectra(rw_covariance(4), 2)
+        assert np.all(esd_observable(table, 4, 1e6).values == 1.0)
+        assert np.all(esd_observable(table, 4, -1e6).values == 0.0)
 
     def test_half_ones_counts_selected_ones(self):
-        m = half_ones_diagonal(4)
-        f = esd_observable(m, 2, 0.0)
+        f = esd_observable(subset_spectra(half_ones_diagonal(4), 2), 4, 0.0)
         for r in range(24):
             perm = perm_unrank(4, r)
             ones_selected = sum(1 for p in perm[:2] if p < 2)
             assert f.values[r] == (2 - ones_selected) / 2
 
     def test_depends_only_on_selected_set(self):
-        m = random_symmetric(5, 3, "gaussian")
-        f = esd_observable(m, 3, 0.3)
+        f = esd_observable(subset_spectra(random_symmetric(5, 3, "gaussian"), 3), 5, 0.3)
         groups = {}
         for r in range(120):
             key = tuple(sorted(perm_unrank(5, r)[:3]))
@@ -172,32 +173,49 @@ class TestEsdObservable:
         assert all(len(v) == 1 for v in groups.values())
 
     def test_singular_mode_uses_gram_spectrum(self):
+        # the row block A of S has A A* = gram(m)[S, S], so the singular-mode
+        # observable reads the eigen table of gram(m)
         rng = np.random.default_rng(5)
         m = DenseMatrix(rng.standard_normal((4, 4)))
-        f = esd_observable(m, 2, 0.5, mode="singular")
+        f = esd_observable(subset_spectra(gram(m), 2), 4, 0.5)
         assert np.all((f.values >= 0) & (f.values <= 1))
+        for r in range(24):
+            s = SubsetSample(tuple(sorted(p + 1 for p in perm_unrank(4, r)[:2])), 4)
+            direct = esd(eigenvalues_hermitian(gram(row_submatrix(m, s))))
+            assert f.values[r] == direct.eval(0.5)
 
     def test_grid_matches_single(self):
-        m = rw_covariance(4)
+        table = subset_spectra(rw_covariance(4), 2)
         xs = [0.1, 0.5, 2.0]
-        grid = esd_observable_grid(m, 2, xs)
+        grid = esd_observable_grid(table, 4, xs)
         for x, f in zip(xs, grid):
-            assert f.values.tolist() == esd_observable(m, 2, x).values.tolist()
+            assert f.values.tolist() == esd_observable(table, 4, x).values.tolist()
+
+    def test_rejects_mismatched_table(self):
+        table = subset_spectra(rw_covariance(5), 2)
+        with pytest.raises(ValueError):
+            esd_observable(table, 4, 0.0)  # C(5, 2) rows, not C(4, 2)
+        with pytest.raises(ValueError):
+            esd_observable(table[:-1], 5, 0.0)
+        with pytest.raises(ValueError):
+            esd_observable(subset_spectra(rw_covariance(7), 2), 7, 0.0)
+        with pytest.raises(ValueError):
+            rank_step_check(rw_covariance(4), table, (0, 1, 2, 3), (0, 1))
 
 
 class TestTripleNormBound:
     def test_constant_diagonal_is_zero(self):
-        m = DenseMatrix(2.0 * np.eye(4))
-        assert verify_triple_norm_bound(m, 2, [1.0, 2.0, 3.0]) == 0.0
+        table = subset_spectra(DenseMatrix(2.0 * np.eye(4)), 2)
+        assert verify_triple_norm_bound(table, 4, [1.0, 2.0, 3.0]) == 0.0
 
     def test_half_ones_within_budget(self):
-        worst = verify_triple_norm_bound(half_ones_diagonal(4), 2, [0.0])
+        worst = verify_triple_norm_bound(subset_spectra(half_ones_diagonal(4), 2), 4, [0.0])
         assert 0.0 < worst <= 4.0
 
     def test_random_within_budget(self):
-        m = random_symmetric(5, 12, "gaussian")
+        table = subset_spectra(random_symmetric(5, 12, "gaussian"), 3)
         xs = np.linspace(-4.0, 4.0, 20)
-        assert verify_triple_norm_bound(m, 3, xs) <= 4.0
+        assert verify_triple_norm_bound(table, 5, xs) <= 4.0
 
 
 class TestGapConcentration:
@@ -212,8 +230,7 @@ class TestGapConcentration:
         assert rows[1]["measure"] == 0.0
 
     def test_observable_both_signs(self):
-        m = half_ones_diagonal(4)
-        f = esd_observable(m, 2, 0.0)
+        f = esd_observable(subset_spectra(half_ones_diagonal(4), 2), 4, 0.0)
         r_grid = np.arange(0.0, 5.5, 0.5)
         for signed in (f, FunctionOnSn(4, -f.values)):
             rows = verify_gap_concentration(signed, r_grid)
@@ -223,9 +240,9 @@ class TestGapConcentration:
         # combining the walk gap with the one-step budget: the exact measure of
         # |f - mean| >= r is at most 6 exp(-r sqrt(k)/sqrt(8)) at every x
         for n, k in ((4, 2), (5, 3)):
-            m = random_symmetric(n, 77, "gaussian")
+            table = subset_spectra(random_symmetric(n, 77, "gaussian"), k)
             for x in np.linspace(-3, 3, 8):
-                f = esd_observable(m, k, float(x))
+                f = esd_observable(table, n, float(x))
                 mean = f.values.mean()
                 for r in np.linspace(0.0, 2.0, 21):
                     measure = np.count_nonzero(
@@ -236,25 +253,23 @@ class TestGapConcentration:
 class TestRankStepCheck:
     def test_unselected_swap_is_identity(self):
         m = random_symmetric(5, 1, "gaussian")
-        rank_diff, f_gap = rank_step_check(m, 2, (0, 1, 2, 3, 4), (2, 4))
+        rank_diff, f_gap = rank_step_check(m, subset_spectra(m, 2), (0, 1, 2, 3, 4), (2, 4))
         assert rank_diff == 0
         assert f_gap == 0.0
 
     def test_in_out_swap_rank_at_most_two(self):
         m = random_symmetric(6, 2, "gaussian")
-        rank_diff, f_gap = rank_step_check(m, 3, (0, 1, 2, 3, 4, 5), (1, 4))
+        rank_diff, f_gap = rank_step_check(m, subset_spectra(m, 3), (0, 1, 2, 3, 4, 5), (1, 4))
         assert rank_diff <= 2
         assert f_gap <= 2.0 / 3.0 + 1e-12
 
     def test_in_in_swap_rank_at_most_two(self):
         # both positions selected: the difference is u v^T + v u^T, rank <= 2,
-        # and the two spectra agree (the measured ESD gap only sees the
-        # eigensolver's rounding slivers on reordered input)
+        # and the selected set, hence the ESD, does not change
         m = random_symmetric(6, 9, "gaussian")
-        rank_diff, f_gap = rank_step_check(m, 4, (5, 1, 3, 0, 2, 4), (0, 2))
+        rank_diff, f_gap = rank_step_check(m, subset_spectra(m, 4), (5, 1, 3, 0, 2, 4), (0, 2))
         assert rank_diff <= 2
-        assert f_gap <= 2.0 / 4.0 + 1e-12
-        from subspec.linalg import eigenvalues_hermitian
+        assert f_gap == 0.0
         sel_a = np.array([5, 1, 3, 0])
         sel_b = np.array([3, 1, 5, 0])
         spec_a = eigenvalues_hermitian(DenseMatrix(m.data[np.ix_(sel_a, sel_a)]))
@@ -263,25 +278,37 @@ class TestRankStepCheck:
 
     def test_diagonal_matrix_gap_bound(self):
         m = DenseMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        table = subset_spectra(m, 2)
         rng = np.random.default_rng(3)
         for _ in range(30):
             perm = tuple(int(v) for v in rng.permutation(5))
             i, j = (int(v) for v in rng.choice(5, 2, replace=False))
-            _, f_gap = rank_step_check(m, 2, perm, (i, j))
+            _, f_gap = rank_step_check(m, table, perm, (i, j))
             assert f_gap <= 2.0 / 2.0 + 1e-12
 
     def test_exhaustive_small(self):
+        # the gap must equal the one between direct solves of the two
+        # selected sets, each in sorted order
         m = random_symmetric(4, 4, "gaussian")
+        table = subset_spectra(m, 2)
+
+        def direct_esd(perm):
+            s = SubsetSample(tuple(sorted(p + 1 for p in perm[:2])), 4)
+            return esd(eigenvalues_hermitian(principal_submatrix(m, s)))
+
         for r in range(24):
             perm = perm_unrank(4, r)
-            for tau in transpositions(4):
-                rank_diff, f_gap = rank_step_check(m, 2, perm, tau)
+            for i, j in transpositions(4):
+                rank_diff, f_gap = rank_step_check(m, table, perm, (i, j))
                 assert rank_diff <= 2
                 assert f_gap <= 1.0 + 1e-12
+                moved = list(perm)
+                moved[i], moved[j] = moved[j], moved[i]
+                assert f_gap == sup_distance(direct_esd(perm), direct_esd(moved))
 
     def test_accepts_permindex(self):
         m = random_symmetric(4, 6, "gaussian")
-        rank_diff, _ = rank_step_check(m, 2, PermIndex(4, 7), (0, 3))
+        rank_diff, _ = rank_step_check(m, subset_spectra(m, 2), PermIndex(4, 7), (0, 3))
         assert rank_diff <= 2
 
 
