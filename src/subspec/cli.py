@@ -96,9 +96,15 @@ def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
     return make_matrix(spec), desc
 
 
+# The tail curve holds a few floats per r point and is printed whole, so
+# the grid size is capped before anything is allocated.
+MAX_R_POINTS = 10_001
+
+
 def _r_grid(args: argparse.Namespace) -> np.ndarray:
-    if args.r_points < 2 or not 0 <= args.r_min < args.r_max < math.inf:
-        raise UsageError("need finite 0 <= r-min < r-max and at least two r-points")
+    if not 2 <= args.r_points <= MAX_R_POINTS or not 0 <= args.r_min < args.r_max < math.inf:
+        raise UsageError("need finite 0 <= r-min < r-max and between 2 and "
+                         f"{MAX_R_POINTS} r-points")
     return np.linspace(args.r_min, args.r_max, args.r_points)
 
 
@@ -360,6 +366,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_ks(args: argparse.Namespace) -> int:
+    if args.na < 1 or args.nb < 1:
+        raise UsageError("--na and --nb must be positive")
     with open(args.cdf_a, "r", encoding="utf-8") as fh:
         cdf_a = cdf_from_csv(fh.read())
     with open(args.cdf_b, "r", encoding="utf-8") as fh:
@@ -408,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=2.0)
-    p.add_argument("--r-points", type=int, default=41)
+    p.add_argument("--r-points", type=int, default=41,
+                   help=f"tail-curve grid size, 2 to {MAX_R_POINTS}")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")

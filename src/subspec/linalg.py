@@ -1,13 +1,21 @@
 """Dense matrix storage and from-scratch symmetric spectral decompositions.
 
 The eigensolver is a cyclic Jacobi iteration over round-robin rotation
-rounds.  Within a round the pivot pairs are disjoint, so the rotations
-commute and can be applied as one vectorized block; the result is exactly
-the sequential cyclic sweep, just faster.  Convergence is declared when
-the off-diagonal Frobenius norm (summed directly over off-diagonal
-entries, never by subtracting the diagonal from the total, which loses
-all precision to cancellation) drops below 1e-12 times the Frobenius
-norm of the input.
+rounds (Brent & Luk 1985).  Within a round the pivot pairs are disjoint,
+so the rotations commute and can be applied as one vectorized block; the
+result is exactly the sequential cyclic sweep, just faster.  Convergence
+is declared when the off-diagonal Frobenius norm (summed directly over
+off-diagonal entries, never by subtracting the diagonal from the total,
+which loses all precision to cancellation) drops below 1e-12 times the
+Frobenius norm of the input.
+
+The solver works on a (B, k, k) stack of same-order matrices, one round
+for all of them at once.  Each matrix keeps its own rescale, tolerance,
+pivot mask and convergence test, so its eigenvalues are bit-identical to
+a solve of it alone; a single matrix is a stack of one.  Callers bound
+memory by the stack they pass: the solver's working set is a few copies
+of it (`sampling.solve_subsets` extracts submatrices in stacks of at
+most `sampling.STACK_BYTES`).
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -106,59 +114,92 @@ class Spectrum:
 
 def is_hermitian(m: DenseMatrix, tol: float) -> bool:
     """True iff max |M[i,j] - conj(M[j,i])| <= tol.  Raises on non-square input."""
-    if not m.is_square():
+    return float(_hermitian_gaps(m.data[None])[0]) <= tol
+
+
+def _hermitian_gaps(stack: np.ndarray) -> np.ndarray:
+    """max |A[i,j] - conj(A[j,i])| of each matrix of a (B, k, k) stack."""
+    if stack.shape[1] != stack.shape[2]:
         raise ValueError("not square")
-    diff = m.data - m.data.conj().T
-    return float(np.max(np.abs(diff))) <= tol
+    diff = stack - stack.conj().transpose(0, 2, 1)
+    # in place for real input: a guard on a large matrix then needs one
+    # temporary of its size, not two
+    return np.abs(diff, out=diff if diff.dtype == np.float64 else None).max(axis=(1, 2))
 
 
 def require_hermitian(m: DenseMatrix) -> None:
     """Raise ValueError("not Hermitian") unless M is Hermitian to within
     1e-10 times its largest entry (or 1e-10 for the zero matrix)."""
-    scale = m.max_abs()
-    if not is_hermitian(m, 1e-10 * (scale if scale > 0 else 1.0)):
+    _require_hermitian_stack(m.data[None])
+
+
+def _require_hermitian_stack(stack: np.ndarray) -> None:
+    """`require_hermitian` for every matrix of a (B, k, k) stack, each
+    against its own largest entry."""
+    gaps = _hermitian_gaps(stack)
+    scale = np.abs(stack).max(axis=(1, 2))
+    if np.any(gaps > 1e-10 * np.where(scale > 0, scale, 1.0)):
         raise ValueError("not Hermitian")
+
+
+def eigenvalues_hermitian_stack(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of a (B, k, k) stack of Hermitian
+    matrices: a (B, k) array with one ascending row per matrix.
+
+    Each row is bit-identical to `eigenvalues_hermitian` of that matrix
+    alone, whatever else the stack holds.
+    """
+    _require_hermitian_stack(stack)
+    if np.iscomplexobj(stack):
+        # Hermitize away the <= 1e-10*scale asymmetry allowed by the guard, so
+        # the real part is exactly symmetric and the imaginary part exactly
+        # antisymmetric before embedding
+        h = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+        embedded = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        doubled = _symmetric_eigenvalues(embedded)
+        # every eigenvalue appears exactly twice; average adjacent pairs
+        return 0.5 * (doubled[:, 0::2] + doubled[:, 1::2])
+    # symmetrize away the <= 1e-10*scale asymmetry allowed by the guard
+    return _symmetric_eigenvalues(0.5 * (stack + stack.transpose(0, 2, 1)))
 
 
 def eigenvalues_hermitian(m: DenseMatrix) -> Spectrum:
     """All eigenvalues of a Hermitian matrix, repeated by multiplicity, ascending."""
-    require_hermitian(m)
-    if m.is_complex:
-        # Hermitize away the <= 1e-10*scale asymmetry allowed by the guard, so
-        # the real part is exactly symmetric and the imaginary part exactly
-        # antisymmetric before embedding
-        h = 0.5 * (m.data + m.data.conj().T)
-        embedded = np.block([[h.real, -h.imag], [h.imag, h.real]])
-        doubled = _symmetric_eigenvalues(embedded)
-        # every eigenvalue appears exactly twice; average adjacent pairs
-        vals = 0.5 * (doubled[0::2] + doubled[1::2])
-    else:
-        # symmetrize away the <= 1e-10*scale asymmetry allowed by the guard
-        sym = 0.5 * (m.data + m.data.T)
-        vals = _symmetric_eigenvalues(sym)
-    return Spectrum(vals)
+    return Spectrum(eigenvalues_hermitian_stack(m.data[None])[0])
 
 
 def gram(a: DenseMatrix) -> DenseMatrix:
     """A times its conjugate transpose; Hermitian positive semidefinite."""
-    g = a.data @ a.data.conj().T
+    return DenseMatrix(_gram_stack(a.data[None])[0])
+
+
+def _gram_stack(stack: np.ndarray) -> np.ndarray:
+    g = stack @ stack.conj().transpose(0, 2, 1)
     # enforce exact Hermitian symmetry against rounding in the product
-    g = 0.5 * (g + g.conj().T)
-    return DenseMatrix(g)
+    return 0.5 * (g + g.conj().transpose(0, 2, 1))
+
+
+def singular_values_stack(stack: np.ndarray) -> np.ndarray:
+    """Singular values of every matrix of a (B, r, c) stack: a (B, min(r, c))
+    array with one ascending row per matrix, the square roots of the
+    spectrum of the smaller Gram matrix."""
+    work = stack if stack.shape[1] <= stack.shape[2] else \
+        np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    g = _gram_stack(work)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix entries must be finite")
+    vals = eigenvalues_hermitian_stack(g)
+    scale = np.abs(stack).max(axis=(1, 2))
+    clamp = 1e-9 * scale * scale
+    if np.any(vals < -clamp[:, None]):
+        raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
+    vals[vals < 0] = 0.0
+    return np.sqrt(vals)
 
 
 def singular_values(a: DenseMatrix) -> Spectrum:
     """Singular values of A, ascending: square roots of the Gram spectrum."""
-    work = a if a.rows <= a.cols else DenseMatrix(a.data.conj().T)
-    ev = eigenvalues_hermitian(gram(work)).values
-    scale = a.max_abs()
-    clamp = 1e-9 * scale * scale
-    vals = ev.copy()
-    negative = vals < 0
-    if np.any(vals[negative] < -clamp):
-        raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
-    vals[negative] = 0.0
-    return Spectrum(np.sqrt(vals))
+    return Spectrum(singular_values_stack(a.data[None])[0])
 
 
 def numerical_rank(a: DenseMatrix, rel_tol: float) -> int:
@@ -193,62 +234,85 @@ def _rotation_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.sqrt(np.sum(b * b)))
+def _frobenius_norms(a: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
+    """Per-matrix Frobenius norm of a (B, n, n) stack, or of its
+    off-diagonal part; each sum of squares adds a matrix's n^2 entries in
+    the order `np.sum` adds them for that matrix alone."""
+    squares = a * a
+    if off_diagonal:
+        diag = np.arange(a.shape[1])
+        squares[:, diag, diag] = 0.0
+    return np.sqrt(np.sum(squares.reshape(a.shape[0], -1), axis=1))
 
 
 def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by blocked cyclic Jacobi, ascending."""
-    a = np.array(a, dtype=np.float64, order="C")
-    n = a.shape[0]
+    """Eigenvalues of every matrix of a (B, n, n) stack of real symmetric
+    matrices by blocked cyclic Jacobi: a (B, n) array, rows ascending.
+
+    Each matrix keeps its own rescale, tolerance, pivot threshold and
+    convergence test, and leaves the active stack at the sweep where it
+    converges; a rotation reads and writes only its own matrix.  So a
+    matrix's eigenvalues do not depend on its batch-mates.
+
+    A float64 `a` is overwritten: callers pass a stack they just built,
+    so the solver needs no copy of it.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[1]
     if n == 1:
-        return a.ravel().copy()
+        return a.reshape(a.shape[0], 1)
 
-    amax = float(np.max(np.abs(a)))
-    rescale = 1.0
-    if amax > 1e100 or (0.0 < amax < 1e-100):
-        rescale = amax
-        a /= rescale
+    amax = np.abs(a).max(axis=(1, 2))
+    rescale = np.where((amax > 1e100) | ((0.0 < amax) & (amax < 1e-100)), amax, 1.0)
+    a /= rescale[:, None, None]
 
-    target = JACOBI_TOL * float(np.sqrt(np.sum(a * a)))
+    out = np.empty(a.shape[:2], dtype=np.float64)
+    active = np.arange(a.shape[0])  # row of `out` for each matrix of `a`
+    target = JACOBI_TOL * _frobenius_norms(a)
     rounds = _rotation_rounds(n)
     adaptive = n >= _ADAPTIVE_MIN_ORDER
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = _off_norm(a)
-        if off <= target:
-            return np.sort(np.diag(a)) * rescale
-        threshold = off / n if adaptive else target / n
-        for p_all, q_all in rounds:
-            apq = a[p_all, q_all]
-            mask = np.abs(apq) > threshold
-            if not mask.any():
-                continue
-            p = p_all[mask]
-            q = q_all[mask]
-            apq = apq[mask]
-            app = a[p, p]
-            aqq = a[q, q]
-            diff = aqq - app
-            tiny_pivot = np.abs(apq) < np.abs(diff) * 1e-36
-            with np.errstate(divide="ignore", invalid="ignore"):
+    diag = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(JACOBI_MAX_SWEEPS):
+            off = _frobenius_norms(a, off_diagonal=True)
+            done = off <= target
+            if done.any():
+                eigenvalues = np.sort(a[:, diag, diag][done], axis=1)
+                out[active[done]] = eigenvalues * rescale[done, None]
+                keep = ~done
+                if not keep.any():
+                    return out
+                a, active, rescale, target, off = (
+                    a[keep], active[keep], rescale[keep], target[keep], off[keep])
+            threshold = (off if adaptive else target) / n
+            for p_all, q_all in rounds:
+                apq = a[:, p_all, q_all]
+                hit, pair = np.nonzero(np.abs(apq) > threshold[:, None])
+                if hit.size == 0:
+                    continue
+                p = p_all[pair]
+                q = q_all[pair]
+                apq = apq[hit, pair]
+                app = a[hit, p, p]
+                aqq = a[hit, q, q]
+                diff = aqq - app
+                tiny_pivot = np.abs(apq) < np.abs(diff) * 1e-36
                 theta = diff / (2.0 * apq)
                 t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
                 t = np.where(theta == 0.0, 1.0, t)
                 t = np.where(tiny_pivot, apq / diff, t)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            col_p = a[:, p]
-            col_q = a[:, q]
-            a[:, p] = c * col_p - s * col_q
-            a[:, q] = s * col_p + c * col_q
-            row_p = a[p, :]
-            row_q = a[q, :]
-            cs = c[:, None]
-            ss = s[:, None]
-            a[p, :] = cs * row_p - ss * row_q
-            a[q, :] = ss * row_p + cs * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                cs = c[:, None]
+                ss = s[:, None]
+                col_p = a[hit, :, p]
+                col_q = a[hit, :, q]
+                a[hit, :, p] = cs * col_p - ss * col_q
+                a[hit, :, q] = ss * col_p + cs * col_q
+                row_p = a[hit, p, :]
+                row_q = a[hit, q, :]
+                a[hit, p, :] = cs * row_p - ss * row_q
+                a[hit, q, :] = ss * row_p + cs * row_q
+                a[hit, p, q] = 0.0
+                a[hit, q, p] = 0.0
     raise RuntimeError("eigensolver did not converge")

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL, Spectrum, require_hermitian
+from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL, require_hermitian
 from .oracle import DEFAULT_ENUMERATION_CAP, exact_F, subset_count
-from .sampling import PRNG_NAME, SeedPlan, SubsetSample, random_k_subset, subset_spectrum
-from .spectra import StepCdf, esd, step_cdf, sup_distance
+from .sampling import PRNG_NAME, SeedPlan, random_k_subset, solve_subsets
+from .spectra import StepCdf, step_cdf, sup_distance
 
 QUANTILE_PROBS = (0.5, 0.9, 0.99)
 
@@ -147,19 +147,19 @@ def _draw_subsets(m: DenseMatrix, k: int, mode: str, n_samples: int,
             for i in range(n_samples)]
 
 
-def _solve_distinct(m: DenseMatrix, mode: str,
-                    subsets: list[tuple[int, ...]]) -> dict[tuple[int, ...], Spectrum]:
-    return {s: subset_spectrum(m, SubsetSample(s, m.rows), mode)
-            for s in dict.fromkeys(subsets)}
+def _solve_distinct(m: DenseMatrix, k: int, mode: str, subsets: list[tuple[int, ...]]
+                    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct subsets in first-draw order and their spectra table."""
+    distinct = list(dict.fromkeys(subsets))
+    return distinct, solve_subsets(m, k, distinct, len(distinct), mode)
 
 
-def _average_esd(spectra: dict[tuple[int, ...], Spectrum],
+def _average_esd(distinct: list[tuple[int, ...]], spectra: np.ndarray,
                  subsets: list[tuple[int, ...]]) -> StepCdf:
     """Equal-weight average of the per-sample ESDs via exact value counts."""
     counts = Counter(subsets)
-    values = np.concatenate([spectra[s].values for s in counts])
-    weights = np.repeat(list(counts.values()), [spectra[s].count for s in counts])
-    return step_cdf(values, weights)
+    weights = np.repeat([counts[s] for s in distinct], spectra.shape[1])
+    return step_cdf(spectra.ravel(), weights)
 
 
 def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
@@ -171,8 +171,7 @@ def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
     [N1, N1 + N2).
     """
     subsets = _draw_subsets(m, k, mode, n_samples, master_seed, stream_offset)
-    spectra = _solve_distinct(m, mode, subsets)
-    return _average_esd(spectra, subsets)
+    return _average_esd(*_solve_distinct(m, k, mode, subsets), subsets)
 
 
 def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
@@ -181,14 +180,15 @@ def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
     """Monte Carlo law of the sup-norm distance between sampled ESDs and a
     caller-supplied reference CDF, plus the averaged F_hat."""
     subsets = _draw_subsets(m, k, mode, n_samples, master_seed)
-    spectra = _solve_distinct(m, mode, subsets)
-    distances = {s: sup_distance(esd(spec), reference) for s, spec in spectra.items()}
+    distinct, spectra = _solve_distinct(m, k, mode, subsets)
+    distances = {s: sup_distance(step_cdf(row), reference)
+                 for s, row in zip(distinct, spectra)}
     samples = np.array([distances[s] for s in subsets], dtype=np.float64)
     mean = math.fsum(samples.tolist()) / n_samples
     ordered = np.sort(samples)
     quantiles = {p: float(ordered[max(0, math.ceil(p * n_samples) - 1)])
                  for p in QUANTILE_PROBS}
-    f_hat = _average_esd(spectra, subsets)
+    f_hat = _average_esd(distinct, spectra, subsets)
     samples.setflags(write=False)
     return EstimateReport(
         mode=mode, n=m.rows, k=k, n_samples=n_samples, master_seed=master_seed,

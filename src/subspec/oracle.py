@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .linalg import DenseMatrix
-from .sampling import SubsetSample, subset_spectrum
+from .sampling import SubsetSample, solve_subsets
 from .spectra import StepCdf, quantile_grid, step_cdf, sup_distance
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -97,10 +97,7 @@ def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
     costs that much memory with or without the table.
     """
     subsets = enumerate_subsets(m.rows, k, cap)
-    width = min(k, m.cols) if mode == "singular" else k
-    table = np.empty((math.comb(m.rows, k), width), dtype=np.float64)
-    for i, s in enumerate(subsets):
-        table[i] = subset_spectrum(m, s, mode).values
+    table = solve_subsets(m, k, (s.indices for s in subsets), math.comb(m.rows, k), mode)
     table.setflags(write=False)
     return table
 

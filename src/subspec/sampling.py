@@ -16,10 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, singular_values
+from .linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
+                     eigenvalues_hermitian_stack, singular_values, singular_values_stack)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -27,6 +30,12 @@ _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 
 PRNG_NAME = "splitmix64+xoshiro256++"
+
+# Byte budget of one stack of extracted submatrices (a stack holds at least
+# one).  `solve_subsets` works one stack at a time, so beyond its output
+# table it needs a few times this much memory, however many subsets it
+# solves.
+STACK_BYTES = 256 * 1024
 
 
 def splitmix64_mix(z: int) -> int:
@@ -159,3 +168,42 @@ def subset_spectrum(m: DenseMatrix, s: SubsetSample, mode: str) -> Spectrum:
     if mode == "singular":
         return singular_values(row_submatrix(m, s))
     raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+
+
+def solve_subsets(m: DenseMatrix, k: int, subsets: Iterable[Sequence[int]], count: int,
+                  mode: str) -> np.ndarray:
+    """Spectra of the submatrices of the first `count` k-subsets (sorted
+    1-based indices), as a (count, width) table whose row i is the i-th
+    subset's `subset_spectrum`, bit for bit.
+
+    The submatrices are extracted into a preallocated stack of at most
+    STACK_BYTES (at least one submatrix) and solved one stack at a time by
+    the batched eigensolver.  width is k, or min(k, m.cols) in singular mode.
+    """
+    if mode == "eigen":
+        if not m.is_square():
+            raise ValueError("not square")
+        cols, width, solve = k, k, eigenvalues_hermitian_stack
+    elif mode == "singular":
+        cols, width, solve = m.cols, min(k, m.cols), singular_values_stack
+    else:
+        raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+    chunk = max(1, STACK_BYTES // (k * cols * m.data.itemsize))
+    stack = np.empty((min(chunk, count), k, cols), dtype=m.data.dtype)
+    table = np.empty((count, width), dtype=np.float64)
+    flat = m.data.reshape(-1)
+    pending = iter(subsets)
+    for start in range(0, count, chunk):
+        size = min(chunk, count - start)
+        batch = list(islice(pending, size))
+        if len(batch) < size:
+            raise ValueError(f"fewer than count = {count} subsets")
+        for block, s in zip(stack, batch):
+            idx = np.array(s, dtype=np.intp) - 1
+            if mode == "eigen":
+                # one gather from the flat matrix, with no k x n intermediate
+                np.take(flat, idx[:, None] * m.cols + idx, out=block)
+            else:
+                np.take(m.data, idx, axis=0, out=block)
+        table[start:start + size] = solve(stack[:size])
+    return table

@@ -2,10 +2,12 @@
 
 A StepCdf is right-continuous: its value at x is the cumulative weight of
 all jumps at or below x.  Sup-norm distances between step functions are
-exact, not grid-sampled: the supremum over the whole real line is attained
-either at a jump of one of the two functions or immediately to its left,
-so it suffices to compare right values and left limits on the union of the
-jump sets.
+exact, not grid-sampled.  Between two jumps of F, F is constant and G is
+monotone, so |F - G| is largest at either end of that stretch: at F's jump
+(right values) or just below F's next jump (left limits).  Beyond F's last
+jump G still climbs to its own final value.  So the supremum needs only
+F's own jumps, where F is the function with fewer of them: a lookup in G
+for each, not a scan of the union of both jump sets.
 """
 
 from __future__ import annotations
@@ -121,11 +123,20 @@ def esd(s: Spectrum) -> StepCdf:
 
 
 def sup_distance(f: StepCdf, g: StepCdf) -> float:
-    """Exact sup over the real line of |F - G| for two step CDFs."""
-    xs = np.union1d(f.jumps, g.jumps)
-    right = np.abs(f.eval_many(xs) - g.eval_many(xs))
-    left = np.abs(f.eval_many(xs, left=True) - g.eval_many(xs, left=True))
-    return float(max(right.max(), left.max()))
+    """Exact sup over the real line of |F - G| for two step CDFs.
+
+    O(k log J) for k <= J jumps: the right values and left limits at the
+    jumps of the function with fewer of them, plus the gap between the two
+    final values.  Rounding is monotone, so every other point of the union
+    of both jump sets gives a difference no larger than one of these: the
+    result is the same float as the maximum over the whole union.
+    """
+    if f.jumps.size > g.jumps.size:
+        f, g = g, f
+    right = np.abs(f.cum - g.eval_many(f.jumps))
+    before = np.concatenate(([0.0], f.cum[:-1]))
+    left = np.abs(before - g.eval_many(f.jumps, left=True))
+    return float(max(right.max(), left.max(), abs(f.cum[-1] - g.cum[-1])))
 
 
 def average_cdfs(cdfs: Sequence[StepCdf], weights: Sequence[float]) -> StepCdf:

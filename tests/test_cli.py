@@ -1,9 +1,10 @@
 import json
 import math
+import time
 
 import numpy as np
 
-from subspec.cli import main
+from subspec.cli import MAX_R_POINTS, main
 from subspec.ensembles import load_matrix, save_matrix
 from subspec.linalg import DenseMatrix
 from subspec.oracle import enumerate_subsets, halfones_exact_mean
@@ -14,6 +15,21 @@ from subspec.linalg import Spectrum
 
 def run(*argv):
     return main(list(argv))
+
+
+def count_batched_subset_solves(monkeypatch):
+    """Record the number of matrices in each stack `solve_subsets` hands to
+    the batched eigensolver."""
+    import subspec.sampling
+    real = subspec.sampling.eigenvalues_hermitian_stack
+    solved = []
+
+    def counting(stack):
+        solved.append(stack.shape[0])
+        return real(stack)
+
+    monkeypatch.setattr(subspec.sampling, "eigenvalues_hermitian_stack", counting)
+    return solved
 
 
 class TestGen:
@@ -85,6 +101,22 @@ class TestEstimate:
             rc = run("estimate", "--ensemble", "half-ones", "--n", "4", "--k", "2",
                      "--samples", samples, "--out", str(tmp_path / "x.json"))
             assert rc == 2
+
+    def test_r_points_above_cap_is_usage_error(self, tmp_path):
+        # just above the cap first, so a missing cap fails here and never
+        # reaches the 10^8-point grid
+        out = tmp_path / "x.json"
+        for points in (MAX_R_POINTS + 1, 100_000_000):
+            started = time.perf_counter()
+            rc = run("estimate", "--ensemble", "half-ones", "--n", "4", "--k", "2",
+                     "--samples", "5", "--r-points", str(points), "--out", str(out))
+            assert rc == 2
+            assert time.perf_counter() - started < 5.0
+            assert not out.exists()
+        rc = run("estimate", "--ensemble", "half-ones", "--n", "4", "--k", "2",
+                 "--samples", "5", "--r-points", str(MAX_R_POINTS), "--out", str(out))
+        assert rc == 0
+        assert len(json.loads(out.read_text())["tail_curve"]["r_grid"]) == MAX_R_POINTS
 
     def test_non_finite_r_grid_is_usage_error(self, tmp_path):
         out = tmp_path / "x.json"
@@ -167,18 +199,10 @@ class TestVerify:
     def test_solves_each_subset_once(self, tmp_path, monkeypatch):
         # one table per (n, matrix, k) with k < n, three matrices per n:
         # 3 * (6 + 14 + 30) = 150 distinct subset problems
-        import subspec.oracle
-        real = subspec.oracle.subset_spectrum
-        calls = []
-
-        def counting(m, s, mode):
-            calls.append(s.indices)
-            return real(m, s, mode)
-
-        monkeypatch.setattr(subspec.oracle, "subset_spectrum", counting)
+        solved = count_batched_subset_solves(monkeypatch)
         rc = run("verify", "--n", "3", "4", "5", "--out", str(tmp_path / "v.json"))
         assert rc == 0
-        assert len(calls) == 3 * sum(math.comb(n, k) for n in (3, 4, 5) for k in range(1, n))
+        assert sum(solved) == 3 * sum(math.comb(n, k) for n in (3, 4, 5) for k in range(1, n))
 
 
 class TestOracle:
@@ -231,19 +255,11 @@ class TestOracle:
         assert out.read_text().splitlines()[0] == "value,probability"
 
     def test_solves_each_subset_once(self, tmp_path, monkeypatch):
-        import subspec.oracle
-        real = subspec.oracle.subset_spectrum
-        calls = []
-
-        def counting(m, s, mode):
-            calls.append(s.indices)
-            return real(m, s, mode)
-
-        monkeypatch.setattr(subspec.oracle, "subset_spectrum", counting)
+        solved = count_batched_subset_solves(monkeypatch)
         rc = run("oracle", "--ensemble", "rw-covariance", "--n", "8", "--k", "3",
                  "--x", "3", "9", "--out", str(tmp_path / "o.json"))
         assert rc == 0
-        assert len(calls) == math.comb(8, 3)
+        assert sum(solved) == math.comb(8, 3)
 
     def test_singular_mode_on_narrow_matrix(self, tmp_path):
         # the 3 x 2 row blocks of a 5 x 2 matrix have two singular values, not k = 3
@@ -276,6 +292,15 @@ class TestKs:
         expected = ks_two_sample(f, g, 4, 4)
         assert doc["result"]["statistic"] == expected.statistic
         assert doc["result"]["p_value"] == expected.p_value
+
+    def test_nonpositive_sample_size_is_usage_error(self, tmp_path):
+        fa = tmp_path / "a.csv"
+        fa.write_text(cdf_to_csv(esd(Spectrum(np.array([0.0, 1.0])))))
+        for na, nb in (("0", "4"), ("4", "0"), ("-2", "4"), ("4", "-1")):
+            rc = run("ks", str(fa), str(fa), "--na", na, "--nb", nb,
+                     "--out", str(tmp_path / "ks.json"))
+            assert rc == 2
+        assert not (tmp_path / "ks.json").exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = run("ks", str(tmp_path / "none.csv"), str(tmp_path / "none2.csv"),

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian, gram,
-                            is_hermitian, numerical_rank, singular_values)
+from subspec import linalg as linalg_mod
+from subspec.ensembles import load_matrix, rw_covariance, save_matrix
+from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
+                            eigenvalues_hermitian_stack, gram, is_hermitian, numerical_rank,
+                            singular_values, singular_values_stack)
 
 
 def dm(rows):
@@ -19,6 +22,121 @@ def random_symmetric_np(rng, n):
 def random_complex_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return DenseMatrix(a + a.conj().T)
+
+
+def _off_norm(a):
+    b = a.copy()
+    np.fill_diagonal(b, 0.0)
+    return float(np.sqrt(np.sum(b * b)))
+
+
+def _symmetric_eigenvalues(a):
+    """The former per-matrix cyclic Jacobi solver, kept as the oracle for the
+    batched one: each row of a batched solve must equal it byte for byte."""
+    a = np.array(a, dtype=np.float64, order="C")
+    n = a.shape[0]
+    if n == 1:
+        return a.ravel().copy()
+
+    amax = float(np.max(np.abs(a)))
+    rescale = 1.0
+    if amax > 1e100 or (0.0 < amax < 1e-100):
+        rescale = amax
+        a /= rescale
+
+    target = linalg_mod.JACOBI_TOL * float(np.sqrt(np.sum(a * a)))
+    rounds = linalg_mod._rotation_rounds(n)
+    adaptive = n >= linalg_mod._ADAPTIVE_MIN_ORDER
+    for _ in range(linalg_mod.JACOBI_MAX_SWEEPS):
+        off = _off_norm(a)
+        if off <= target:
+            return np.sort(np.diag(a)) * rescale
+        threshold = off / n if adaptive else target / n
+        for p_all, q_all in rounds:
+            apq = a[p_all, q_all]
+            mask = np.abs(apq) > threshold
+            if not mask.any():
+                continue
+            p = p_all[mask]
+            q = q_all[mask]
+            apq = apq[mask]
+            app = a[p, p]
+            aqq = a[q, q]
+            diff = aqq - app
+            tiny_pivot = np.abs(apq) < np.abs(diff) * 1e-36
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = diff / (2.0 * apq)
+                t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+                t = np.where(theta == 0.0, 1.0, t)
+                t = np.where(tiny_pivot, apq / diff, t)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            col_p = a[:, p]
+            col_q = a[:, q]
+            a[:, p] = c * col_p - s * col_q
+            a[:, q] = s * col_p + c * col_q
+            row_p = a[p, :]
+            row_q = a[q, :]
+            cs = c[:, None]
+            ss = s[:, None]
+            a[p, :] = cs * row_p - ss * row_q
+            a[q, :] = ss * row_p + cs * row_q
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+    raise RuntimeError("eigensolver did not converge")
+
+
+def per_matrix_eigenvalues(data):
+    """The former eigenvalues_hermitian front end over the per-matrix solver."""
+    if np.iscomplexobj(data):
+        h = 0.5 * (data + data.conj().T)
+        doubled = _symmetric_eigenvalues(np.block([[h.real, -h.imag], [h.imag, h.real]]))
+        return 0.5 * (doubled[0::2] + doubled[1::2])
+    return _symmetric_eigenvalues(0.5 * (data + data.T))
+
+
+def per_matrix_singular_values(data):
+    """The former singular_values: Gram spectrum of the smaller side, clamped."""
+    work = data if data.shape[0] <= data.shape[1] else np.ascontiguousarray(data.conj().T)
+    g = work @ work.conj().T
+    ev = per_matrix_eigenvalues(0.5 * (g + g.conj().T))
+    ev[ev < 0] = 0.0
+    return np.sqrt(ev)
+
+
+def principal_blocks(m, k, count, seed):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(count):
+        idx = np.sort(rng.choice(m.shape[0], k, replace=False))
+        blocks.append(m[np.ix_(idx, idx)])
+    return blocks
+
+
+def stack_cases(tmp_path):
+    rng = np.random.default_rng(40)
+    rw = rw_covariance(60).data
+    x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    save_matrix(DenseMatrix((x + x.conj().T) / 2), tmp_path / "h.txt")
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+
+    def sym(a):
+        return a + a.T
+
+    return {
+        "rw-covariance-k20": principal_blocks(rw, 20, 12, 1),
+        "rw-covariance-k5": principal_blocks(rw, 5, 60, 2),
+        "gaussian": [sym(rng.standard_normal((8, 8))) for _ in range(40)],
+        "pm1": [sym(rng.choice([-1.0, 1.0], (8, 8))) for _ in range(40)],
+        "half-ones-ties": ([np.diag(rng.integers(0, 2, 6).astype(float)) for _ in range(10)]
+                           + [q @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) @ q.T
+                              for _ in range(3)]),
+        "complex-file": principal_blocks(load_matrix(tmp_path / "h.txt").data, 4, 20, 3),
+        "order-1": [rng.standard_normal((1, 1)) for _ in range(5)],
+        "order-2": [sym(rng.standard_normal((2, 2))) for _ in range(20)] + [np.eye(2)],
+        "mixed-scales": [sym(rng.standard_normal((6, 6))) * scale
+                         for scale in (1e200, 1e-200, 1.0, 3e-150, 1e-200, 1e200)],
+    }
 
 
 class TestDenseMatrix:
@@ -170,6 +288,70 @@ class TestEigenvalues:
         np.testing.assert_allclose(big, [1e200, 2e200], rtol=1e-12)
         tiny = eigenvalues_hermitian(dm(np.diag([3e-200, 1e-200]))).values
         np.testing.assert_allclose(tiny, [1e-200, 3e-200], rtol=1e-12)
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("case", ["rw-covariance-k20", "rw-covariance-k5", "gaussian",
+                                      "pm1", "half-ones-ties", "complex-file", "order-1",
+                                      "order-2", "mixed-scales"])
+    def test_matches_per_matrix_solver(self, case, tmp_path):
+        blocks = stack_cases(tmp_path)[case]
+        got = eigenvalues_hermitian_stack(np.array(blocks))
+        expected = np.array([per_matrix_eigenvalues(b) for b in blocks])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_orders_past_one_reduction_block(self):
+        # 96^2 entries exceed numpy's 8192-element reduction buffer; the
+        # per-matrix sums of a stack must still match a sum of one matrix
+        rng = np.random.default_rng(43)
+        blocks = [random_symmetric_np(rng, 96).data * scale for scale in (1.0, 1e-3)]
+        got = eigenvalues_hermitian_stack(np.array(blocks))
+        expected = np.array([per_matrix_eigenvalues(b) for b in blocks])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_alone_equals_in_batch(self, tmp_path):
+        # batch-mates converge at different sweeps and scales; none may
+        # change another's bytes
+        cases = stack_cases(tmp_path)
+        rng = np.random.default_rng(42)
+        blocks = ([random_symmetric_np(rng, 6).data for _ in range(6)]
+                  + cases["half-ones-ties"] + cases["mixed-scales"])
+        batch = eigenvalues_hermitian_stack(np.array(blocks))
+        reverse = eigenvalues_hermitian_stack(np.array(blocks[::-1]))[::-1]
+        assert batch.tobytes() == reverse.tobytes()
+        for block, row in zip(blocks, batch):
+            assert eigenvalues_hermitian(DenseMatrix(block)).values.tobytes() == row.tobytes()
+
+    def test_singular_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(41)
+        for shape in ((3, 7), (7, 3), (4, 4), (1, 5)):
+            blocks = rng.standard_normal((15, *shape))
+            expected = np.array([per_matrix_singular_values(b) for b in blocks])
+            assert singular_values_stack(blocks).tobytes() == expected.tobytes()
+        blocks = rng.standard_normal((6, 3, 5)) + 1j * rng.standard_normal((6, 3, 5))
+        expected = np.array([per_matrix_singular_values(b) for b in blocks])
+        assert singular_values_stack(blocks).tobytes() == expected.tobytes()
+
+    def test_sweep_cap_raises_for_any_matrix_of_a_stack(self, monkeypatch):
+        # diagonal matrices converge at the first check; one that needs a
+        # rotation runs out of sweeps and fails the whole stack
+        monkeypatch.setattr(linalg_mod, "JACOBI_MAX_SWEEPS", 1)
+        diagonal = np.array([np.diag([1.0, 2.0]), np.diag([3.0, -1.0])])
+        assert eigenvalues_hermitian_stack(diagonal).tolist() == [[1.0, 2.0], [-1.0, 3.0]]
+        mixed = np.concatenate([diagonal, [[[0.0, 1.0], [1.0, 0.0]]]])
+        with pytest.raises(RuntimeError, match="did not converge"):
+            eigenvalues_hermitian_stack(mixed)
+
+    def test_each_matrix_guarded_at_its_own_scale(self):
+        # 1e-7 asymmetry passes next to a 1e6 entry but not in a unit block
+        skewed = np.array([[1.0, 1.0 + 1e-7], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigenvalues_hermitian_stack(np.array([1e6 * np.eye(2), skewed]))
+        eigenvalues_hermitian_stack(np.array([1e6 * np.eye(2) + skewed]))
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="not square"):
+            eigenvalues_hermitian_stack(np.zeros((2, 2, 3)))
 
 
 class TestGram:

@@ -5,7 +5,7 @@ import pytest
 
 from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
                                rw_covariance, save_matrix)
-from subspec.linalg import DenseMatrix, eigenvalues_hermitian
+from subspec.linalg import DenseMatrix, eigenvalues_hermitian, require_hermitian
 from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 empirical_tail, estimate_F, estimate_supnorm,
                                 pointwise_tail_bound, supnorm_mean_bound,
@@ -96,6 +96,14 @@ class TestEstimateF:
         m = DenseMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="not Hermitian"):
             estimate_F(m, 1, "eigen", 5, 0)
+
+    def test_submatrix_guarded_at_its_own_scale(self):
+        # the 1e-7 asymmetry is within tolerance of the full matrix's 1e6
+        # scale but not of the unit block of rows and columns 2 and 3
+        m = DenseMatrix(np.array([[1e6, 0.0, 0.0], [0.0, 1.0, 1.0 + 1e-7], [0.0, 1.0, 1.0]]))
+        require_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            estimate_F(m, 2, "eigen", 20, 0)
 
     def test_singular_mode_accepts_non_square(self):
         rng = np.random.default_rng(1)

@@ -6,9 +6,10 @@ import pytest
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
 from subspec.linalg import DenseMatrix, singular_values
 from subspec.oracle import exact_F
+from subspec import sampling as sampling_mod
 from subspec.sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
                               principal_submatrix, random_k_subset, row_submatrix,
-                              splitmix64_mix, subset_spectrum)
+                              solve_subsets, splitmix64_mix, subset_spectrum)
 
 # upper 0.999 quantile of chi-square, keyed by degrees of freedom
 CHI2_999 = {5: 20.515, 9: 27.877}
@@ -186,6 +187,54 @@ class TestSubsetSpectrum:
         assert sing.count == 2
         with pytest.raises(ValueError):
             subset_spectrum(m, s, "other")
+
+
+class TestSolveSubsets:
+    @pytest.mark.parametrize("budget", [1, 700, sampling_mod.STACK_BYTES])
+    def test_rows_equal_subset_spectrum(self, budget, monkeypatch):
+        # one matrix per stack, stacks of a few, and the default budget
+        monkeypatch.setattr(sampling_mod, "STACK_BYTES", budget)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        cases = [(rw_covariance(9), 4, "eigen"), (half_ones_diagonal(8), 3, "eigen"),
+                 (DenseMatrix(x + x.conj().T), 3, "eigen"),
+                 (random_symmetric(8, 3, "gaussian"), 3, "singular"),
+                 (DenseMatrix(rng.standard_normal((6, 2))), 3, "singular")]
+        for m, k, mode in cases:
+            subsets = [tuple(int(i) + 1 for i in np.sort(rng.choice(m.rows, k, replace=False)))
+                       for _ in range(13)]
+            table = solve_subsets(m, k, iter(subsets), len(subsets), mode)
+            assert table.shape == (13, min(k, m.cols))
+            for row, s in zip(table, subsets):
+                spectrum = subset_spectrum(m, SubsetSample(s, m.rows), mode)
+                assert row.tobytes() == spectrum.values.tobytes()
+
+    def test_stacks_stay_within_budget(self, monkeypatch):
+        sizes = []
+        real = sampling_mod.eigenvalues_hermitian_stack
+
+        def recording(stack):
+            sizes.append(stack.nbytes)
+            return real(stack)
+
+        monkeypatch.setattr(sampling_mod, "eigenvalues_hermitian_stack", recording)
+        monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
+        m = rw_covariance(12)
+        subsets = list(itertools.combinations(range(1, 13), 3))
+        solve_subsets(m, 3, subsets, len(subsets), "eigen")
+        assert sum(sizes) == len(subsets) * 9 * 8
+        assert max(sizes) <= 1000
+        sizes.clear()
+        solve_subsets(m, 12, [tuple(range(1, 13))], 1, "eigen")
+        assert sizes == [12 * 12 * 8]
+
+    def test_rejects_unknown_mode_and_non_square_eigen(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            solve_subsets(rw_covariance(4), 2, [(1, 2)], 1, "other")
+        with pytest.raises(ValueError, match="not square"):
+            solve_subsets(DenseMatrix(np.ones((4, 3))), 2, [(1, 2)], 1, "eigen")
+        with pytest.raises(ValueError, match="fewer than count"):
+            solve_subsets(rw_covariance(4), 2, [(1, 2)], 2, "eigen")
 
 
 class TestExchangeability:

@@ -124,6 +124,36 @@ class TestSupDistance:
             assert abs(sup_distance(f, g) - brute) <= 1e-15
 
 
+    def test_matches_union_of_jump_sets(self):
+        # the former union scan, kept as the oracle: right values and left
+        # limits at every jump of either function; same float required
+        def union_sup(f, g):
+            xs = np.union1d(f.jumps, g.jumps)
+            right = np.abs(f.eval_many(xs) - g.eval_many(xs))
+            left = np.abs(f.eval_many(xs, left=True) - g.eval_many(xs, left=True))
+            return float(max(right.max(), left.max()))
+
+        rng = np.random.default_rng(11)
+        for trial in range(3000):
+            sizes = rng.integers(1, [8, 400])
+            rng.shuffle(sizes)
+            if trial % 3 == 0:
+                # shared atoms on a coarse lattice: ties between the jump sets
+                f, g = (esd(Spectrum(np.sort(rng.integers(-4, 5, size).astype(float))))
+                        for size in sizes)
+            else:
+                f, g = (random_esd(rng, size) for size in sizes)
+            if trial % 5 == 0:
+                # final values off 1 within the StepCdf tolerance, as a CSV can give
+                g = StepCdf(g.jumps, np.minimum(g.cum, 1.0 - 1e-13 * rng.integers(0, 10)))
+            assert sup_distance(f, g) == union_sup(f, g) == sup_distance(g, f)
+
+        # the only gap is between the final values, past the shorter one's jumps
+        f = StepCdf(np.array([0.0]), np.array([1.0 - 1e-12]))
+        g = StepCdf(np.array([0.0, 1.0]), np.array([1.0 - 1e-12, 1.0]))
+        assert sup_distance(f, g) == union_sup(f, g) > 0.0
+
+
 class TestAverageCdfs:
     def test_single_identity(self):
         f = esd_of(1.0, 4.0)
