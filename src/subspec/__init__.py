@@ -20,8 +20,7 @@ from .oracle import (ExactDistribution, chaining_check, enumerate_subsets, exact
 from .sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
                        principal_submatrix, random_k_subset, row_submatrix,
                        subset_spectrum)
-from .spectra import (KsResult, StepCdf, average_cdfs, esd, ks_two_sample,
-                      quantile_grid, sup_distance)
+from .spectra import KsResult, StepCdf, esd, ks_two_sample, quantile_grid, sup_distance
 from .walk import (FunctionOnSn, PermIndex, WalkReport, dirichlet_form, esd_observable,
                    kernel_matrix, rank_step_check, spectral_gap, triple_norm,
                    variance_mu, verify_gap_concentration, verify_kernel,
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DenseMatrix", "Spectrum", "is_hermitian", "eigenvalues_hermitian", "gram",
     "singular_values", "numerical_rank",
-    "StepCdf", "KsResult", "esd", "sup_distance", "average_cdfs", "ks_two_sample",
+    "StepCdf", "KsResult", "esd", "sup_distance", "ks_two_sample",
     "quantile_grid",
     "EnsembleSpec", "rw_covariance", "half_ones_diagonal", "random_symmetric",
     "load_matrix", "save_matrix",

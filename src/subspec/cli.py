@@ -27,8 +27,8 @@ from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimat
                          supnorm_tail_bound)
 from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_check, mean_cdf, pointwise_profile,
                      subset_count, subset_spectra, supnorm_law)
-from .sampling import SeedPlan, random_k_subset, subset_spectrum
-from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample
+from .sampling import SeedPlan, random_k_subset, solve_subsets
+from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf
 
 _ENSEMBLES = {
     "rw-covariance": "rw_covariance",
@@ -151,28 +151,25 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _truncated_esd(spectrum: Spectrum, exclude_top: int) -> StepCdf:
-    kept = spectrum.values[: spectrum.count - exclude_top]
-    return esd(Spectrum(kept))
-
-
 def cmd_pair(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
     n = matrix.rows
     if not 1 <= args.k <= n:
         raise UsageError("k must satisfy 1 <= k <= n")
-    if not 0 <= args.exclude_top < args.k:
-        raise UsageError("exclude-top must satisfy 0 <= exclude_top < k")
+    # a singular-mode spectrum has min(k, cols) values, the width of the table
+    width = min(args.k, matrix.cols) if args.mode == "singular" else args.k
+    if not 0 <= args.exclude_top < width:
+        raise UsageError("exclude-top must satisfy 0 <= exclude_top < k "
+                         "(< the column count in singular mode)")
     if args.pairs < 1:
         raise UsageError("pairs must be positive")
     plan = SeedPlan(args.seed)
-    k_eff = args.k - args.exclude_top
-
-    def sample_cdf(stream: int) -> StepCdf:
-        sample = random_k_subset(n, args.k, plan.stream(stream))
-        return _truncated_esd(subset_spectrum(matrix, sample, args.mode), args.exclude_top)
-
-    cdfs = [(sample_cdf(2 * p), sample_cdf(2 * p + 1)) for p in range(args.pairs)]
+    k_eff = width - args.exclude_top
+    count = 2 * args.pairs
+    subsets = (random_k_subset(n, args.k, plan.stream(i)).indices for i in range(count))
+    table = solve_subsets(matrix, args.k, subsets, count, args.mode)
+    cdfs = [(step_cdf(table[2 * p, :k_eff]), step_cdf(table[2 * p + 1, :k_eff]))
+            for p in range(args.pairs)]
     results = [ks_two_sample(cdf_a, cdf_b, k_eff, k_eff) for cdf_a, cdf_b in cdfs]
     first_pair_cdfs = cdfs[0]
     ds = sorted(r.statistic for r in results)
@@ -269,17 +266,14 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                         ok = ok and row["pass"]
                 record(f"gap-concentration-n{n}-k{k}-{label}", worst_excess, 0.0, ok)
 
-                violations = 0
-                worst_gap = 0.0
+                perms, taus = [], []
                 for _ in range(40):
-                    perm = tuple(int(v) for v in rng.permutation(n))
-                    i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
-                    rank_diff, f_gap = walk.rank_step_check(matrix, tables[k], perm, (i, j))
-                    worst_gap = max(worst_gap, f_gap)
-                    if rank_diff > 2 or f_gap > 2.0 / k + 1e-12:
-                        violations += 1
+                    perms.append(rng.permutation(n))
+                    taus.append(rng.choice(n, size=2, replace=False))
+                ranks, gaps = walk.rank_step_check(matrix, tables[k], perms, taus)
+                violations = int(np.count_nonzero((ranks > 2) | (gaps > 2.0 / k + 1e-12)))
                 record(f"rank-step-n{n}-k{k}-{label}", violations, 0.0,
-                       violations == 0, worst_esd_gap=worst_gap)
+                       violations == 0, worst_esd_gap=float(gaps.max()))
 
             for k in range(1, min(4, n - 1) + 1):
                 dist = supnorm_law(tables[k], exact[k])

@@ -12,10 +12,12 @@ Frobenius norm of the input.
 The solver works on a (B, k, k) stack of same-order matrices, one round
 for all of them at once.  Each matrix keeps its own rescale, tolerance,
 pivot mask and convergence test, so its eigenvalues are bit-identical to
-a solve of it alone; a single matrix is a stack of one.  Callers bound
-memory by the stack they pass: the solver's working set is a few copies
-of it (`sampling.solve_subsets` extracts submatrices in stacks of at
-most `sampling.STACK_BYTES`).
+a solve of it alone; a single matrix is a stack of one.  Singular values
+and numerical ranks go through the same stacks, so the walk's one-step
+differences are ranked all at once (`numerical_rank_stack`).  Callers
+bound memory by the stack they pass: the solver's working set is a few
+copies of it (`sampling.solve_subsets` gathers submatrices in stacks of
+at most `sampling.STACK_BYTES`).
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -202,14 +204,20 @@ def singular_values(a: DenseMatrix) -> Spectrum:
     return Spectrum(singular_values_stack(a.data[None])[0])
 
 
-def numerical_rank(a: DenseMatrix, rel_tol: float) -> int:
-    """Number of singular values above rel_tol * max(rows, cols) * sigma_max."""
+def numerical_rank_stack(stack: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Numerical rank of every matrix of a (B, r, c) stack: the number of its
+    singular values above rel_tol * max(r, c) * sigma_max.  A zero matrix
+    has rank 0."""
     if rel_tol < 0:
         raise ValueError("rel_tol must be nonnegative")
-    sv = singular_values(a).values
-    sigma_max = float(sv[-1])
-    threshold = rel_tol * max(a.rows, a.cols) * sigma_max
-    return int(np.count_nonzero(sv > threshold))
+    sv = singular_values_stack(stack)
+    threshold = rel_tol * max(stack.shape[1:]) * sv[:, -1]
+    return np.count_nonzero(sv > threshold[:, None], axis=1)
+
+
+def numerical_rank(a: DenseMatrix, rel_tol: float) -> int:
+    """Number of singular values above rel_tol * max(rows, cols) * sigma_max."""
+    return int(numerical_rank_stack(a.data[None], rel_tol)[0])
 
 
 @lru_cache(maxsize=128)

@@ -10,6 +10,13 @@ Bounded integers use the multiply-shift reduction (x * bound) >> 64.  It
 consumes exactly one 64-bit draw per integer, which keeps the number of
 draws per subset a pure function of (n, k); its bias, at most bound/2^64,
 is far below anything the statistical tests can resolve.
+
+`gather_submatrices` is the one submatrix extraction of the package: it
+turns rows of 0-based indices into a (B, k, cols) stack with a single
+`np.take`.  `solve_subsets` feeds its stacks to the batched solver, and
+the one-matrix helpers (`principal_submatrix`, `row_submatrix`,
+`subset_spectrum`) are batches of one over the same two functions.  The
+walk's rank steps gather their permuted-order blocks with it too.
 """
 
 from __future__ import annotations
@@ -21,8 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
-                     eigenvalues_hermitian_stack, singular_values, singular_values_stack)
+from .linalg import DenseMatrix, Spectrum, eigenvalues_hermitian_stack, singular_values_stack
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -145,29 +151,38 @@ def random_k_subset(n: int, k: int, rng: Xoshiro256pp) -> SubsetSample:
     return SubsetSample(tuple(sorted(pool[:k])), n)
 
 
+def gather_submatrices(m: DenseMatrix, idx: np.ndarray, mode: str) -> np.ndarray:
+    """The submatrices of m at the 0-based index rows of a (B, k) array, as
+    a fresh (B, k, cols) stack: principal k x k blocks in eigen mode, k x n
+    row blocks in singular mode.  Rows keep the order of their indices."""
+    if mode == "eigen":
+        # one gather from the flat matrix, with no k x n intermediate
+        return np.take(m.data.reshape(-1), idx[:, :, None] * m.cols + idx[:, None, :])
+    if mode == "singular":
+        return np.take(m.data, idx, axis=0)
+    raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+
+
 def principal_submatrix(m: DenseMatrix, s: SubsetSample) -> DenseMatrix:
     """The submatrix keeping rows and columns s.indices, in order."""
     if not m.is_square() or m.rows != s.n:
         raise ValueError("matrix order does not match the sample's ambient order")
-    idx = s.zero_based()
-    return DenseMatrix(m.data[np.ix_(idx, idx)])
+    return DenseMatrix(gather_submatrices(m, s.zero_based()[None], "eigen")[0])
 
 
 def row_submatrix(m: DenseMatrix, s: SubsetSample) -> DenseMatrix:
     """The k x n submatrix keeping rows s.indices and all columns."""
     if m.rows != s.n:
         raise ValueError("matrix row count does not match the sample's ambient order")
-    return DenseMatrix(m.data[s.zero_based(), :])
+    return DenseMatrix(gather_submatrices(m, s.zero_based()[None], "singular")[0])
 
 
 def subset_spectrum(m: DenseMatrix, s: SubsetSample, mode: str) -> Spectrum:
     """Spectrum of the sampled submatrix: eigenvalues of the principal k x k
     block in eigen mode, singular values of the k x n row block otherwise."""
-    if mode == "eigen":
-        return eigenvalues_hermitian(principal_submatrix(m, s))
-    if mode == "singular":
-        return singular_values(row_submatrix(m, s))
-    raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+    if m.rows != s.n:
+        raise ValueError("matrix order does not match the sample's ambient order")
+    return Spectrum(solve_subsets(m, s.k, [s.indices], 1, mode)[0])
 
 
 def solve_subsets(m: DenseMatrix, k: int, subsets: Iterable[Sequence[int]], count: int,
@@ -176,9 +191,9 @@ def solve_subsets(m: DenseMatrix, k: int, subsets: Iterable[Sequence[int]], coun
     1-based indices), as a (count, width) table whose row i is the i-th
     subset's `subset_spectrum`, bit for bit.
 
-    The submatrices are extracted into a preallocated stack of at most
-    STACK_BYTES (at least one submatrix) and solved one stack at a time by
-    the batched eigensolver.  width is k, or min(k, m.cols) in singular mode.
+    The submatrices are gathered into stacks of at most STACK_BYTES (at
+    least one submatrix) and solved one stack at a time by the batched
+    eigensolver.  width is k, or min(k, m.cols) in singular mode.
     """
     if mode == "eigen":
         if not m.is_square():
@@ -189,21 +204,13 @@ def solve_subsets(m: DenseMatrix, k: int, subsets: Iterable[Sequence[int]], coun
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
     chunk = max(1, STACK_BYTES // (k * cols * m.data.itemsize))
-    stack = np.empty((min(chunk, count), k, cols), dtype=m.data.dtype)
     table = np.empty((count, width), dtype=np.float64)
-    flat = m.data.reshape(-1)
     pending = iter(subsets)
     for start in range(0, count, chunk):
         size = min(chunk, count - start)
         batch = list(islice(pending, size))
         if len(batch) < size:
             raise ValueError(f"fewer than count = {count} subsets")
-        for block, s in zip(stack, batch):
-            idx = np.array(s, dtype=np.intp) - 1
-            if mode == "eigen":
-                # one gather from the flat matrix, with no k x n intermediate
-                np.take(flat, idx[:, None] * m.cols + idx, out=block)
-            else:
-                np.take(m.data, idx, axis=0, out=block)
-        table[start:start + size] = solve(stack[:size])
+        idx = np.array(batch, dtype=np.intp).reshape(size, k) - 1
+        table[start:start + size] = solve(gather_submatrices(m, idx, mode))
     return table

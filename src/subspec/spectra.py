@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -137,31 +136,6 @@ def sup_distance(f: StepCdf, g: StepCdf) -> float:
     before = np.concatenate(([0.0], f.cum[:-1]))
     left = np.abs(before - g.eval_many(f.jumps, left=True))
     return float(max(right.max(), left.max(), abs(f.cum[-1] - g.cum[-1])))
-
-
-def average_cdfs(cdfs: Sequence[StepCdf], weights: Sequence[float]) -> StepCdf:
-    """Weighted mixture of step CDFs; the jump set is the union of the inputs'."""
-    if len(cdfs) == 0:
-        raise ValueError("need at least one CDF")
-    if len(weights) != len(cdfs):
-        raise ValueError("weights and CDFs must have equal length")
-    w = np.array(weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    if abs(math.fsum(weights) - 1.0) > _CUM_TOL:
-        raise ValueError("weights must sum to 1 within 1e-12")
-    xs = None
-    for f in cdfs:
-        xs = f.jumps if xs is None else np.union1d(xs, f.jumps)
-    values = np.zeros(xs.size, dtype=np.float64)
-    columns = np.empty((len(cdfs), xs.size), dtype=np.float64)
-    for i, f in enumerate(cdfs):
-        columns[i] = f.eval_many(xs)
-    for j in range(xs.size):
-        values[j] = math.fsum(w * columns[:, j])
-    # zero-weight inputs can contribute union points before any actual mass
-    first = int(np.searchsorted(values, 0.0, side="right"))
-    return StepCdf(xs[first:], values[first:])
 
 
 def kolmogorov_q(lam: float) -> float:

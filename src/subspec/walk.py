@@ -15,7 +15,9 @@ A permutation acts on the matrix only through the set of its first k
 entries, so the ESD observables and the one-step ESD gap read rows of the
 `oracle.subset_spectra(m, k)` table and solve no subset themselves.  The
 singular-mode observable of the k x n row block A reads the table of
-`gram(m)`, since A A* is the principal block (m m*)[S, S].
+`gram(m)`, since A A* is the principal block (m m*)[S, S].  The rank
+steps gather the permuted-order blocks of all their steps into one stack
+and rank the differences in one batched solve.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DenseMatrix, eigenvalues_hermitian, numerical_rank
+from .linalg import DenseMatrix, eigenvalues_hermitian, numerical_rank_stack
 from .oracle import enumerate_subsets, pointwise_profile
+from .sampling import gather_submatrices
 from .spectra import step_cdf, sup_distance
 
 _MAX_DENSE_N = 6
@@ -179,17 +182,13 @@ def kernel_errors(kernel: np.ndarray) -> tuple[float, float, float]:
     return row_sum_error, reversibility_error, invariance_error
 
 
-_GAP_CACHE: dict[int, float] = {}
-
-
+@lru_cache(maxsize=8)
 def spectral_gap(n: int) -> float:
     """One minus the second-largest kernel eigenvalue, from the full
     symmetric eigendecomposition.  Cached per n (the n = 6 solve is the
     expensive one)."""
-    if n not in _GAP_CACHE:
-        spectrum = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n)))
-        _GAP_CACHE[n] = 1.0 - float(spectrum.values[-2])
-    return _GAP_CACHE[n]
+    spectrum = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n)))
+    return 1.0 - float(spectrum.values[-2])
 
 
 def verify_kernel(n: int) -> WalkReport:
@@ -303,34 +302,47 @@ def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
     return rows
 
 
-def rank_step_check(m: DenseMatrix, table: np.ndarray, sigma: PermIndex | Sequence[int],
-                    tau: tuple[int, int], rel_tol: float = 1e-7) -> tuple[int, float]:
-    """One walk step seen through the submatrix: rank of A(sigma) - A(sigma tau)
-    and the sup-norm gap of the two ESDs, for k = table.shape[1].
+def rank_step_check(m: DenseMatrix, table: np.ndarray,
+                    sigmas: Sequence[PermIndex | Sequence[int]],
+                    taus: Sequence[tuple[int, int]], rel_tol: float = 1e-7
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Walk steps sigma -> sigma tau seen through the submatrix, for
+    k = table.shape[1]: per step, the rank of A(sigma) - A(sigma tau) and
+    the sup-norm gap of the two ESDs, as (ranks, gaps) arrays.
 
     The submatrices keep the permutation's own row/column order; that is what
-    confines the difference to one changed position (rank at most 2).  The
-    ESDs are rows of `table`, `subset_spectra(m, k)`, so a step that keeps
-    the selected set has gap exactly 0.
+    confines the difference to one changed position (rank at most 2).  All
+    differences are gathered into one stack and ranked together.  The ESDs
+    are rows of `table`, `subset_spectra(m, k)`, so a step that keeps the
+    selected set has gap exactly 0.
     """
-    perm = sigma.permutation() if isinstance(sigma, PermIndex) else tuple(sigma)
-    n = len(perm)
+    before = np.array([s.permutation() if isinstance(s, PermIndex) else s for s in sigmas],
+                      dtype=np.intp)
+    pairs = np.array(taus, dtype=np.intp)
+    if before.ndim != 2 or before.shape[0] == 0 or pairs.shape != (before.shape[0], 2):
+        raise ValueError("need one tau per sigma and at least one step")
+    n = before.shape[1]
     if not m.is_square() or m.rows != n:
         raise ValueError("matrix order must match the permutation length")
+    if np.any(np.sort(before, axis=1) != np.arange(n)):
+        raise ValueError("each sigma must be a permutation of 0..n-1")
     rows = _table_rows(table, n)
     k = table.shape[1]
-    i, j = tau
-    if i == j or not (0 <= i < n and 0 <= j < n):
+    i, j = pairs[:, 0], pairs[:, 1]
+    if np.any(i == j) or pairs.min() < 0 or pairs.max() >= n:
         raise ValueError("tau must be two distinct positions in [0, n)")
-    moved = list(perm)
-    moved[i], moved[j] = moved[j], moved[i]
-    sel_a = np.array(perm[:k], dtype=np.intp)
-    sel_b = np.array(moved[:k], dtype=np.intp)
-    diff = m.data[np.ix_(sel_a, sel_a)] - m.data[np.ix_(sel_b, sel_b)]
-    if np.all(diff == 0):
-        rank_diff = 0
-    else:
-        rank_diff = numerical_rank(DenseMatrix(diff), rel_tol)
-    f_gap = sup_distance(step_cdf(table[rows[perm_rank(perm)]]),
-                         step_cdf(table[rows[perm_rank(moved)]]))
-    return rank_diff, f_gap
+    steps = np.arange(before.shape[0])
+    after = before.copy()
+    after[steps, i] = before[steps, j]
+    after[steps, j] = before[steps, i]
+    diff = (gather_submatrices(m, before[:, :k], "eigen")
+            - gather_submatrices(m, after[:, :k], "eigen"))
+    ranks = numerical_rank_stack(diff, rel_tol)
+    _, rank_of = _perm_table(n)
+    row_a, row_b = ([rows[rank_of[tuple(p)]] for p in perms.tolist()]
+                    for perms in (before, after))
+    cdfs = {r: step_cdf(table[r]) for r in {*row_a, *row_b}}
+    # a step that keeps the selected set keeps the ESD: its gap is 0
+    gaps = np.array([sup_distance(cdfs[a], cdfs[b]) if a != b else 0.0
+                     for a, b in zip(row_a, row_b)])
+    return ranks, gaps

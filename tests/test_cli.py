@@ -3,13 +3,14 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from subspec.cli import MAX_R_POINTS, main
-from subspec.ensembles import load_matrix, save_matrix
+from subspec.ensembles import load_matrix, rw_covariance, save_matrix
 from subspec.linalg import DenseMatrix
 from subspec.oracle import enumerate_subsets, halfones_exact_mean
-from subspec.sampling import subset_spectrum
-from subspec.spectra import average_cdfs, cdf_to_csv, esd, ks_two_sample
+from subspec.sampling import SeedPlan, random_k_subset, subset_spectrum
+from subspec.spectra import cdf_to_csv, esd, ks_two_sample
 from subspec.linalg import Spectrum
 
 
@@ -172,6 +173,68 @@ class TestPair:
         assert len(doc["pairs"]) == 4
 
 
+    def test_singular_mode_on_narrow_matrix(self, tmp_path):
+        # the 5 x 3 row blocks of a 10 x 3 matrix have three singular values,
+        # so the KS sample size is 3 - exclude_top, not k - exclude_top
+        matrix = tmp_path / "narrow.txt"
+        save_matrix(DenseMatrix(np.arange(1.0, 31.0).reshape(10, 3) ** 1.5), matrix)
+        common = ["pair", "--matrix", str(matrix), "--k", "5", "--mode", "singular",
+                  "--pairs", "3", "--seed", "4"]
+        for exclude_top, size in (("0", 3), ("1", 2)):
+            out = tmp_path / f"pair{exclude_top}.json"
+            assert run(*common, "--exclude-top", exclude_top, "--out", str(out)) == 0
+            doc = json.loads(out.read_text())
+            assert doc["first_pair"]["ks_sample_size"] == size
+            assert len(doc["first_pair"]["cdf_a"]["jumps"]) <= size
+            for p in doc["pairs"]:
+                assert p["lambda"] == math.sqrt(size / 2) * p["statistic"]
+        for exclude_top in ("3", "4"):
+            out = tmp_path / "x.json"
+            assert run(*common, "--exclude-top", exclude_top, "--out", str(out)) == 2
+            assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["rw", "complex", "singular-square", "singular-wide"])
+    def test_matches_per_pair_reference(self, tmp_path, case):
+        # the former loop: one subset_spectrum solve per sampled submatrix
+        rng = np.random.default_rng(21)
+        if case == "complex":
+            x = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+            m, k, mode = DenseMatrix(x + x.conj().T), 4, "eigen"
+        elif case == "singular-square":
+            m, k, mode = DenseMatrix(rng.standard_normal((12, 12))), 5, "singular"
+        elif case == "singular-wide":
+            m, k, mode = DenseMatrix(rng.standard_normal((8, 11))), 3, "singular"
+        else:
+            m, k, mode = rw_covariance(30), 8, "eigen"
+        exclude_top, pairs, seed = 1, 9, 6
+        path = tmp_path / "m.txt"
+        save_matrix(m, path)
+        m = load_matrix(path)
+        plan = SeedPlan(seed)
+
+        def sample_cdf(stream):
+            sample = random_k_subset(m.rows, k, plan.stream(stream))
+            spectrum = subset_spectrum(m, sample, mode)
+            return esd(Spectrum(spectrum.values[:spectrum.count - exclude_top]))
+
+        cdfs = [(sample_cdf(2 * p), sample_cdf(2 * p + 1)) for p in range(pairs)]
+        results = [ks_two_sample(a, b, k - exclude_top, k - exclude_top) for a, b in cdfs]
+        expected = "pair,D,lambda,p\n" + "".join(
+            f"{i},{r.statistic:.17g},{r.lam:.17g},{r.p_value:.17g}\n"
+            for i, r in enumerate(results))
+        common = ["pair", "--matrix", str(path), "--k", str(k), "--mode", mode,
+                  "--exclude-top", str(exclude_top), "--pairs", str(pairs),
+                  "--seed", str(seed)]
+        out = tmp_path / "pairs.csv"
+        assert run(*common, "--format", "csv", "--out", str(out)) == 0
+        assert out.read_bytes() == expected.encode()
+        out = tmp_path / "pairs.json"
+        assert run(*common, "--out", str(out)) == 0
+        first = json.loads(out.read_text())["first_pair"]
+        for key, cdf in zip(("cdf_a", "cdf_b"), cdfs[0]):
+            assert first[key] == {"jumps": cdf.jumps.tolist(), "cum": cdf.cum.tolist()}
+
+
 class TestVerify:
     def test_small_suite_passes(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -261,7 +324,7 @@ class TestOracle:
         assert rc == 0
         assert sum(solved) == math.comb(8, 3)
 
-    def test_singular_mode_on_narrow_matrix(self, tmp_path):
+    def test_singular_mode_on_narrow_matrix(self, tmp_path, average_cdfs):
         # the 3 x 2 row blocks of a 5 x 2 matrix have two singular values, not k = 3
         matrix = tmp_path / "m.txt"
         data = np.arange(1.0, 11.0).reshape(5, 2) ** 1.5

@@ -7,7 +7,7 @@ from subspec import linalg as linalg_mod
 from subspec.ensembles import load_matrix, rw_covariance, save_matrix
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack, gram, is_hermitian, numerical_rank,
-                            singular_values, singular_values_stack)
+                            numerical_rank_stack, singular_values, singular_values_stack)
 
 
 def dm(rows):
@@ -434,6 +434,25 @@ class TestNumericalRank:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             numerical_rank(dm(np.eye(2)), -1.0)
+        with pytest.raises(ValueError):
+            numerical_rank_stack(np.eye(2)[None], -1.0)
+
+    def test_stack_matches_one_at_a_time(self):
+        # zero, full-rank, low-rank, rectangular and complex stacks, each rank
+        # the same as the matrix's own batch of one
+        rng = np.random.default_rng(19)
+        u = rng.standard_normal((4, 2))
+        square = [np.zeros((4, 4)), np.eye(4), u @ u.T, u @ rng.standard_normal((2, 4)),
+                  1e-3 * np.eye(4), rng.standard_normal((4, 4))]
+        wide = [rng.standard_normal((3, 5)), np.zeros((3, 5)),
+                np.outer(rng.standard_normal(3), rng.standard_normal(5))]
+        z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        cplx = [z, np.outer(z[0], z[1].conj()), np.zeros((3, 3), dtype=complex)]
+        for group, expected in ((square, [0, 4, 2, 2, 4, 4]), (wide, [3, 0, 1]),
+                                (cplx, [3, 1, 0])):
+            ranks = numerical_rank_stack(np.array(group), 1e-7)
+            assert ranks.tolist() == expected
+            assert ranks.tolist() == [numerical_rank(dm(a), 1e-7) for a in group]
 
 
 class TestSpectrum:

@@ -12,7 +12,7 @@ from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 supnorm_tail_bound)
 from subspec.oracle import exact_F, exact_supnorm_distribution, halfones_exact_mean
 from subspec.sampling import SeedPlan, SubsetSample, random_k_subset, subset_spectrum
-from subspec.spectra import average_cdfs, esd, sup_distance
+from subspec.spectra import esd, sup_distance
 
 
 class TestBounds:
@@ -83,7 +83,7 @@ class TestEstimateF:
         sigma = math.sqrt((1.0 / 12.0) / n_samples)
         assert abs(f.eval(0.0) - 0.5) <= 3.0 * sigma
 
-    def test_split_run_additivity(self):
+    def test_split_run_additivity(self, average_cdfs):
         m = random_symmetric(8, 3, "gaussian")
         n1, n2 = 300, 500
         part_a = estimate_F(m, 3, "eigen", n1, 42)

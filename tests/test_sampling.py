@@ -8,7 +8,7 @@ from subspec.linalg import DenseMatrix, singular_values
 from subspec.oracle import exact_F
 from subspec import sampling as sampling_mod
 from subspec.sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
-                              principal_submatrix, random_k_subset, row_submatrix,
+                              gather_submatrices, principal_submatrix, random_k_subset, row_submatrix,
                               solve_subsets, splitmix64_mix, subset_spectrum)
 
 # upper 0.999 quantile of chi-square, keyed by degrees of freedom
@@ -177,6 +177,29 @@ class TestSubmatrices:
         assert np.max(np.abs(sub.data - sub.data.conj().T)) == 0.0
 
 
+class TestGatherSubmatrices:
+    def test_matches_ix_indexing(self):
+        # any index order, repeats included, on real, complex and rectangular input
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        for m in (rw_covariance(7), DenseMatrix(x + x.conj().T),
+                  DenseMatrix(rng.standard_normal((7, 4)))):
+            idx = np.array([rng.permutation(7)[:3] for _ in range(5)] + [[6, 6, 0]])
+            rows = gather_submatrices(m, idx, "singular")
+            assert rows.shape == (6, 3, m.cols)
+            for block, sel in zip(rows, idx):
+                assert block.tobytes() == m.data[np.ix_(sel, np.arange(m.cols))].tobytes()
+            if m.is_square():
+                blocks = gather_submatrices(m, idx, "eigen")
+                assert blocks.shape == (6, 3, 3) and blocks.dtype == m.data.dtype
+                for block, sel in zip(blocks, idx):
+                    assert block.tobytes() == m.data[np.ix_(sel, sel)].tobytes()
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            gather_submatrices(rw_covariance(4), np.array([[0, 1]]), "other")
+
+
 class TestSubsetSpectrum:
     def test_modes(self):
         m = rw_covariance(4)
@@ -235,6 +258,8 @@ class TestSolveSubsets:
             solve_subsets(DenseMatrix(np.ones((4, 3))), 2, [(1, 2)], 1, "eigen")
         with pytest.raises(ValueError, match="fewer than count"):
             solve_subsets(rw_covariance(4), 2, [(1, 2)], 2, "eigen")
+        with pytest.raises(ValueError):
+            solve_subsets(rw_covariance(4), 2, [(1, 2, 3)], 1, "eigen")
 
 
 class TestExchangeability:

@@ -1,11 +1,10 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
 from subspec.linalg import Spectrum
-from subspec.spectra import (KsResult, StepCdf, average_cdfs, cdf_from_csv, cdf_to_csv,
+from subspec.spectra import (KsResult, StepCdf, cdf_from_csv, cdf_to_csv,
                              esd, kolmogorov_q, ks_two_sample, quantile_grid,
                              sup_distance)
 
@@ -152,45 +151,6 @@ class TestSupDistance:
         f = StepCdf(np.array([0.0]), np.array([1.0 - 1e-12]))
         g = StepCdf(np.array([0.0, 1.0]), np.array([1.0 - 1e-12, 1.0]))
         assert sup_distance(f, g) == union_sup(f, g) > 0.0
-
-
-class TestAverageCdfs:
-    def test_single_identity(self):
-        f = esd_of(1.0, 4.0)
-        avg = average_cdfs([f], [1.0])
-        assert avg.jumps.tolist() == f.jumps.tolist()
-        assert avg.cum.tolist() == f.cum.tolist()
-
-    def test_two_atoms(self):
-        avg = average_cdfs([esd_of(0.0), esd_of(1.0)], [0.5, 0.5])
-        assert avg.jumps.tolist() == [0.0, 1.0]
-        assert avg.cum.tolist() == [0.5, 1.0]
-
-    def test_half_ones_hand_enumeration(self):
-        # all six principal 2x2 submatrices of diag(1,1,0,0)
-        diag = [1.0, 1.0, 0.0, 0.0]
-        cdfs = [esd_of(diag[i], diag[j]) for i, j in itertools.combinations(range(4), 2)]
-        avg = average_cdfs(cdfs, [1.0 / 6.0] * 6)
-        assert avg.jumps.tolist() == [0.0, 1.0]
-        np.testing.assert_allclose(avg.cum, [0.5, 1.0], atol=1e-15)
-
-    def test_weight_sum_violation(self):
-        with pytest.raises(ValueError):
-            average_cdfs([esd_of(0.0), esd_of(1.0)], [0.5, 0.6])
-        with pytest.raises(ValueError):
-            average_cdfs([esd_of(0.0)], [-1.0])
-
-    def test_pointwise_linearity(self):
-        rng = np.random.default_rng(4)
-        cdfs = [random_esd(rng) for _ in range(5)]
-        w = rng.random(5)
-        w /= w.sum()
-        w = w.tolist()
-        w[-1] = 1.0 - math.fsum(w[:-1])
-        avg = average_cdfs(cdfs, w)
-        for x in np.linspace(-3, 3, 40):
-            expected = math.fsum(wi * f.eval(x) for wi, f in zip(w, cdfs))
-            assert abs(avg.eval(x) - expected) <= 1e-12
 
 
 class TestKolmogorovQ:

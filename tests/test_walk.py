@@ -1,12 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
-from subspec.linalg import DenseMatrix, eigenvalues_hermitian, gram
+from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, gram, numerical_rank
 from subspec.montecarlo import pointwise_tail_bound
-from subspec.oracle import subset_spectra
+from subspec.oracle import enumerate_subsets, subset_spectra
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
 from subspec.spectra import esd, sup_distance
 from subspec.walk import (FunctionOnSn, PermIndex, WalkReport, dirichlet_form,
@@ -200,7 +201,7 @@ class TestEsdObservable:
         with pytest.raises(ValueError):
             esd_observable(subset_spectra(rw_covariance(7), 2), 7, 0.0)
         with pytest.raises(ValueError):
-            rank_step_check(rw_covariance(4), table, (0, 1, 2, 3), (0, 1))
+            rank_step_check(rw_covariance(4), table, [(0, 1, 2, 3)], [(0, 1)])
 
 
 class TestTripleNormBound:
@@ -250,26 +251,52 @@ class TestGapConcentration:
                     assert measure <= pointwise_tail_bound(k, float(r)) + 1e-15
 
 
+def rank_step_reference(m, table, rel_tol=1e-7):
+    """The former one-step `rank_step_check` as a function of (perm, tau):
+    np.ix_ blocks in permuted order, a zero-difference short-cut and one
+    `numerical_rank` per difference, memoized on the two selections."""
+    k = table.shape[1]
+    row_of = {s.indices: r for r, s in enumerate(enumerate_subsets(m.rows, k))}
+
+    @functools.lru_cache(maxsize=None)
+    def rank(sel_a, sel_b):
+        diff = m.data[np.ix_(sel_a, sel_a)] - m.data[np.ix_(sel_b, sel_b)]
+        return 0 if np.all(diff == 0) else numerical_rank(DenseMatrix(diff), rel_tol)
+
+    @functools.lru_cache(maxsize=None)
+    def cdf(sel):
+        return esd(Spectrum(table[row_of[tuple(sorted(v + 1 for v in sel))]]))
+
+    def step(perm, tau):
+        moved = list(perm)
+        i, j = tau
+        moved[i], moved[j] = moved[j], moved[i]
+        sel_a, sel_b = tuple(perm[:k]), tuple(moved[:k])
+        return rank(sel_a, sel_b), sup_distance(cdf(sel_a), cdf(sel_b))
+
+    return step
+
+
 class TestRankStepCheck:
     def test_unselected_swap_is_identity(self):
         m = random_symmetric(5, 1, "gaussian")
-        rank_diff, f_gap = rank_step_check(m, subset_spectra(m, 2), (0, 1, 2, 3, 4), (2, 4))
-        assert rank_diff == 0
-        assert f_gap == 0.0
+        ranks, gaps = rank_step_check(m, subset_spectra(m, 2), [(0, 1, 2, 3, 4)], [(2, 4)])
+        assert ranks.tolist() == [0]
+        assert gaps.tolist() == [0.0]
 
     def test_in_out_swap_rank_at_most_two(self):
         m = random_symmetric(6, 2, "gaussian")
-        rank_diff, f_gap = rank_step_check(m, subset_spectra(m, 3), (0, 1, 2, 3, 4, 5), (1, 4))
-        assert rank_diff <= 2
-        assert f_gap <= 2.0 / 3.0 + 1e-12
+        ranks, gaps = rank_step_check(m, subset_spectra(m, 3), [(0, 1, 2, 3, 4, 5)], [(1, 4)])
+        assert ranks[0] <= 2
+        assert gaps[0] <= 2.0 / 3.0 + 1e-12
 
     def test_in_in_swap_rank_at_most_two(self):
         # both positions selected: the difference is u v^T + v u^T, rank <= 2,
         # and the selected set, hence the ESD, does not change
         m = random_symmetric(6, 9, "gaussian")
-        rank_diff, f_gap = rank_step_check(m, subset_spectra(m, 4), (5, 1, 3, 0, 2, 4), (0, 2))
-        assert rank_diff <= 2
-        assert f_gap == 0.0
+        ranks, gaps = rank_step_check(m, subset_spectra(m, 4), [(5, 1, 3, 0, 2, 4)], [(0, 2)])
+        assert ranks[0] <= 2
+        assert gaps[0] == 0.0
         sel_a = np.array([5, 1, 3, 0])
         sel_b = np.array([3, 1, 5, 0])
         spec_a = eigenvalues_hermitian(DenseMatrix(m.data[np.ix_(sel_a, sel_a)]))
@@ -280,11 +307,13 @@ class TestRankStepCheck:
         m = DenseMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         table = subset_spectra(m, 2)
         rng = np.random.default_rng(3)
+        perms, taus = [], []
         for _ in range(30):
-            perm = tuple(int(v) for v in rng.permutation(5))
-            i, j = (int(v) for v in rng.choice(5, 2, replace=False))
-            _, f_gap = rank_step_check(m, table, perm, (i, j))
-            assert f_gap <= 2.0 / 2.0 + 1e-12
+            perms.append(tuple(int(v) for v in rng.permutation(5)))
+            taus.append(tuple(int(v) for v in rng.choice(5, 2, replace=False)))
+        _, gaps = rank_step_check(m, table, perms, taus)
+        assert gaps.shape == (30,)
+        assert np.all(gaps <= 2.0 / 2.0 + 1e-12)
 
     def test_exhaustive_small(self):
         # the gap must equal the one between direct solves of the two
@@ -296,20 +325,59 @@ class TestRankStepCheck:
             s = SubsetSample(tuple(sorted(p + 1 for p in perm[:2])), 4)
             return esd(eigenvalues_hermitian(principal_submatrix(m, s)))
 
-        for r in range(24):
-            perm = perm_unrank(4, r)
-            for i, j in transpositions(4):
-                rank_diff, f_gap = rank_step_check(m, table, perm, (i, j))
-                assert rank_diff <= 2
-                assert f_gap <= 1.0 + 1e-12
-                moved = list(perm)
-                moved[i], moved[j] = moved[j], moved[i]
-                assert f_gap == sup_distance(direct_esd(perm), direct_esd(moved))
+        steps = [(perm_unrank(4, r), tau) for r in range(24) for tau in transpositions(4)]
+        ranks, gaps = rank_step_check(m, table, [p for p, _ in steps], [t for _, t in steps])
+        for (perm, (i, j)), rank_diff, f_gap in zip(steps, ranks, gaps):
+            assert rank_diff <= 2
+            assert f_gap <= 1.0 + 1e-12
+            moved = list(perm)
+            moved[i], moved[j] = moved[j], moved[i]
+            assert f_gap == sup_distance(direct_esd(perm), direct_esd(moved))
+
+    def test_matches_per_step_reference(self):
+        # every step at n <= 5 on the three `verify` matrices: the same ranks
+        # and gaps as the former one-step path
+        for n in (3, 4, 5):
+            steps = [(perm_unrank(n, r), tau) for r in range(math.factorial(n))
+                     for tau in transpositions(n)]
+            perms, taus = [p for p, _ in steps], [t for _, t in steps]
+            for m in (rw_covariance(n), half_ones_diagonal(n),
+                      random_symmetric(n, 101, "gaussian")):
+                for k in range(2, n):
+                    table = subset_spectra(m, k)
+                    ranks, gaps = rank_step_check(m, table, perms, taus)
+                    step = rank_step_reference(m, table)
+                    expected = [step(p, t) for p, t in steps]
+                    assert ranks.tolist() == [r for r, _ in expected]
+                    assert gaps.tolist() == [g for _, g in expected]
+
+    def test_complex_hermitian_matrix(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m = DenseMatrix(x + x.conj().T)
+        table = subset_spectra(m, 3)
+        steps = [(perm_unrank(5, r), tau) for r in range(0, 120, 7)
+                 for tau in transpositions(5)]
+        ranks, gaps = rank_step_check(m, table, [p for p, _ in steps], [t for _, t in steps])
+        step = rank_step_reference(m, table)
+        expected = [step(p, t) for p, t in steps]
+        assert ranks.tolist() == [r for r, _ in expected]
+        assert gaps.tolist() == [g for _, g in expected]
 
     def test_accepts_permindex(self):
         m = random_symmetric(4, 6, "gaussian")
-        rank_diff, _ = rank_step_check(m, subset_spectra(m, 2), PermIndex(4, 7), (0, 3))
-        assert rank_diff <= 2
+        ranks, _ = rank_step_check(m, subset_spectra(m, 2), [PermIndex(4, 7)], [(0, 3)])
+        assert ranks[0] <= 2
+
+    def test_rejects_bad_steps(self):
+        m = random_symmetric(4, 6, "gaussian")
+        table = subset_spectra(m, 2)
+        perm = (0, 1, 2, 3)
+        for sigmas, taus in (([], []), ([perm], []), ([perm, perm], [(0, 1)]),
+                             ([perm], [(1, 1)]), ([perm], [(0, 4)]), ([perm], [(-1, 2)]),
+                             ([(0, 1, 2)], [(0, 1)]), ([(0, 1, 1, 3)], [(0, 1)])):
+            with pytest.raises(ValueError):
+                rank_step_check(m, table, sigmas, taus)
 
 
 class TestFunctionValidation:
