@@ -18,7 +18,7 @@ from .oracle import (ExactDistribution, chaining_check, enumerate_subsets, exact
                      exact_pointwise_tail, exact_supnorm_distribution,
                      halfones_exact_mean, subset_spectra)
 from .sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
-                       principal_submatrix, random_k_subset, row_submatrix,
+                       draw_subsets, principal_submatrix, random_k_subset, row_submatrix,
                        subset_spectrum)
 from .spectra import KsResult, StepCdf, esd, ks_two_sample, quantile_grid, sup_distance
 from .walk import (FunctionOnSn, PermIndex, WalkReport, dirichlet_form, esd_observable,
@@ -36,7 +36,8 @@ __all__ = [
     "EnsembleSpec", "rw_covariance", "half_ones_diagonal", "random_symmetric",
     "load_matrix", "save_matrix",
     "SeedPlan", "SubsetSample", "Xoshiro256pp", "derive_sample_seed",
-    "random_k_subset", "principal_submatrix", "row_submatrix", "subset_spectrum",
+    "random_k_subset", "draw_subsets", "principal_submatrix", "row_submatrix",
+    "subset_spectrum",
     "EstimateReport", "TailCurve", "estimate_F", "estimate_supnorm", "empirical_tail",
     "compare_tail", "supnorm_tail_bound", "supnorm_mean_bound", "pointwise_tail_bound",
     "ExactDistribution", "enumerate_subsets", "exact_F", "exact_supnorm_distribution",

@@ -27,7 +27,7 @@ from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimat
                          supnorm_tail_bound)
 from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_check, mean_cdf, pointwise_profile,
                      subset_count, subset_spectra, supnorm_law)
-from .sampling import SeedPlan, random_k_subset, solve_subsets
+from .sampling import draw_subsets, solve_subsets
 from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf
 
 _ENSEMBLES = {
@@ -163,11 +163,9 @@ def cmd_pair(args: argparse.Namespace) -> int:
                          "(< the column count in singular mode)")
     if args.pairs < 1:
         raise UsageError("pairs must be positive")
-    plan = SeedPlan(args.seed)
     k_eff = width - args.exclude_top
-    count = 2 * args.pairs
-    subsets = (random_k_subset(n, args.k, plan.stream(i)).indices for i in range(count))
-    table = solve_subsets(matrix, args.k, subsets, count, args.mode)
+    subsets = draw_subsets(n, args.k, args.seed, 0, 2 * args.pairs)
+    table = solve_subsets(matrix, subsets, args.mode)
     cdfs = [(step_cdf(table[2 * p, :k_eff]), step_cdf(table[2 * p + 1, :k_eff]))
             for p in range(args.pairs)]
     results = [ks_two_sample(cdf_a, cdf_b, k_eff, k_eff) for cdf_a, cdf_b in cdfs]

@@ -16,8 +16,10 @@ a solve of it alone; a single matrix is a stack of one.  Singular values
 and numerical ranks go through the same stacks, so the walk's one-step
 differences are ranked all at once (`numerical_rank_stack`).  Callers
 bound memory by the stack they pass: the solver's working set is a few
-copies of it (`sampling.solve_subsets` gathers submatrices in stacks of
-at most `sampling.STACK_BYTES`).
+copies of it (`sampling.solve_stacks` gathers submatrices in stacks of
+at most `sampling.STACK_BYTES`).  A real matrix equal to its transpose
+bit for bit is solved as a copy, since symmetrizing would give it back
+unchanged; any other is symmetrized after the Hermitian guard.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -135,13 +137,49 @@ def require_hermitian(m: DenseMatrix) -> None:
     _require_hermitian_stack(m.data[None])
 
 
-def _require_hermitian_stack(stack: np.ndarray) -> None:
+def _require_hermitian_stack(stack: np.ndarray) -> np.ndarray:
     """`require_hermitian` for every matrix of a (B, k, k) stack, each
-    against its own largest entry."""
-    gaps = _hermitian_gaps(stack)
-    scale = np.abs(stack).max(axis=(1, 2))
-    if np.any(gaps > 1e-10 * np.where(scale > 0, scale, 1.0)):
-        raise ValueError("not Hermitian")
+    against its own largest entry.
+
+    Returns which matrices are float64 and equal to their transpose bit
+    for bit.  Those pass without a subtraction; only the others pay for
+    their gaps and largest entries.
+    """
+    if stack.shape[1] != stack.shape[2]:
+        raise ValueError("not square")
+    if stack.dtype == np.float64:
+        bits = stack.view(np.int64)
+        exact = (bits == bits.transpose(0, 2, 1)).all(axis=(1, 2))
+    else:
+        exact = np.zeros(stack.shape[0], dtype=bool)
+    rest = stack if not exact.any() else stack[~exact]
+    if rest.shape[0]:
+        gaps = _hermitian_gaps(rest)
+        scale = np.abs(rest).max(axis=(1, 2))
+        if np.any(gaps > 1e-10 * np.where(scale > 0, scale, 1.0)):
+            raise ValueError("not Hermitian")
+    return exact
+
+
+# A + A* stays finite while every entry is below 2^1023; at or above it the
+# halves are added instead
+_HALVE_FIRST = 2.0**1023
+
+
+def _hermitized(stack: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """(A + A*) / 2 of every matrix of a guarded (B, k, k) stack, as a fresh
+    stack.  A matrix marked exact already equals it bit for bit and is
+    copied; the others are symmetrized, which also removes the asymmetry
+    of up to 1e-10 * scale that the guard allows."""
+    h = stack.astype(np.result_type(stack.dtype, np.float64))
+    rows = np.flatnonzero(~exact)
+    if rows.size:
+        a = h[rows]
+        adj = a.conj().transpose(0, 2, 1)
+        big = np.abs(a).max(axis=(1, 2)) >= _HALVE_FIRST
+        h[rows[~big]] = 0.5 * (a[~big] + adj[~big])
+        h[rows[big]] = 0.5 * a[big] + 0.5 * adj[big]
+    return h
 
 
 def eigenvalues_hermitian_stack(stack: np.ndarray) -> np.ndarray:
@@ -149,20 +187,22 @@ def eigenvalues_hermitian_stack(stack: np.ndarray) -> np.ndarray:
     matrices: a (B, k) array with one ascending row per matrix.
 
     Each row is bit-identical to `eigenvalues_hermitian` of that matrix
-    alone, whatever else the stack holds.
+    alone, whatever else the stack holds.  The stack is not modified.
     """
-    _require_hermitian_stack(stack)
-    if np.iscomplexobj(stack):
-        # Hermitize away the <= 1e-10*scale asymmetry allowed by the guard, so
+    h = _hermitized(stack, _require_hermitian_stack(stack))
+    if np.iscomplexobj(h):
         # the real part is exactly symmetric and the imaginary part exactly
-        # antisymmetric before embedding
-        h = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+        # antisymmetric, as the embedding needs
         embedded = np.block([[h.real, -h.imag], [h.imag, h.real]])
         doubled = _symmetric_eigenvalues(embedded)
-        # every eigenvalue appears exactly twice; average adjacent pairs
-        return 0.5 * (doubled[:, 0::2] + doubled[:, 1::2])
-    # symmetrize away the <= 1e-10*scale asymmetry allowed by the guard
-    return _symmetric_eigenvalues(0.5 * (stack + stack.transpose(0, 2, 1)))
+        # every eigenvalue appears exactly twice; average adjacent pairs,
+        # halving first where their sum would overflow
+        lo, hi = doubled[:, 0::2], doubled[:, 1::2]
+        with np.errstate(over="ignore"):
+            mean = 0.5 * (lo + hi)
+        big = np.maximum(np.abs(lo), np.abs(hi)) >= _HALVE_FIRST
+        return np.where(big, 0.5 * lo + 0.5 * hi, mean)
+    return _symmetric_eigenvalues(h)
 
 
 def eigenvalues_hermitian(m: DenseMatrix) -> Spectrum:
@@ -184,19 +224,28 @@ def _gram_stack(stack: np.ndarray) -> np.ndarray:
 def singular_values_stack(stack: np.ndarray) -> np.ndarray:
     """Singular values of every matrix of a (B, r, c) stack: a (B, min(r, c))
     array with one ascending row per matrix, the square roots of the
-    spectrum of the smaller Gram matrix."""
+    spectrum of the smaller Gram matrix.
+
+    A matrix whose largest entry lies outside [1e-100, 1e100] is divided by
+    it first, as in the eigensolver, so that its Gram product neither
+    overflows nor underflows; its singular values are scaled back after.
+    """
+    amax = np.abs(stack).max(axis=(1, 2))
+    rescale = _rescale_factors(amax)
     work = stack if stack.shape[1] <= stack.shape[2] else \
         np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    if np.any(rescale != 1.0):
+        work = work / rescale[:, None, None]
     g = _gram_stack(work)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
     vals = eigenvalues_hermitian_stack(g)
-    scale = np.abs(stack).max(axis=(1, 2))
+    scale = amax / rescale
     clamp = 1e-9 * scale * scale
     if np.any(vals < -clamp[:, None]):
         raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
     vals[vals < 0] = 0.0
-    return np.sqrt(vals)
+    return np.sqrt(vals) * rescale[:, None]
 
 
 def singular_values(a: DenseMatrix) -> Spectrum:
@@ -242,15 +291,17 @@ def _rotation_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(rounds)
 
 
-def _frobenius_norms(a: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
-    """Per-matrix Frobenius norm of a (B, n, n) stack, or of its
-    off-diagonal part; each sum of squares adds a matrix's n^2 entries in
-    the order `np.sum` adds them for that matrix alone."""
-    squares = a * a
-    if off_diagonal:
-        diag = np.arange(a.shape[1])
-        squares[:, diag, diag] = 0.0
-    return np.sqrt(np.sum(squares.reshape(a.shape[0], -1), axis=1))
+def _rescale_factors(amax: np.ndarray) -> np.ndarray:
+    """Per-matrix divisor from its largest absolute entry: that entry when it
+    lies outside [1e-100, 1e100] (and is not 0), else 1.0."""
+    return np.where((amax > 1e100) | ((0.0 < amax) & (amax < 1e-100)), amax, 1.0)
+
+
+def _root_sums(squares: np.ndarray) -> np.ndarray:
+    """Square root of the sum of each matrix of a (B, n, n) stack of
+    squares; each sum adds a matrix's n^2 entries in the order `np.sum`
+    adds them for that matrix alone."""
+    return np.sqrt(np.sum(squares.reshape(squares.shape[0], -1), axis=1))
 
 
 def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -270,19 +321,23 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     if n == 1:
         return a.reshape(a.shape[0], 1)
 
-    amax = np.abs(a).max(axis=(1, 2))
-    rescale = np.where((amax > 1e100) | ((0.0 < amax) & (amax < 1e-100)), amax, 1.0)
-    a /= rescale[:, None, None]
+    rescale = _rescale_factors(np.abs(a).max(axis=(1, 2)))
+    if np.any(rescale != 1.0):
+        a /= rescale[:, None, None]
 
     out = np.empty(a.shape[:2], dtype=np.float64)
     active = np.arange(a.shape[0])  # row of `out` for each matrix of `a`
-    target = JACOBI_TOL * _frobenius_norms(a)
+    diag = np.arange(n)
+    # the first off-diagonal norm reuses the squares of the input norm
+    squares = a * a
+    target = JACOBI_TOL * _root_sums(squares)
+    squares[:, diag, diag] = 0.0
+    off = _root_sums(squares)
+    del squares
     rounds = _rotation_rounds(n)
     adaptive = n >= _ADAPTIVE_MIN_ORDER
-    diag = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(JACOBI_MAX_SWEEPS):
-            off = _frobenius_norms(a, off_diagonal=True)
             done = off <= target
             if done.any():
                 eigenvalues = np.sort(a[:, diag, diag][done], axis=1)
@@ -323,4 +378,7 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
                 a[hit, q, :] = ss * row_p + cs * row_q
                 a[hit, p, q] = 0.0
                 a[hit, q, p] = 0.0
+            squares = a * a
+            squares[:, diag, diag] = 0.0
+            off = _root_sums(squares)
     raise RuntimeError("eigensolver did not converge")

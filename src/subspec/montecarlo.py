@@ -7,19 +7,23 @@ mode, n_samples, master_seed).  Sample i draws its subset from its own
 derived stream, each distinct subset is solved once (identical submatrices
 solve to bit-identical spectra, so sharing a solve cannot change any
 number), and all reductions are exact counts or run in sample-index order.
+
+The draws stay one (n_samples, k) array of small integers.  Each stack of
+solved spectra is reduced to exact (value, count) pairs and, for the
+sup-norm law, to one distance per subset before the next stack is
+solved, so no table of all the spectra is ever held.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL, require_hermitian
 from .oracle import DEFAULT_ENUMERATION_CAP, exact_F, subset_count
-from .sampling import PRNG_NAME, SeedPlan, random_k_subset, solve_subsets
+from .sampling import PRNG_NAME, SeedPlan, draw_subsets, solve_stacks
 from .spectra import StepCdf, step_cdf, sup_distance
 
 QUANTILE_PROBS = (0.5, 0.9, 0.99)
@@ -133,33 +137,39 @@ def standard_metadata(extra: str = "") -> str:
     return base + (";" + extra if extra else "")
 
 
-def _draw_subsets(m: DenseMatrix, k: int, mode: str, n_samples: int,
-                  master_seed: int, stream_offset: int = 0) -> list[tuple[int, ...]]:
+def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
+                     master_seed: int, stream_offset: int,
+                     reference: StepCdf | None) -> tuple[StepCdf, np.ndarray | None]:
+    """Equal-weight average of the per-sample ESDs and, given a reference,
+    the per-sample sup-norm distances to it in sample order.
+
+    Each distinct subset is solved once.  A stack of spectra leaves behind
+    only its distinct values with their exact integer counts (its rows
+    weighted by how often each subset was drawn), so `step_cdf` of all the
+    pairs gives the bytes of a count over every sample.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if mode == "eigen":
         require_hermitian(m)
     elif mode != "singular":
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
-    plan = SeedPlan(master_seed)
-    n = m.rows
-    return [random_k_subset(n, k, plan.stream(stream_offset + i)).indices
-            for i in range(n_samples)]
-
-
-def _solve_distinct(m: DenseMatrix, k: int, mode: str, subsets: list[tuple[int, ...]]
-                    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The distinct subsets in first-draw order and their spectra table."""
-    distinct = list(dict.fromkeys(subsets))
-    return distinct, solve_subsets(m, k, distinct, len(distinct), mode)
-
-
-def _average_esd(distinct: list[tuple[int, ...]], spectra: np.ndarray,
-                 subsets: list[tuple[int, ...]]) -> StepCdf:
-    """Equal-weight average of the per-sample ESDs via exact value counts."""
-    counts = Counter(subsets)
-    weights = np.repeat([counts[s] for s in distinct], spectra.shape[1])
-    return step_cdf(spectra.ravel(), weights)
+    subsets = draw_subsets(m.rows, k, master_seed, stream_offset, n_samples)
+    distinct, inverse, counts = np.unique(subsets, axis=0, return_inverse=True,
+                                          return_counts=True)
+    del subsets
+    values, weights = [], []
+    distances = np.empty(len(distinct)) if reference is not None else None
+    for start, spectra in solve_stacks(m, distinct, mode):
+        uniq, where = np.unique(spectra, return_inverse=True)
+        row_counts = np.repeat(counts[start:start + len(spectra)], spectra.shape[1])
+        values.append(uniq)
+        weights.append(np.bincount(where.ravel(), weights=row_counts, minlength=uniq.size))
+        if distances is not None:
+            distances[start:start + len(spectra)] = [
+                sup_distance(step_cdf(row), reference) for row in spectra]
+    f_hat = step_cdf(np.concatenate(values), np.concatenate(weights))
+    return f_hat, None if distances is None else distances[inverse.reshape(-1)]
 
 
 def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
@@ -170,8 +180,7 @@ def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
     N1 + N2 samples splits exactly into runs over streams [0, N1) and
     [N1, N1 + N2).
     """
-    subsets = _draw_subsets(m, k, mode, n_samples, master_seed, stream_offset)
-    return _average_esd(*_solve_distinct(m, k, mode, subsets), subsets)
+    return _sampled_spectra(m, k, mode, n_samples, master_seed, stream_offset, None)[0]
 
 
 def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
@@ -179,16 +188,11 @@ def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
                      metadata_note: str = "") -> EstimateReport:
     """Monte Carlo law of the sup-norm distance between sampled ESDs and a
     caller-supplied reference CDF, plus the averaged F_hat."""
-    subsets = _draw_subsets(m, k, mode, n_samples, master_seed)
-    distinct, spectra = _solve_distinct(m, k, mode, subsets)
-    distances = {s: sup_distance(step_cdf(row), reference)
-                 for s, row in zip(distinct, spectra)}
-    samples = np.array([distances[s] for s in subsets], dtype=np.float64)
+    f_hat, samples = _sampled_spectra(m, k, mode, n_samples, master_seed, 0, reference)
     mean = math.fsum(samples.tolist()) / n_samples
     ordered = np.sort(samples)
     quantiles = {p: float(ordered[max(0, math.ceil(p * n_samples) - 1)])
                  for p in QUANTILE_PROBS}
-    f_hat = _average_esd(distinct, spectra, subsets)
     samples.setflags(write=False)
     return EstimateReport(
         mode=mode, n=m.rows, k=k, n_samples=n_samples, master_seed=master_seed,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .linalg import DenseMatrix
-from .sampling import SubsetSample, solve_subsets
+from .sampling import SubsetSample, index_dtype, solve_subsets
 from .spectra import StepCdf, quantile_grid, step_cdf, sup_distance
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -75,6 +75,12 @@ def subset_count(n: int, k: int) -> int:
 def enumerate_subsets(n: int, k: int,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SubsetSample]:
     """All C(n, k) subsets of {1..n} in lexicographic order."""
+    _check_enumerable(n, k, cap)
+    return (SubsetSample(combo, n) for combo in combinations(range(1, n + 1), k))
+
+
+def _check_enumerable(n: int, k: int, cap: int) -> int:
+    """C(n, k), after checking 1 <= k <= n and that it fits under the cap."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     count = math.comb(n, k)
@@ -82,7 +88,7 @@ def enumerate_subsets(n: int, k: int,
         raise ValueError(
             f"subset count C({n},{k}) = {count} exceeds the enumeration cap {cap}; "
             "use the Monte Carlo estimators instead")
-    return (SubsetSample(combo, n) for combo in combinations(range(1, n + 1), k))
+    return count
 
 
 def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
@@ -96,8 +102,10 @@ def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
     CDF of a generic matrix has that many distinct jumps, so building it
     costs that much memory with or without the table.
     """
-    subsets = enumerate_subsets(m.rows, k, cap)
-    table = solve_subsets(m, k, (s.indices for s in subsets), math.comb(m.rows, k), mode)
+    count = _check_enumerable(m.rows, k, cap)
+    combos = chain.from_iterable(combinations(range(1, m.rows + 1), k))
+    subsets = np.fromiter(combos, dtype=index_dtype(m.rows), count=count * k)
+    table = solve_subsets(m, subsets.reshape(count, k), mode)
     table.setflags(write=False)
     return table
 

@@ -3,28 +3,37 @@
 Randomness is bit-exact and platform independent: a splitmix64 finalizer
 derives one 64-bit seed per sample index from the master seed, and each
 sample runs its own xoshiro256++ stream seeded from four splitmix64
-outputs.  Sample i therefore sees the same draws no matter how many
-workers run or in which order samples are processed.
+outputs.  Sample i therefore sees the same draws whatever samples are
+drawn with it and in whatever order.
 
 Bounded integers use the multiply-shift reduction (x * bound) >> 64.  It
 consumes exactly one 64-bit draw per integer, which keeps the number of
 draws per subset a pure function of (n, k); its bias, at most bound/2^64,
 is far below anything the statistical tests can resolve.
 
+`draw_subsets` draws many samples at once: it runs their streams in
+lockstep as numpy uint64 lanes (Blackman & Vigna, "Scrambled linear
+pseudorandom number generators") and takes the high word of the
+multiply-shift through 32-bit limbs, so each lane makes exactly the draws
+of its scalar stream.  `Xoshiro256pp` and `random_k_subset` are that
+scalar stream, one Python integer at a time; they are the reference the
+lanes are tested against bit for bit.
+
 `gather_submatrices` is the one submatrix extraction of the package: it
 turns rows of 0-based indices into a (B, k, cols) stack with a single
-`np.take`.  `solve_subsets` feeds its stacks to the batched solver, and
-the one-matrix helpers (`principal_submatrix`, `row_submatrix`,
-`subset_spectrum`) are batches of one over the same two functions.  The
-walk's rank steps gather their permuted-order blocks with it too.
+`np.take`.  `solve_stacks` feeds its stacks to the batched solver and
+hands each one's spectra to its caller; `solve_subsets` collects them
+into one table.  The one-matrix helpers (`principal_submatrix`,
+`row_submatrix`, `subset_spectrum`) are batches of one over the same
+functions.  The walk's rank steps gather their permuted-order blocks with
+it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +52,15 @@ PRNG_NAME = "splitmix64+xoshiro256++"
 # solves.
 STACK_BYTES = 256 * 1024
 
+# Streams that `draw_subsets` runs in lockstep.  Its shuffle pool holds
+# DRAW_LANES x n indices of `index_dtype(n)`, 2 MB at n = 1024.
+DRAW_LANES = 1024
+
+_LANE_GOLDEN = np.uint64(_GOLDEN)
+_LANE_C1 = np.uint64(_MIX_C1)
+_LANE_C2 = np.uint64(_MIX_C2)
+_LOW32 = np.uint64(0xFFFFFFFF)
+
 
 def splitmix64_mix(z: int) -> int:
     """The splitmix64 finalizer: add the golden gamma, then xor-shift-multiply."""
@@ -50,6 +68,14 @@ def splitmix64_mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_C1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_C2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_lanes(z: np.ndarray) -> np.ndarray:
+    """`splitmix64_mix` of every uint64 lane; numpy wraps modulo 2^64."""
+    z = z + _LANE_GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _LANE_C1
+    z = (z ^ (z >> np.uint64(27))) * _LANE_C2
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_sample_seed(master_seed: int, i: int) -> int:
@@ -151,6 +177,65 @@ def random_k_subset(n: int, k: int, rng: Xoshiro256pp) -> SubsetSample:
     return SubsetSample(tuple(sorted(pool[:k])), n)
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned integer type that holds 1..n."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError("n must be below 2^32")
+
+
+def draw_subsets(n: int, k: int, master_seed: int, offset: int, count: int) -> np.ndarray:
+    """The subsets of samples offset .. offset + count - 1, as a (count, k)
+    array of sorted 1-based indices in `index_dtype(n)`: row i equals
+    `random_k_subset(n, k, SeedPlan(master_seed).stream(offset + i)).indices`.
+
+    Up to DRAW_LANES streams run in lockstep, one uint64 lane each, and
+    their partial Fisher-Yates shuffles step together on one pool row per
+    lane.
+    """
+    if not 1 <= k <= n:
+        raise ValueError("k out of range")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    dtype = index_dtype(n)
+    out = np.empty((count, k), dtype=dtype)
+    master = np.uint64(master_seed & _MASK64)
+    for start in range(0, count, DRAW_LANES):
+        lanes = min(DRAW_LANES, count - start)
+        # derive_sample_seed and Xoshiro256pp.from_seed, lane by lane
+        index = np.arange(lanes, dtype=np.uint64) + np.uint64((offset + start + 1) & _MASK64)
+        seed = _mix_lanes(master ^ _mix_lanes(index))
+        s0, s1, s2, s3 = (_mix_lanes(seed + np.uint64(i * _GOLDEN & _MASK64))
+                          for i in range(4))
+        s0[(s0 | s1 | s2 | s3) == 0] = _LANE_GOLDEN  # the all-zero state is invalid
+        pool = np.tile(np.arange(1, n + 1, dtype=dtype), (lanes, 1))
+        flat = pool.reshape(-1)
+        row_start = np.arange(lanes, dtype=np.intp) * n
+        for j in range(k):
+            # Xoshiro256pp.next_u64
+            x = s0 + s3
+            word = ((x << np.uint64(23)) | (x >> np.uint64(41))) + s0
+            t = s1 << np.uint64(17)
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+            # (word * bound) >> 64 with bound < 2^32: neither partial
+            # product nor their sum reaches 2^64
+            bound = np.uint64(n - j)
+            high = ((word >> np.uint64(32)) * bound
+                    + (((word & _LOW32) * bound) >> np.uint64(32))) >> np.uint64(32)
+            swap = row_start + (high.astype(np.intp) + j)
+            picked = flat[swap]
+            flat[swap] = pool[:, j]
+            pool[:, j] = picked
+        out[start:start + lanes] = np.sort(pool[:, :k], axis=1)
+    return out
+
+
 def gather_submatrices(m: DenseMatrix, idx: np.ndarray, mode: str) -> np.ndarray:
     """The submatrices of m at the 0-based index rows of a (B, k) array, as
     a fresh (B, k, cols) stack: principal k x k blocks in eigen mode, k x n
@@ -182,35 +267,40 @@ def subset_spectrum(m: DenseMatrix, s: SubsetSample, mode: str) -> Spectrum:
     block in eigen mode, singular values of the k x n row block otherwise."""
     if m.rows != s.n:
         raise ValueError("matrix order does not match the sample's ambient order")
-    return Spectrum(solve_subsets(m, s.k, [s.indices], 1, mode)[0])
+    return Spectrum(solve_subsets(m, np.array([s.indices]), mode)[0])
 
 
-def solve_subsets(m: DenseMatrix, k: int, subsets: Iterable[Sequence[int]], count: int,
-                  mode: str) -> np.ndarray:
-    """Spectra of the submatrices of the first `count` k-subsets (sorted
-    1-based indices), as a (count, width) table whose row i is the i-th
-    subset's `subset_spectrum`, bit for bit.
+def solve_stacks(m: DenseMatrix, subsets: np.ndarray, mode: str
+                 ) -> Iterator[tuple[int, np.ndarray]]:
+    """The spectra of the submatrices at the rows of a (count, k) array of
+    sorted 1-based subsets, one stack at a time: pairs (start, spectra)
+    where row j of the (B, width) array `spectra` is the spectrum of
+    subset start + j, and the starts run 0, B, ... in order.
 
-    The submatrices are gathered into stacks of at most STACK_BYTES (at
-    least one submatrix) and solved one stack at a time by the batched
-    eigensolver.  width is k, or min(k, m.cols) in singular mode.
+    Each stack holds at most STACK_BYTES of submatrices (at least one) and
+    is solved by the batched eigensolver.  width is k, or min(k, m.cols)
+    in singular mode.
     """
+    count, k = subsets.shape
     if mode == "eigen":
         if not m.is_square():
             raise ValueError("not square")
-        cols, width, solve = k, k, eigenvalues_hermitian_stack
+        cols, solve = k, eigenvalues_hermitian_stack
     elif mode == "singular":
-        cols, width, solve = m.cols, min(k, m.cols), singular_values_stack
+        cols, solve = m.cols, singular_values_stack
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
     chunk = max(1, STACK_BYTES // (k * cols * m.data.itemsize))
-    table = np.empty((count, width), dtype=np.float64)
-    pending = iter(subsets)
     for start in range(0, count, chunk):
-        size = min(chunk, count - start)
-        batch = list(islice(pending, size))
-        if len(batch) < size:
-            raise ValueError(f"fewer than count = {count} subsets")
-        idx = np.array(batch, dtype=np.intp).reshape(size, k) - 1
-        table[start:start + size] = solve(gather_submatrices(m, idx, mode))
+        idx = subsets[start:start + chunk].astype(np.intp) - 1
+        yield start, solve(gather_submatrices(m, idx, mode))
+
+
+def solve_subsets(m: DenseMatrix, subsets: np.ndarray, mode: str) -> np.ndarray:
+    """The (count, width) table of `solve_stacks`: row i is the i-th
+    subset's `subset_spectrum`, bit for bit."""
+    width = min(subsets.shape[1], m.cols) if mode == "singular" else subsets.shape[1]
+    table = np.empty((subsets.shape[0], width), dtype=np.float64)
+    for start, spectra in solve_stacks(m, subsets, mode):
+        table[start:start + len(spectra)] = spectra
     return table

@@ -41,6 +41,8 @@ GOLDEN = {
         "1a76caf7b4c7a77dcd2743ab2571b40f32c09cccfdc625db57f8106d92159a11",
     "estimate --ensemble random-gaussian --n 10 --k 3 --samples 200 --seed 2":
         "cdbdd1e95ca5fabdb4f5b6d6b1e10946993cd4de9edcc7c7c9dfd9513ad1d2c8",
+    "estimate --ensemble random-pm1 --n 9 --k 3 --samples 5000 --seed 4":
+        "57c5bd545d0dcd56e617bebf827dc028b17edb92c0061fd5986a48dee4dc88b4",
     "estimate --ensemble half-ones --n 12 --k 4 --samples 300 --seed 5 --mode singular":
         "ac99f173d6fb5d000a37a30b23a4ec858b495ae48d59789f744976b4da8e2f14",
     "pair --ensemble rw-covariance --n 30 --k 8 --exclude-top 2 --pairs 20 --seed 6":

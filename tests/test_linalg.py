@@ -113,6 +113,14 @@ def principal_blocks(m, k, count, seed):
     return blocks
 
 
+def signed_zero_pair(a):
+    """a with entry (0, 1) set to -0.0 and (1, 0) to +0.0: every gap is 0,
+    but a differs from its transpose in one bit."""
+    a = a.copy()
+    a[0, 1], a[1, 0] = -0.0, 0.0
+    return a
+
+
 def stack_cases(tmp_path):
     rng = np.random.default_rng(40)
     rw = rw_covariance(60).data
@@ -136,6 +144,12 @@ def stack_cases(tmp_path):
         "order-2": [sym(rng.standard_normal((2, 2))) for _ in range(20)] + [np.eye(2)],
         "mixed-scales": [sym(rng.standard_normal((6, 6))) * scale
                          for scale in (1e200, 1e-200, 1.0, 3e-150, 1e-200, 1e200)],
+        # exactly symmetric matrices next to ones asymmetric within the
+        # guard's tolerance, and one whose only asymmetry is a +0/-0 pair
+        "mixed-symmetry": [sym(rng.standard_normal((5, 5))) + skew
+                           for skew in (0.0, 1e-12 * rng.standard_normal((5, 5)), 0.0,
+                                        1e-14 * rng.standard_normal((5, 5)), 0.0)]
+        + [signed_zero_pair(sym(rng.standard_normal((5, 5))))],
     }
 
 
@@ -293,7 +307,7 @@ class TestEigenvalues:
 class TestBatchedSolver:
     @pytest.mark.parametrize("case", ["rw-covariance-k20", "rw-covariance-k5", "gaussian",
                                       "pm1", "half-ones-ties", "complex-file", "order-1",
-                                      "order-2", "mixed-scales"])
+                                      "order-2", "mixed-scales", "mixed-symmetry"])
     def test_matches_per_matrix_solver(self, case, tmp_path):
         blocks = stack_cases(tmp_path)[case]
         got = eigenvalues_hermitian_stack(np.array(blocks))
@@ -352,6 +366,33 @@ class TestBatchedSolver:
     def test_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="not square"):
             eigenvalues_hermitian_stack(np.zeros((2, 2, 3)))
+
+    @pytest.mark.parametrize("case", ["rw-covariance-k5", "mixed-symmetry", "complex-file"])
+    def test_leaves_input_unmodified(self, case, tmp_path):
+        # the copy path (every matrix exactly symmetric), the symmetrizing
+        # path and the complex embedding all solve a copy
+        stack = np.array(stack_cases(tmp_path)[case])
+        before = stack.tobytes()
+        eigenvalues_hermitian_stack(stack)
+        assert stack.tobytes() == before
+
+    def test_entries_near_float_max(self):
+        # A + A^T overflows here although every entry is finite: exactly
+        # symmetric input is not summed, and input that needs symmetrizing
+        # is halved before the add
+        big = eigenvalues_hermitian(dm(np.diag([1e308, 1.0]))).values
+        np.testing.assert_allclose(big, [1.0, 1e308], rtol=1e-12)
+        skewed = np.array([[1e308, 3e297], [1e297, -5e307]])
+        assert is_hermitian(DenseMatrix(skewed), 1e-10 * 1e308)
+        np.testing.assert_allclose(eigenvalues_hermitian(DenseMatrix(skewed)).values,
+                                   [-5e307, 1e308], rtol=1e-12)
+        hermitian = np.array([[1e308, 3e297j], [-1e297j, 2.0]])
+        np.testing.assert_allclose(eigenvalues_hermitian(DenseMatrix(hermitian)).values,
+                                   [2.0 - 4e286, 1e308], rtol=1e-12)
+        # a batch-mate that needs halving leaves an ordinary one's bits alone
+        ordinary = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
+        got = eigenvalues_hermitian_stack(np.array([skewed, ordinary]))
+        assert got[1].tobytes() == per_matrix_eigenvalues(ordinary).tobytes()
 
 
 class TestGram:
@@ -419,6 +460,27 @@ class TestSingularValues:
         sv = singular_values(dm(np.zeros((3, 5)))).values
         assert sv.tolist() == [0.0, 0.0, 0.0]
 
+    def test_extreme_scales(self):
+        # the Gram product of these would underflow to 0 or overflow to inf
+        tiny = singular_values(dm(1e-300 * np.eye(3))).values
+        np.testing.assert_allclose(tiny, [1e-300] * 3, rtol=1e-12)
+        huge = singular_values(dm(1e200 * np.eye(3))).values
+        np.testing.assert_allclose(huge, [1e200] * 3, rtol=1e-12)
+        wide = singular_values(dm(1e-250 * np.array([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0]])))
+        np.testing.assert_allclose(wide.values, [2e-250, 5e-250], rtol=1e-12)
+
+    def test_rescaled_batch_mate_keeps_other_bits(self):
+        rng = np.random.default_rng(44)
+        blocks = rng.standard_normal((4, 3, 5))
+        blocks[1] *= 1e-300
+        blocks[2] *= 1e200
+        got = singular_values_stack(blocks)
+        for i in (0, 3):
+            assert got[i].tobytes() == per_matrix_singular_values(blocks[i]).tobytes()
+        for i, scale in ((1, 1e-300), (2, 1e200)):
+            expected = per_matrix_singular_values(blocks[i] / scale) * scale
+            np.testing.assert_allclose(got[i], expected, rtol=1e-12)
+
 
 class TestNumericalRank:
     def test_zero(self):
@@ -426,6 +488,10 @@ class TestNumericalRank:
 
     def test_identity(self):
         assert numerical_rank(dm(np.eye(4)), 1e-12) == 4
+
+    def test_extreme_scales(self):
+        assert numerical_rank(dm(1e-300 * np.eye(3)), 1e-12) == 3
+        assert numerical_rank(dm(1e200 * np.eye(3)), 1e-12) == 3
 
     def test_outer_product(self):
         v = np.array([1.0, 2.0, 3.0])

@@ -11,8 +11,9 @@ from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 pointwise_tail_bound, supnorm_mean_bound,
                                 supnorm_tail_bound)
 from subspec.oracle import exact_F, exact_supnorm_distribution, halfones_exact_mean
+from subspec import sampling as sampling_mod
 from subspec.sampling import SeedPlan, SubsetSample, random_k_subset, subset_spectrum
-from subspec.spectra import esd, sup_distance
+from subspec.spectra import esd, step_cdf, sup_distance
 
 
 class TestBounds:
@@ -153,6 +154,24 @@ class TestEstimateSupnorm:
         assert report.mean_supnorm == 0.0
         assert np.all(report.samples == 0.0)
         assert report.supnorm_quantiles[0.99] == 0.0
+
+    @pytest.mark.parametrize("budget", [1, 700, sampling_mod.STACK_BYTES])
+    def test_matches_per_draw_reference(self, budget, monkeypatch):
+        # one distance per draw, in draw order, from the scalar streams; and
+        # the same F_hat whether the counts come from one stack or many
+        m = random_symmetric(8, 3, "gaussian")
+        ref = exact_F(m, 3)
+        plan = SeedPlan(9)
+        draws = [random_k_subset(8, 3, plan.stream(i)) for i in range(300)]
+        expected = np.array([sup_distance(step_cdf(subset_spectrum(m, s, "eigen").values), ref)
+                             for s in draws])
+        one_stack = estimate_F(m, 3, "eigen", 300, 9)
+        monkeypatch.setattr(sampling_mod, "STACK_BYTES", budget)
+        report = estimate_supnorm(m, 3, "eigen", 300, 9, ref)
+        assert len(set(s.indices for s in draws)) < 300
+        assert report.samples.tobytes() == expected.tobytes()
+        assert report.f_hat.jumps.tobytes() == one_stack.jumps.tobytes()
+        assert report.f_hat.cum.tobytes() == one_stack.cum.tobytes()
 
     def test_half_ones_mean_matches_oracle(self):
         m = half_ones_diagonal(4)

@@ -8,8 +8,9 @@ from subspec.linalg import DenseMatrix, singular_values
 from subspec.oracle import exact_F
 from subspec import sampling as sampling_mod
 from subspec.sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
-                              gather_submatrices, principal_submatrix, random_k_subset, row_submatrix,
-                              solve_subsets, splitmix64_mix, subset_spectrum)
+                              draw_subsets, gather_submatrices, principal_submatrix,
+                              random_k_subset, row_submatrix, solve_subsets, splitmix64_mix,
+                              subset_spectrum)
 
 # upper 0.999 quantile of chi-square, keyed by degrees of freedom
 CHI2_999 = {5: 20.515, 9: 27.877}
@@ -126,6 +127,54 @@ class TestRandomKSubset:
         assert forward == list(reversed(backward))
 
 
+class TestDrawSubsets:
+    # (n, k, master seed, first stream, count); the 300-stream offset is the
+    # second half of test_split_run_additivity
+    CASES = [(1, 1, 0, 0, 4), (9, 1, -5, 0, 40), (6, 6, 2**64 - 1, 0, 9),
+             (8, 3, 42, 300, 500), (30, 8, 2**70 + 3, 7, 60), (300, 40, 0, 0, 5),
+             (9, 3, 4, 0, 50)]
+
+    @staticmethod
+    def scalar(n, k, seed, offset, count):
+        plan = SeedPlan(seed)
+        return [random_k_subset(n, k, plan.stream(offset + i)).indices for i in range(count)]
+
+    @pytest.mark.parametrize("lanes", [1, 3, sampling_mod.DRAW_LANES])
+    def test_rows_equal_scalar_stream(self, lanes, monkeypatch):
+        # one lane, chunks that straddle every count, and the default
+        monkeypatch.setattr(sampling_mod, "DRAW_LANES", lanes)
+        for n, k, seed, offset, count in self.CASES:
+            got = draw_subsets(n, k, seed, offset, count)
+            assert got.shape == (count, k)
+            assert [tuple(row) for row in got.tolist()] == self.scalar(n, k, seed, offset, count)
+
+    def test_all_zero_state_rule(self, monkeypatch):
+        # a lane whose four seed words are 0 starts from the golden gamma,
+        # like the scalar class; no real seed reaches that state, so the
+        # state mixer is stubbed to produce it for every lane
+        real_mix = sampling_mod._mix_lanes
+        calls = []
+
+        def zero_state_mix(z):
+            calls.append(None)
+            return real_mix(z) if len(calls) <= 2 else np.zeros_like(z)
+
+        monkeypatch.setattr(sampling_mod, "_mix_lanes", zero_state_mix)
+        rng = Xoshiro256pp(0, 0, 0, 0)
+        expected = random_k_subset(10, 4, rng).indices
+        assert draw_subsets(10, 4, 1, 0, 1).tolist() == [list(expected)]
+
+    def test_index_type_and_edges(self):
+        assert draw_subsets(255, 2, 1, 0, 3).dtype == np.uint8
+        assert draw_subsets(256, 2, 1, 0, 3).dtype == np.uint16
+        assert draw_subsets(70000, 2, 1, 0, 3).dtype == np.uint32
+        assert draw_subsets(5, 2, 1, 0, 0).shape == (0, 2)
+        with pytest.raises(ValueError, match="k out of range"):
+            draw_subsets(5, 6, 1, 0, 3)
+        with pytest.raises(ValueError, match="k out of range"):
+            draw_subsets(5, 0, 1, 0, 3)
+
+
 class TestSubsetSample:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -226,7 +275,7 @@ class TestSolveSubsets:
         for m, k, mode in cases:
             subsets = [tuple(int(i) + 1 for i in np.sort(rng.choice(m.rows, k, replace=False)))
                        for _ in range(13)]
-            table = solve_subsets(m, k, iter(subsets), len(subsets), mode)
+            table = solve_subsets(m, np.array(subsets), mode)
             assert table.shape == (13, min(k, m.cols))
             for row, s in zip(table, subsets):
                 spectrum = subset_spectrum(m, SubsetSample(s, m.rows), mode)
@@ -244,22 +293,29 @@ class TestSolveSubsets:
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
         m = rw_covariance(12)
         subsets = list(itertools.combinations(range(1, 13), 3))
-        solve_subsets(m, 3, subsets, len(subsets), "eigen")
+        solve_subsets(m, np.array(subsets), "eigen")
         assert sum(sizes) == len(subsets) * 9 * 8
         assert max(sizes) <= 1000
         sizes.clear()
-        solve_subsets(m, 12, [tuple(range(1, 13))], 1, "eigen")
+        solve_subsets(m, np.array([range(1, 13)]), "eigen")
         assert sizes == [12 * 12 * 8]
+
+    def test_stacks_tile_the_table(self, monkeypatch):
+        # the per-stack form hands out consecutive row blocks of the table
+        monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
+        m = rw_covariance(12)
+        subsets = np.array(list(itertools.combinations(range(1, 13), 3)), dtype=np.uint8)
+        stacks = list(sampling_mod.solve_stacks(m, subsets, "eigen"))
+        starts = [start for start, _ in stacks]
+        assert len(stacks) > 1 and starts == list(range(0, len(subsets), len(stacks[0][1])))
+        joined = np.concatenate([spectra for _, spectra in stacks])
+        assert joined.tobytes() == solve_subsets(m, subsets, "eigen").tobytes()
 
     def test_rejects_unknown_mode_and_non_square_eigen(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            solve_subsets(rw_covariance(4), 2, [(1, 2)], 1, "other")
+            solve_subsets(rw_covariance(4), np.array([[1, 2]]), "other")
         with pytest.raises(ValueError, match="not square"):
-            solve_subsets(DenseMatrix(np.ones((4, 3))), 2, [(1, 2)], 1, "eigen")
-        with pytest.raises(ValueError, match="fewer than count"):
-            solve_subsets(rw_covariance(4), 2, [(1, 2)], 2, "eigen")
-        with pytest.raises(ValueError):
-            solve_subsets(rw_covariance(4), 2, [(1, 2, 3)], 1, "eigen")
+            solve_subsets(DenseMatrix(np.ones((4, 3))), np.array([[1, 2]]), "eigen")
 
 
 class TestExchangeability:
