@@ -83,6 +83,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
     if getattr(args, "matrix", None):
         m = make_matrix(EnsembleSpec(kind="file", path=args.matrix))
+        if args.mode == "eigen" and not m.is_square():  # ensembles are square
+            raise UsageError("eigen mode needs a square matrix; use --mode singular")
         return m, {"matrix": args.matrix}
     kind = _ENSEMBLES.get(getattr(args, "ensemble", None) or "")
     if kind is None:

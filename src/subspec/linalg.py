@@ -17,9 +17,11 @@ and numerical ranks go through the same stacks, so the walk's one-step
 differences are ranked all at once (`numerical_rank_stack`).  Callers
 bound memory by the stack they pass: the solver's working set is a few
 copies of it (`sampling.solve_stacks` gathers submatrices in stacks of
-at most `sampling.STACK_BYTES`).  A real matrix equal to its transpose
-bit for bit is solved as a copy, since symmetrizing would give it back
-unchanged; any other is symmetrized after the Hermitian guard.
+at most `sampling.STACK_BYTES`).  Whether a matrix is Hermitian is
+decided once per matrix, by `principal_block_solver`: every principal
+block of a real matrix equal to its transpose bit for bit is exactly
+symmetric too and is solved as gathered, while the blocks of any other
+Hermitian matrix are guarded each at its own scale and symmetrized.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -137,28 +140,27 @@ def require_hermitian(m: DenseMatrix) -> None:
     _require_hermitian_stack(m.data[None])
 
 
-def _require_hermitian_stack(stack: np.ndarray) -> np.ndarray:
+def _require_hermitian_stack(stack: np.ndarray) -> None:
     """`require_hermitian` for every matrix of a (B, k, k) stack, each
-    against its own largest entry.
+    against its own largest entry."""
+    gaps = _hermitian_gaps(stack)
+    scale = np.abs(stack).max(axis=(1, 2))
+    if np.any(gaps > 1e-10 * np.where(scale > 0, scale, 1.0)):
+        raise ValueError("not Hermitian")
 
-    Returns which matrices are float64 and equal to their transpose bit
-    for bit.  Those pass without a subtraction; only the others pay for
-    their gaps and largest entries.
-    """
-    if stack.shape[1] != stack.shape[2]:
-        raise ValueError("not square")
-    if stack.dtype == np.float64:
-        bits = stack.view(np.int64)
-        exact = (bits == bits.transpose(0, 2, 1)).all(axis=(1, 2))
-    else:
-        exact = np.zeros(stack.shape[0], dtype=bool)
-    rest = stack if not exact.any() else stack[~exact]
-    if rest.shape[0]:
-        gaps = _hermitian_gaps(rest)
-        scale = np.abs(rest).max(axis=(1, 2))
-        if np.any(gaps > 1e-10 * np.where(scale > 0, scale, 1.0)):
-            raise ValueError("not Hermitian")
-    return exact
+
+def principal_block_solver(m: DenseMatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Check that M is square and Hermitian, then return the eigensolver
+    for (B, k, k) stacks of its principal submatrices.  The blocks of a real
+    M equal to its transpose bit for bit are exactly symmetric too and go to
+    the bare Jacobi solver as gathered, which overwrites them; any other M's
+    go through `eigenvalues_hermitian_stack`, each guarded at its own scale."""
+    if not m.is_complex:
+        bits = m.data.view(np.int64)
+        if np.array_equal(bits, bits.T):
+            return _symmetric_eigenvalues
+    require_hermitian(m)
+    return eigenvalues_hermitian_stack
 
 
 # A + A* stays finite while every entry is below 2^1023; at or above it the
@@ -166,19 +168,17 @@ def _require_hermitian_stack(stack: np.ndarray) -> np.ndarray:
 _HALVE_FIRST = 2.0**1023
 
 
-def _hermitized(stack: np.ndarray, exact: np.ndarray) -> np.ndarray:
+def _hermitized(stack: np.ndarray) -> np.ndarray:
     """(A + A*) / 2 of every matrix of a guarded (B, k, k) stack, as a fresh
-    stack.  A matrix marked exact already equals it bit for bit and is
-    copied; the others are symmetrized, which also removes the asymmetry
-    of up to 1e-10 * scale that the guard allows."""
-    h = stack.astype(np.result_type(stack.dtype, np.float64))
-    rows = np.flatnonzero(~exact)
-    if rows.size:
-        a = h[rows]
-        adj = a.conj().transpose(0, 2, 1)
-        big = np.abs(a).max(axis=(1, 2)) >= _HALVE_FIRST
-        h[rows[~big]] = 0.5 * (a[~big] + adj[~big])
-        h[rows[big]] = 0.5 * a[big] + 0.5 * adj[big]
+    stack; this removes the asymmetry of up to 1e-10 * scale that the
+    guard allows."""
+    adj = stack.conj().transpose(0, 2, 1)
+    big = np.abs(stack).max(axis=(1, 2)) >= _HALVE_FIRST
+    if not big.any():
+        return 0.5 * (stack + adj)
+    h = np.empty(stack.shape, dtype=np.result_type(stack.dtype, np.float64))
+    h[~big] = 0.5 * (stack[~big] + adj[~big])
+    h[big] = 0.5 * stack[big] + 0.5 * adj[big]
     return h
 
 
@@ -189,7 +189,13 @@ def eigenvalues_hermitian_stack(stack: np.ndarray) -> np.ndarray:
     Each row is bit-identical to `eigenvalues_hermitian` of that matrix
     alone, whatever else the stack holds.  The stack is not modified.
     """
-    h = _hermitized(stack, _require_hermitian_stack(stack))
+    _require_hermitian_stack(stack)
+    return _guarded_eigenvalues(stack)
+
+
+def _guarded_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """`eigenvalues_hermitian_stack` of a stack that needs no guard."""
+    h = _hermitized(stack)
     if np.iscomplexobj(h):
         # the real part is exactly symmetric and the imaginary part exactly
         # antisymmetric, as the embedding needs
@@ -239,7 +245,8 @@ def singular_values_stack(stack: np.ndarray) -> np.ndarray:
     g = _gram_stack(work)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
-    vals = eigenvalues_hermitian_stack(g)
+    # g is Hermitian by construction: no guard
+    vals = _guarded_eigenvalues(g)
     scale = amax / rescale
     clamp = 1e-9 * scale * scale
     if np.any(vals < -clamp[:, None]):
@@ -271,24 +278,17 @@ def numerical_rank(a: DenseMatrix, rel_tol: float) -> int:
 
 @lru_cache(maxsize=128)
 def _rotation_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round-robin schedule: n-1 rounds of disjoint pivot pairs covering all C(n,2)."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a >= 0 and b >= 0:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        p_arr = np.array(ps, dtype=np.intp)
-        q_arr = np.array(qs, dtype=np.intp)
-        p_arr.setflags(write=False)
-        q_arr.setflags(write=False)
-        rounds.append((p_arr, q_arr))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
+    """Round-robin schedule: n-1 rounds of disjoint pivot pairs covering all C(n,2).
+
+    Round r pairs seat i with seat m-1-i of [0] + roll([1 .. m-1], r), where
+    m is n rounded up to even; for odd n the extra player n sits out."""
+    m = n + n % 2
+    seats = np.zeros((m - 1, m), dtype=np.intp)
+    seats[:, 1:] = 1 + (np.arange(m - 1) - np.arange(m - 1)[:, None]) % (m - 1)
+    pairs = np.sort(np.stack([seats[:, :m // 2], seats[:, :m // 2 - 1:-1]]), axis=0)
+    kept = pairs[:, pairs[1] < n].reshape(2, m - 1, -1)
+    kept.setflags(write=False)
+    return tuple(zip(*kept))
 
 
 def _rescale_factors(amax: np.ndarray) -> np.ndarray:

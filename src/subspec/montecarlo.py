@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL, require_hermitian
+from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL
 from .oracle import DEFAULT_ENUMERATION_CAP, exact_F, subset_count
 from .sampling import PRNG_NAME, SeedPlan, draw_subsets, solve_stacks
 from .spectra import StepCdf, step_cdf, sup_distance
@@ -150,10 +150,6 @@ def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if mode == "eigen":
-        require_hermitian(m)
-    elif mode != "singular":
-        raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
     subsets = draw_subsets(m.rows, k, master_seed, stream_offset, n_samples)
     distinct, inverse, counts = np.unique(subsets, axis=0, return_inverse=True,
                                           return_counts=True)

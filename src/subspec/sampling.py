@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import DenseMatrix, Spectrum, eigenvalues_hermitian_stack, singular_values_stack
+from .linalg import DenseMatrix, Spectrum, principal_block_solver, singular_values_stack
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -279,13 +279,12 @@ def solve_stacks(m: DenseMatrix, subsets: np.ndarray, mode: str
 
     Each stack holds at most STACK_BYTES of submatrices (at least one) and
     is solved by the batched eigensolver.  width is k, or min(k, m.cols)
-    in singular mode.
+    in singular mode.  In eigen mode m must be square and Hermitian
+    (`linalg.principal_block_solver`).
     """
     count, k = subsets.shape
     if mode == "eigen":
-        if not m.is_square():
-            raise ValueError("not square")
-        cols, solve = k, eigenvalues_hermitian_stack
+        cols, solve = k, principal_block_solver(m)
     elif mode == "singular":
         cols, solve = m.cols, singular_values_stack
     else:

@@ -20,16 +20,20 @@ def run(*argv):
 
 def count_batched_subset_solves(monkeypatch):
     """Record the number of matrices in each stack `solve_subsets` hands to
-    the batched eigensolver."""
+    the eigensolver that `principal_block_solver` picks for its matrix."""
     import subspec.sampling
-    real = subspec.sampling.eigenvalues_hermitian_stack
+    real = subspec.sampling.principal_block_solver
     solved = []
 
-    def counting(stack):
-        solved.append(stack.shape[0])
-        return real(stack)
+    def counting_solver(m):
+        solve = real(m)
 
-    monkeypatch.setattr(subspec.sampling, "eigenvalues_hermitian_stack", counting)
+        def counting(stack):
+            solved.append(stack.shape[0])
+            return solve(stack)
+        return counting
+
+    monkeypatch.setattr(subspec.sampling, "principal_block_solver", counting_solver)
     return solved
 
 
@@ -324,6 +328,17 @@ class TestOracle:
         assert rc == 0
         assert sum(solved) == math.comb(8, 3)
 
+    def test_submatrix_guarded_at_its_own_scale(self, tmp_path, capsys):
+        # the whole matrix passes the guard at its 1e6 scale; the unit block
+        # of rows and columns 2 and 3 does not
+        matrix = tmp_path / "m.txt"
+        save_matrix(DenseMatrix(np.array([[1e6, 0.0, 0.0], [0.0, 1.0, 1.0 + 1e-7],
+                                          [0.0, 1.0, 1.0]])), matrix)
+        rc = run("oracle", "--matrix", str(matrix), "--k", "2",
+                 "--out", str(tmp_path / "o.json"))
+        assert rc == 1
+        assert "not Hermitian" in capsys.readouterr().err
+
     def test_singular_mode_on_narrow_matrix(self, tmp_path, average_cdfs):
         # the 3 x 2 row blocks of a 5 x 2 matrix have two singular values, not k = 3
         matrix = tmp_path / "m.txt"
@@ -391,6 +406,34 @@ class TestUsage:
                      ["pair", *common, "--exclude-top", "1", "--pairs", "2"]):
             assert run(*argv, "--out", str(tmp_path / "out")) == 0
             assert run(*argv, "--threads", "2", "--out", str(tmp_path / "out")) == 2
+
+    def test_eigen_mode_on_non_square_matrix(self, tmp_path, capsys):
+        # a configuration error with a pointer to singular mode, not a
+        # failed computation
+        matrix = tmp_path / "wide.txt"
+        save_matrix(DenseMatrix(np.arange(24.0).reshape(3, 8)), matrix)
+        for argv in (["estimate", "--samples", "10"], ["oracle"],
+                     ["pair", "--exclude-top", "0", "--pairs", "2"]):
+            capsys.readouterr()
+            assert run(*argv, "--matrix", str(matrix), "--k", "2",
+                       "--out", str(tmp_path / "out")) == 2
+            assert "--mode singular" in capsys.readouterr().err
+            assert run(*argv, "--matrix", str(matrix), "--k", "2", "--mode", "singular",
+                       "--out", str(tmp_path / "out")) == 0
+
+    def test_every_eigen_subcommand_rejects_non_hermitian_input(self, tmp_path, capsys):
+        # identity with one off-diagonal 1: its 1 x 1 blocks, and the blocks
+        # of the pair drawn under seed 0, are all symmetric
+        a = np.eye(6)
+        a[0, 5] = 1.0
+        matrix = tmp_path / "skew.txt"
+        save_matrix(DenseMatrix(a), matrix)
+        for argv in (["estimate", "--k", "1", "--samples", "10"], ["oracle", "--k", "1"],
+                     ["pair", "--k", "2", "--exclude-top", "0", "--pairs", "1",
+                      "--seed", "0"]):
+            capsys.readouterr()
+            assert run(*argv, "--matrix", str(matrix), "--out", str(tmp_path / "out")) == 1
+            assert "not Hermitian" in capsys.readouterr().err
 
 
 class TestByteIdenticalReruns:

@@ -1,13 +1,17 @@
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from subspec import linalg as linalg_mod
-from subspec.ensembles import load_matrix, rw_covariance, save_matrix
+from subspec.ensembles import load_matrix, random_symmetric, rw_covariance, save_matrix
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack, gram, is_hermitian, numerical_rank,
-                            numerical_rank_stack, singular_values, singular_values_stack)
+                            numerical_rank_stack, principal_block_solver, singular_values,
+                            singular_values_stack)
+from subspec.sampling import solve_subsets
 
 
 def dm(rows):
@@ -22,6 +26,26 @@ def random_symmetric_np(rng, n):
 def random_complex_hermitian(rng, n):
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return DenseMatrix(a + a.conj().T)
+
+
+@lru_cache(maxsize=None)
+def rotation_rounds_loop(n):
+    """The former list-rotation build of `linalg._rotation_rounds`, kept as
+    its oracle: each round seats the players in a circle, pairs seat i with
+    seat m-1-i, and moves every player but the first one seat on."""
+    players = list(range(n)) + ([-1] if n % 2 else [])
+    m = len(players)
+    rounds = []
+    for _ in range(m - 1):
+        ps, qs = [], []
+        for i in range(m // 2):
+            a, b = players[i], players[m - 1 - i]
+            if a >= 0 and b >= 0:
+                ps.append(min(a, b))
+                qs.append(max(a, b))
+        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
+        players = [players[0], players[-1]] + players[1:-1]
+    return tuple(rounds)
 
 
 def _off_norm(a):
@@ -45,7 +69,7 @@ def _symmetric_eigenvalues(a):
         a /= rescale
 
     target = linalg_mod.JACOBI_TOL * float(np.sqrt(np.sum(a * a)))
-    rounds = linalg_mod._rotation_rounds(n)
+    rounds = rotation_rounds_loop(n)
     adaptive = n >= linalg_mod._ADAPTIVE_MIN_ORDER
     for _ in range(linalg_mod.JACOBI_MAX_SWEEPS):
         off = _off_norm(a)
@@ -369,17 +393,16 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("case", ["rw-covariance-k5", "mixed-symmetry", "complex-file"])
     def test_leaves_input_unmodified(self, case, tmp_path):
-        # the copy path (every matrix exactly symmetric), the symmetrizing
-        # path and the complex embedding all solve a copy
+        # exactly symmetric and inexact stacks and the complex embedding
+        # are all solved from a symmetrized copy
         stack = np.array(stack_cases(tmp_path)[case])
         before = stack.tobytes()
         eigenvalues_hermitian_stack(stack)
         assert stack.tobytes() == before
 
     def test_entries_near_float_max(self):
-        # A + A^T overflows here although every entry is finite: exactly
-        # symmetric input is not summed, and input that needs symmetrizing
-        # is halved before the add
+        # A + A^T overflows here although every entry is finite: a matrix
+        # with an entry of 2^1023 or more is halved before the add
         big = eigenvalues_hermitian(dm(np.diag([1e308, 1.0]))).values
         np.testing.assert_allclose(big, [1.0, 1e308], rtol=1e-12)
         skewed = np.array([[1e308, 3e297], [1e297, -5e307]])
@@ -393,6 +416,76 @@ class TestBatchedSolver:
         ordinary = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
         got = eigenvalues_hermitian_stack(np.array([skewed, ordinary]))
         assert got[1].tobytes() == per_matrix_eigenvalues(ordinary).tobytes()
+
+
+class TestRotationRounds:
+    def test_matches_the_loop_schedule(self):
+        for n in [*range(1, 100), 256, 257, 720]:
+            rounds = linalg_mod._rotation_rounds(n)
+            expected = rotation_rounds_loop(n)
+            assert len(rounds) == len(expected)
+            for (p, q), (p_ref, q_ref) in zip(rounds, expected):
+                assert p.dtype == q.dtype == np.intp
+                assert p.tolist() == p_ref.tolist() and q.tolist() == q_ref.tolist()
+                assert not p.flags.writeable and not q.flags.writeable
+
+    def test_rounds_cover_every_pair_once(self):
+        for n in (7, 8):
+            pairs = [(int(a), int(b)) for p, q in linalg_mod._rotation_rounds(n)
+                     for a, b in zip(p, q)]
+            assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+
+
+def nudged_rw_covariance():
+    """rw_covariance(9) with entry (0, 5) moved by 1e-13 relative: Hermitian
+    within the guard's tolerance, but not equal to its transpose."""
+    a = rw_covariance(9).data.copy()
+    a[0, 5] *= 1.0 + 1e-13
+    return DenseMatrix(a)
+
+
+class TestPrincipalBlockSolver:
+    @pytest.mark.parametrize("case", ["nudged", "signed-zero"])
+    def test_inexact_matrices_take_the_general_path(self, case):
+        data = (nudged_rw_covariance().data if case == "nudged" else
+                signed_zero_pair(random_symmetric(9, 5, "gaussian").data))
+        m = DenseMatrix(data)
+        assert principal_block_solver(m) is eigenvalues_hermitian_stack
+        subsets = np.array(list(itertools.combinations(range(1, 10), 4)))
+        table = solve_subsets(m, subsets, "eigen")
+        for row, s in zip(table, subsets - 1):
+            expected = per_matrix_eigenvalues(data[np.ix_(s, s)])
+            assert row.tobytes() == expected.tobytes()
+
+    def test_exactly_symmetric_blocks_skip_the_guard(self, monkeypatch):
+        shapes = []
+        real = linalg_mod._require_hermitian_stack
+
+        def counting(stack):
+            shapes.append(stack.shape)
+            return real(stack)
+
+        monkeypatch.setattr(linalg_mod, "_require_hermitian_stack", counting)
+        monkeypatch.setattr("subspec.sampling.STACK_BYTES", 1000)
+        subsets = np.array(list(itertools.combinations(range(1, 10), 4)))
+        exact = solve_subsets(rw_covariance(9), subsets, "eigen")
+        assert shapes == []
+        nudged = solve_subsets(nudged_rw_covariance(), subsets, "eigen")
+        # the whole matrix once, then every stack of its blocks
+        assert shapes[0] == (1, 9, 9)
+        assert len(shapes) > 2 and all(shape[1:] == (4, 4) for shape in shapes[1:])
+        assert sum(shape[0] for shape in shapes[1:]) == len(subsets)
+        # blocks that miss entry (0, 5) are the same either way
+        untouched = ~((subsets == 1).any(axis=1) & (subsets == 6).any(axis=1))
+        assert exact[untouched].tobytes() == nudged[untouched].tobytes()
+
+    def test_rejects_non_square_and_non_hermitian(self):
+        with pytest.raises(ValueError, match="not square"):
+            principal_block_solver(dm(np.ones((3, 4))))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            principal_block_solver(dm([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            principal_block_solver(DenseMatrix(np.array([[1.0, 1j], [1j, 1.0]])))
 
 
 class TestGram:

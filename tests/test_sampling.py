@@ -283,13 +283,17 @@ class TestSolveSubsets:
 
     def test_stacks_stay_within_budget(self, monkeypatch):
         sizes = []
-        real = sampling_mod.eigenvalues_hermitian_stack
+        real = sampling_mod.principal_block_solver
 
-        def recording(stack):
-            sizes.append(stack.nbytes)
-            return real(stack)
+        def recording(m):
+            solve = real(m)
 
-        monkeypatch.setattr(sampling_mod, "eigenvalues_hermitian_stack", recording)
+            def record(stack):
+                sizes.append(stack.nbytes)
+                return solve(stack)
+            return record
+
+        monkeypatch.setattr(sampling_mod, "principal_block_solver", recording)
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
         m = rw_covariance(12)
         subsets = list(itertools.combinations(range(1, 13), 3))
