@@ -82,6 +82,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
     if getattr(args, "matrix", None):
+        if args.ensemble is not None or args.n is not None:
+            raise UsageError("--matrix takes neither --ensemble nor --n")
         m = make_matrix(EnsembleSpec(kind="file", path=args.matrix))
         if args.mode == "eigen" and not m.is_square():  # ensembles are square
             raise UsageError("eigen mode needs a square matrix; use --mode singular")

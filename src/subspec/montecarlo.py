@@ -4,14 +4,14 @@ checked against.
 
 Determinism contract: every estimate is a pure function of (matrix, k,
 mode, n_samples, master_seed).  Sample i draws its subset from its own
-derived stream, each distinct subset is solved once (identical submatrices
-solve to bit-identical spectra, so sharing a solve cannot change any
-number), and all reductions are exact counts or run in sample-index order.
+derived stream, every sample is solved as drawn (a subset drawn twice is
+solved twice, to the same bits), and all reductions are exact counts or
+run in sample-index order.
 
-The draws stay one (n_samples, k) array of small integers.  Each stack of
-solved spectra is reduced to exact (value, count) pairs and, for the
-sup-norm law, to one distance per subset before the next stack is
-solved, so no table of all the spectra is ever held.
+Samples are drawn `sampling.DRAW_LANES` at a time, each chunk as it is
+solved.  Each stack of spectra is reduced to exact (value, count) pairs
+and one sup-norm distance per sample, so neither all the draws nor all
+the spectra are ever held.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import numpy as np
 
 from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL
 from .oracle import DEFAULT_ENUMERATION_CAP, exact_F, subset_count
+from . import sampling
 from .sampling import PRNG_NAME, SeedPlan, draw_subsets, solve_stacks
-from .spectra import StepCdf, step_cdf, sup_distance
+from .spectra import StepCdf, step_cdf, sup_distances
 
 QUANTILE_PROBS = (0.5, 0.9, 0.99)
 
@@ -141,31 +142,25 @@ def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
                      master_seed: int, stream_offset: int,
                      reference: StepCdf | None) -> tuple[StepCdf, np.ndarray | None]:
     """Equal-weight average of the per-sample ESDs and, given a reference,
-    the per-sample sup-norm distances to it in sample order.
-
-    Each distinct subset is solved once.  A stack of spectra leaves behind
-    only its distinct values with their exact integer counts (its rows
-    weighted by how often each subset was drawn), so `step_cdf` of all the
-    pairs gives the bytes of a count over every sample.
-    """
+    the per-sample sup-norm distances to it in sample order.  A stack of
+    spectra leaves only its distinct values with their exact integer
+    counts, so `step_cdf` of all the pairs gives the bytes of a count over
+    every sample.  Past DRAW_LANES stacks their arrays are folded into one
+    set, so memory stays flat even when each stack is one submatrix."""
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    subsets = draw_subsets(m.rows, k, master_seed, stream_offset, n_samples)
-    distinct, inverse, counts = np.unique(subsets, axis=0, return_inverse=True,
-                                          return_counts=True)
-    del subsets
-    values, weights = [], []
-    distances = np.empty(len(distinct)) if reference is not None else None
-    for start, spectra in solve_stacks(m, distinct, mode):
-        uniq, where = np.unique(spectra, return_inverse=True)
-        row_counts = np.repeat(counts[start:start + len(spectra)], spectra.shape[1])
-        values.append(uniq)
-        weights.append(np.bincount(where.ravel(), weights=row_counts, minlength=uniq.size))
-        if distances is not None:
-            distances[start:start + len(spectra)] = [
-                sup_distance(step_cdf(row), reference) for row in spectra]
-    f_hat = step_cdf(np.concatenate(values), np.concatenate(weights))
-    return f_hat, None if distances is None else distances[inverse.reshape(-1)]
+    lanes = sampling.DRAW_LANES
+    chunks = (draw_subsets(m.rows, k, master_seed, stream_offset + start,
+                           min(lanes, n_samples - start))
+              for start in range(0, n_samples, lanes))
+    stacks = []
+    for spectra in solve_stacks(m, chunks, mode):
+        distances = np.empty(0) if reference is None else sup_distances(spectra, reference)
+        stacks.append((*np.unique(spectra, return_counts=True), distances))
+        if len(stacks) > lanes:
+            stacks = [tuple(np.concatenate(part) for part in zip(*stacks))]
+    values, counts, distances = (np.concatenate(part) for part in zip(*stacks))
+    return step_cdf(values, counts), None if reference is None else distances
 
 
 def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,

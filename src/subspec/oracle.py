@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import DenseMatrix
 from .sampling import SubsetSample, index_dtype, solve_subsets
-from .spectra import StepCdf, quantile_grid, step_cdf, sup_distance
+from .spectra import StepCdf, quantile_grid, step_cdf, sup_distance, sup_distances
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -118,9 +118,7 @@ def mean_cdf(table: np.ndarray) -> StepCdf:
 def supnorm_law(table: np.ndarray, reference: StepCdf) -> ExactDistribution:
     """Exact law of the sup-norm distance between a uniform row's ESD and
     `reference`."""
-    distances = np.array([sup_distance(step_cdf(row), reference) for row in table],
-                         dtype=np.float64)
-    uniq, counts = np.unique(distances, return_counts=True)
+    uniq, counts = np.unique(sup_distances(table, reference), return_counts=True)
     return ExactDistribution(uniq, counts / table.shape[0])
 
 

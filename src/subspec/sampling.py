@@ -21,19 +21,20 @@ lanes are tested against bit for bit.
 
 `gather_submatrices` is the one submatrix extraction of the package: it
 turns rows of 0-based indices into a (B, k, cols) stack with a single
-`np.take`.  `solve_stacks` feeds its stacks to the batched solver and
-hands each one's spectra to its caller; `solve_subsets` collects them
-into one table.  The one-matrix helpers (`principal_submatrix`,
-`row_submatrix`, `subset_spectrum`) are batches of one over the same
-functions.  The walk's rank steps gather their permuted-order blocks with
-it too.
+`np.take`.  `solve_stacks` cuts each subset array of an iterable (a
+chunk, which may be drawn lazily) into stacks for the batched solver and
+hands their spectra out in row order; it checks M before it reads the
+first chunk.  `solve_subsets` solves one chunk into one table.  The
+one-matrix helpers (`principal_submatrix`, `row_submatrix`,
+`subset_spectrum`) are batches of one over the same functions.  The
+walk's rank steps gather their permuted-order blocks with it too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -270,36 +271,39 @@ def subset_spectrum(m: DenseMatrix, s: SubsetSample, mode: str) -> Spectrum:
     return Spectrum(solve_subsets(m, np.array([s.indices]), mode)[0])
 
 
-def solve_stacks(m: DenseMatrix, subsets: np.ndarray, mode: str
-                 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The spectra of the submatrices at the rows of a (count, k) array of
-    sorted 1-based subsets, one stack at a time: pairs (start, spectra)
-    where row j of the (B, width) array `spectra` is the spectrum of
-    subset start + j, and the starts run 0, B, ... in order.
+def solve_stacks(m: DenseMatrix, chunks: Iterable[np.ndarray], mode: str
+                 ) -> Iterator[np.ndarray]:
+    """The spectra of the submatrices at the rows of each (count, k) array
+    of sorted 1-based subsets in `chunks`, one (B, width) stack at a time:
+    joined, the stacks are every chunk's rows in turn.  A stack never
+    spans two chunks, and no chunk is read before the stacks ahead of it.
 
     Each stack holds at most STACK_BYTES of submatrices (at least one) and
     is solved by the batched eigensolver.  width is k, or min(k, m.cols)
     in singular mode.  In eigen mode m must be square and Hermitian
-    (`linalg.principal_block_solver`).
+    (`linalg.principal_block_solver`), checked before the first chunk.
     """
-    count, k = subsets.shape
     if mode == "eigen":
-        cols, solve = k, principal_block_solver(m)
+        solve = principal_block_solver(m)
     elif mode == "singular":
-        cols, solve = m.cols, singular_values_stack
+        solve = singular_values_stack
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
-    chunk = max(1, STACK_BYTES // (k * cols * m.data.itemsize))
-    for start in range(0, count, chunk):
-        idx = subsets[start:start + chunk].astype(np.intp) - 1
-        yield start, solve(gather_submatrices(m, idx, mode))
+    for subsets in chunks:
+        k = subsets.shape[1]
+        step = max(1, STACK_BYTES // (k * (k if mode == "eigen" else m.cols) * m.data.itemsize))
+        for start in range(0, len(subsets), step):
+            idx = subsets[start:start + step].astype(np.intp) - 1
+            yield solve(gather_submatrices(m, idx, mode))
 
 
 def solve_subsets(m: DenseMatrix, subsets: np.ndarray, mode: str) -> np.ndarray:
-    """The (count, width) table of `solve_stacks`: row i is the i-th
-    subset's `subset_spectrum`, bit for bit."""
+    """The (count, width) table of `solve_stacks` over the one chunk
+    `subsets`: row i is the i-th subset's `subset_spectrum`, bit for bit."""
     width = min(subsets.shape[1], m.cols) if mode == "singular" else subsets.shape[1]
     table = np.empty((subsets.shape[0], width), dtype=np.float64)
-    for start, spectra in solve_stacks(m, subsets, mode):
+    start = 0
+    for spectra in solve_stacks(m, [subsets], mode):
         table[start:start + len(spectra)] = spectra
+        start += len(spectra)
     return table

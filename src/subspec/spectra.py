@@ -138,6 +138,20 @@ def sup_distance(f: StepCdf, g: StepCdf) -> float:
     return float(max(right.max(), left.max(), abs(f.cum[-1] - g.cum[-1])))
 
 
+def sup_distances(table: np.ndarray, reference: StepCdf) -> np.ndarray:
+    """`sup_distance(step_cdf(row), reference)` of every ascending row of a
+    (R, k) table, as the same floats, in one array pass.  A row's ESD is
+    (j+1)/k at the last copy of its j-th value and j/k just below the first
+    copy; measured at either side's jumps, the maximum is the same float."""
+    k = table.shape[1]
+    ties = table[:, 1:] == table[:, :-1]
+    right = np.abs(np.arange(1, k + 1) / k - reference.eval_many(table))
+    right[:, :-1][ties] = 0.0
+    left = np.abs(np.arange(k) / k - reference.eval_many(table, left=True))
+    left[:, 1:][ties] = 0.0
+    return np.maximum(np.maximum(right, left).max(axis=1), abs(1.0 - reference.cum[-1]))
+
+
 def kolmogorov_q(lam: float) -> float:
     """Tail function 2*sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), with Q(0) = 1.
 

@@ -421,6 +421,22 @@ class TestUsage:
             assert run(*argv, "--matrix", str(matrix), "--k", "2", "--mode", "singular",
                        "--out", str(tmp_path / "out")) == 0
 
+    def test_matrix_with_ensemble_or_n(self, tmp_path, capsys):
+        # a file matrix leaves no room for --ensemble or --n: the run would
+        # use the file and drop them from its recorded config
+        matrix = tmp_path / "one.txt"
+        save_matrix(DenseMatrix(np.array([[2.0]])), matrix)
+        for argv in (["estimate", "--samples", "10"], ["oracle"],
+                     ["pair", "--exclude-top", "0", "--pairs", "2"]):
+            for extra in (["--ensemble", "half-ones", "--n", "6"], ["--ensemble", "half-ones"],
+                          ["--n", "6"]):
+                capsys.readouterr()
+                assert run(*argv, "--matrix", str(matrix), *extra, "--k", "1",
+                           "--out", str(tmp_path / "out")) == 2
+                assert "--matrix takes neither" in capsys.readouterr().err
+            assert run(*argv, "--matrix", str(matrix), "--k", "1",
+                       "--out", str(tmp_path / "out")) == 0
+
     def test_every_eigen_subcommand_rejects_non_hermitian_input(self, tmp_path, capsys):
         # identity with one off-diagonal 1: its 1 x 1 blocks, and the blocks
         # of the pair drawn under seed 0, are all symmetric

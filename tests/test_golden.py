@@ -37,6 +37,8 @@ GOLDEN = {
         "035936a195b2b7a2c48cb28610811f539b5382bbec270c691981585fb55bfbcd",
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
         "bd2655ecffba89d501554ff658230249c584ec2cf4049f5b9491bb894ab998a6",
+    "estimate --ensemble rw-covariance --n 40 --k 12 --samples 110 --seed 3":
+        "5e8e4628080430c3e1af2bd5725873daaea26475174c2c7445ba758161420993",
     "estimate --ensemble half-ones --n 1024 --k 256 --samples 100 --seed 3":
         "1a76caf7b4c7a77dcd2743ab2571b40f32c09cccfdc625db57f8106d92159a11",
     "estimate --ensemble random-gaussian --n 10 --k 3 --samples 200 --seed 2":

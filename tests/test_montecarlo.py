@@ -5,14 +5,16 @@ import pytest
 
 from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
                                rw_covariance, save_matrix)
-from subspec.linalg import DenseMatrix, eigenvalues_hermitian, require_hermitian
+from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, require_hermitian
+from subspec import montecarlo as montecarlo_mod
 from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 empirical_tail, estimate_F, estimate_supnorm,
                                 pointwise_tail_bound, supnorm_mean_bound,
                                 supnorm_tail_bound)
 from subspec.oracle import exact_F, exact_supnorm_distribution, halfones_exact_mean
 from subspec import sampling as sampling_mod
-from subspec.sampling import SeedPlan, SubsetSample, random_k_subset, subset_spectrum
+from subspec.sampling import (SeedPlan, SubsetSample, draw_subsets, random_k_subset,
+                              solve_subsets, subset_spectrum)
 from subspec.spectra import esd, step_cdf, sup_distance
 
 
@@ -220,6 +222,109 @@ class TestEstimateSupnorm:
         report = estimate_supnorm(m, 2, "eigen", 10, 0, exact_F(m, 2))
         assert "xoshiro256++" in report.metadata
         assert "jacobi" in report.metadata
+
+
+def deduplicated_sampled_spectra(m, k, mode, n_samples, master_seed, stream_offset,
+                                 reference):
+    """The former `montecarlo._sampled_spectra`, kept as the oracle: all
+    draws at once, each distinct subset solved once, its values weighted by
+    how often it was drawn and its distance shared by every draw of it."""
+    subsets = draw_subsets(m.rows, k, master_seed, stream_offset, n_samples)
+    distinct, inverse, counts = np.unique(subsets, axis=0, return_inverse=True,
+                                          return_counts=True)
+    spectra = solve_subsets(m, distinct, mode)
+    f_hat = step_cdf(spectra.ravel(), np.repeat(counts, spectra.shape[1]))
+    distances = np.array([sup_distance(step_cdf(row), reference) for row in spectra])
+    return f_hat, distances[inverse.reshape(-1)]
+
+
+class TestSolvedAsDrawn:
+    """Every draw is solved as drawn, DRAW_LANES at a time."""
+
+    @staticmethod
+    def make_case(case, tmp_path):
+        """(m, k, mode, n_samples, stream_offset)"""
+        if case == "random-pm1":
+            return random_symmetric(9, 0, "pm1"), 3, "eigen", 5000, 0
+        if case == "split":
+            return random_symmetric(8, 3, "gaussian"), 3, "eigen", 700, 300
+        if case == "narrow-singular":
+            rng = np.random.default_rng(2)
+            return DenseMatrix(rng.standard_normal((6, 2))), 3, "singular", 400, 0
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        save_matrix(DenseMatrix((x + x.conj().T) / 2), tmp_path / "h.txt")
+        return load_matrix(tmp_path / "h.txt"), 3, "eigen", 400, 0
+
+    # one draw per chunk, chunks of a few, and the default; each against
+    # stacks of one, of a few, and the default budget
+    @pytest.mark.parametrize("lanes, budget", [(1, sampling_mod.STACK_BYTES), (3, 700),
+                                               (sampling_mod.DRAW_LANES, 1),
+                                               (sampling_mod.DRAW_LANES,
+                                                sampling_mod.STACK_BYTES)])
+    @pytest.mark.parametrize("case", ["random-pm1", "split", "narrow-singular",
+                                      "complex-file"])
+    def test_matches_deduplicated_reference(self, case, lanes, budget, tmp_path,
+                                            monkeypatch):
+        m, k, mode, n_samples, offset = self.make_case(case, tmp_path)
+        ref = exact_F(m, k, mode)
+        f_expected, d_expected = deduplicated_sampled_spectra(m, k, mode, n_samples, 8,
+                                                              offset, ref)
+        assert len(np.unique(draw_subsets(m.rows, k, 8, offset, n_samples), axis=0)) < n_samples
+        monkeypatch.setattr(sampling_mod, "DRAW_LANES", lanes)
+        monkeypatch.setattr(sampling_mod, "STACK_BYTES", budget)
+        f_hat, distances = montecarlo_mod._sampled_spectra(m, k, mode, n_samples, 8,
+                                                           offset, ref)
+        assert f_hat.jumps.tobytes() == f_expected.jumps.tobytes()
+        assert f_hat.cum.tobytes() == f_expected.cum.tobytes()
+        assert distances.tobytes() == d_expected.tobytes()
+
+    def test_draws_at_most_draw_lanes_rows_per_call(self, monkeypatch):
+        rows = []
+        real = montecarlo_mod.draw_subsets
+
+        def recording(n, k, master_seed, offset, count):
+            rows.append((offset, count))
+            return real(n, k, master_seed, offset, count)
+
+        monkeypatch.setattr(montecarlo_mod, "draw_subsets", recording)
+        m = random_symmetric(9, 4, "pm1")
+        estimate_supnorm(m, 3, "eigen", 5000, 4, exact_F(m, 3))
+        lanes = sampling_mod.DRAW_LANES
+        assert max(count for _, count in rows) <= lanes
+        assert rows == [(start, min(lanes, 5000 - start)) for start in range(0, 5000, lanes)]
+
+    def test_hermitian_decision_once_per_call(self, monkeypatch):
+        decisions = []
+        real = sampling_mod.principal_block_solver
+
+        def recording(m):
+            decisions.append(m)
+            return real(m)
+
+        monkeypatch.setattr(sampling_mod, "principal_block_solver", recording)
+        m = random_symmetric(9, 4, "pm1")
+        estimate_F(m, 3, "eigen", 5000, 4)
+        assert len(decisions) == 1
+        estimate_supnorm(m, 3, "eigen", 5000, 4, exact_F(m, 3))
+        assert len(decisions) == 3  # exact_F decides once too
+
+    def test_non_hermitian_fails_before_any_draw(self, monkeypatch):
+        draws = []
+        real = montecarlo_mod.draw_subsets
+
+        def recording(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo_mod, "draw_subsets", recording)
+        a = np.eye(64)
+        a[0, 63] = 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            estimate_F(DenseMatrix(a), 8, "eigen", 5000, 0)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            estimate_supnorm(DenseMatrix(a), 8, "eigen", 5000, 0, esd(Spectrum(np.ones(1))))
+        assert draws == []
 
 
 class TestEmpiricalTail:

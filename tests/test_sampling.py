@@ -305,14 +305,31 @@ class TestSolveSubsets:
         assert sizes == [12 * 12 * 8]
 
     def test_stacks_tile_the_table(self, monkeypatch):
-        # the per-stack form hands out consecutive row blocks of the table
+        # the per-stack form hands out consecutive row blocks of each chunk
+        # in turn, none spanning two chunks, and reads a chunk only when the
+        # stacks before it are used
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
         m = rw_covariance(12)
         subsets = np.array(list(itertools.combinations(range(1, 13), 3)), dtype=np.uint8)
-        stacks = list(sampling_mod.solve_stacks(m, subsets, "eigen"))
-        starts = [start for start, _ in stacks]
-        assert len(stacks) > 1 and starts == list(range(0, len(subsets), len(stacks[0][1])))
-        joined = np.concatenate([spectra for _, spectra in stacks])
+        step = 1000 // (3 * 3 * 8)
+        bounds = [0, 40, 41, 100, len(subsets)]
+        read = []
+
+        def chunks():
+            for lo, hi in zip(bounds, bounds[1:]):
+                read.append(lo)
+                yield subsets[lo:hi]
+
+        stacks = sampling_mod.solve_stacks(m, chunks(), "eigen")
+        assert read == []
+        first = [next(stacks) for _ in range(3)]
+        assert read == [0]
+        stacks = first + list(stacks)
+        assert read == bounds[:-1]
+        assert [len(spectra) for spectra in stacks] == [
+            min(step, hi - start) for lo, hi in zip(bounds, bounds[1:])
+            for start in range(lo, hi, step)]
+        joined = np.concatenate(stacks)
         assert joined.tobytes() == solve_subsets(m, subsets, "eigen").tobytes()
 
     def test_rejects_unknown_mode_and_non_square_eigen(self):

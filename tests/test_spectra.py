@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from subspec.linalg import Spectrum
+from subspec.ensembles import rw_covariance
+from subspec.linalg import DenseMatrix, Spectrum
+from subspec.sampling import solve_subsets
 from subspec.spectra import (KsResult, StepCdf, cdf_from_csv, cdf_to_csv,
                              esd, kolmogorov_q, ks_two_sample, quantile_grid,
-                             sup_distance)
+                             step_cdf, sup_distance, sup_distances)
 
 
 def esd_of(*values):
@@ -151,6 +153,95 @@ class TestSupDistance:
         f = StepCdf(np.array([0.0]), np.array([1.0 - 1e-12]))
         g = StepCdf(np.array([0.0, 1.0]), np.array([1.0 - 1e-12, 1.0]))
         assert sup_distance(f, g) == union_sup(f, g) > 0.0
+
+
+class TestSupDistances:
+    """The one-pass distances against the per-row loop they replace, kept
+    as the oracle; the same floats are required."""
+
+    @staticmethod
+    def per_row(table, reference):
+        return np.array([sup_distance(step_cdf(row), reference) for row in table],
+                        dtype=np.float64)
+
+    def check(self, table, reference):
+        got = sup_distances(table, reference)
+        assert got.shape == (table.shape[0],)
+        assert got.tobytes() == self.per_row(table, reference).tobytes()
+
+    @staticmethod
+    def off_one(f, rng):
+        # final value off 1 within the StepCdf tolerance, as a CSV can give
+        shift = 1e-13 * rng.integers(-9, 10)
+        return StepCdf(f.jumps, np.minimum(f.cum, 1.0 + shift) if shift < 0
+                       else np.append(f.cum[:-1], 1.0 + shift))
+
+    def test_random_tables_with_ties(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            k = int(rng.integers(1, 12))
+            rows = int(rng.integers(1, 40))
+            if trial % 2:
+                # a coarse lattice: ties within rows and with the reference
+                table = np.sort(rng.integers(-3, 4, (rows, k)).astype(float), axis=1)
+                reference = esd(Spectrum(np.sort(
+                    rng.integers(-3, 4, int(rng.integers(1, 30))).astype(float))))
+            else:
+                table = np.sort(rng.standard_normal((rows, k)), axis=1)
+                reference = random_esd(rng, int(rng.integers(1, 60)))
+            if trial % 3 == 0:
+                reference = self.off_one(reference, rng)
+            self.check(table, reference)
+
+    def test_signed_zeros_are_one_value(self):
+        table = np.array([[-1.0, -0.0, 0.0, 2.0], [-0.0, 0.0, 0.0, 0.0],
+                          [0.0, -0.0, 1.0, 1.0], [-2.0, -1.0, -0.0, 0.0]])
+        for reference in (esd_of(0.0), esd_of(-0.0, 1.0), esd_of(-1.0, 0.0, 0.0, 3.0)):
+            self.check(table, reference)
+
+    def test_single_column(self):
+        rng = np.random.default_rng(22)
+        table = rng.integers(-2, 3, (50, 1)).astype(float)
+        for reference in (esd_of(0.0), esd_of(-1.0, 0.0, 1.0), random_esd(rng, 40)):
+            self.check(table, reference)
+            self.check(table, self.off_one(reference, rng))
+
+    def test_reference_with_fewer_jumps_than_a_row(self):
+        # sup_distance swaps its arguments here; the row side gives the same float
+        rng = np.random.default_rng(23)
+        table = np.sort(rng.standard_normal((200, 30)), axis=1)
+        for size in (1, 2, 5):
+            reference = random_esd(rng, size)
+            self.check(table, reference)
+            self.check(table, self.off_one(reference, rng))
+
+    def test_final_value_gap(self):
+        # past the row's last value the reference still climbs above 1, or
+        # stays below it
+        table = np.array([[0.0], [0.0], [1.0]])
+        for cum in ([1.0, 1.0 + 9e-13], [1.0 - 9e-13, 1.0 - 9e-13], [0.5, 1.0 - 9e-13]):
+            reference = StepCdf(np.array([0.0, 2.0]), np.array(cum))
+            self.check(table, reference)
+        assert sup_distances(table, StepCdf(np.array([0.0, 2.0]),
+                                            np.array([1.0, 1.0 + 9e-13])))[0] > 0.0
+
+    @pytest.mark.parametrize("case", ["real", "complex-hermitian", "narrow-singular"])
+    def test_solved_rows(self, case):
+        rng = np.random.default_rng(24)
+        if case == "real":
+            m, k, mode = rw_covariance(9), 4, "eigen"
+        elif case == "complex-hermitian":
+            x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+            m, k, mode = DenseMatrix(x + x.conj().T), 3, "eigen"
+        else:
+            m, k, mode = DenseMatrix(rng.standard_normal((6, 2))), 3, "singular"
+        subsets = np.array([np.sort(rng.choice(m.rows, k, replace=False)) + 1
+                            for _ in range(60)])
+        table = solve_subsets(m, subsets, mode)
+        for reference in (step_cdf(table.ravel()), step_cdf(table[:3].ravel()),
+                          esd_of(float(np.median(table)))):
+            self.check(table, reference)
+            self.check(table, self.off_one(reference, rng))
 
 
 class TestKolmogorovQ:
