@@ -25,7 +25,7 @@ from .linalg import DenseMatrix, Spectrum
 from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimate_supnorm,
                          pointwise_tail_bound, standard_metadata, supnorm_mean_bound,
                          supnorm_tail_bound)
-from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_check, mean_cdf, pointwise_profile,
+from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_checks, mean_cdf, pointwise_profile,
                      subset_count, subset_spectra, supnorm_law)
 from .sampling import draw_subsets, solve_subsets
 from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf
@@ -81,19 +81,21 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
-    if getattr(args, "matrix", None):
+    if args.matrix_seed is not None and not (args.ensemble or "").startswith("random"):
+        raise UsageError("--matrix-seed takes a random ensemble")
+    if args.matrix:
         if args.ensemble is not None or args.n is not None:
             raise UsageError("--matrix takes neither --ensemble nor --n")
         m = make_matrix(EnsembleSpec(kind="file", path=args.matrix))
         if args.mode == "eigen" and not m.is_square():  # ensembles are square
             raise UsageError("eigen mode needs a square matrix; use --mode singular")
         return m, {"matrix": args.matrix}
-    kind = _ENSEMBLES.get(getattr(args, "ensemble", None) or "")
+    kind = _ENSEMBLES.get(args.ensemble or "")
     if kind is None:
         raise UsageError("need --matrix PATH or --ensemble NAME")
     if args.n is None or args.n < 1:
         raise UsageError("--ensemble requires a positive --n")
-    spec = EnsembleSpec(kind=kind, n=args.n, seed=getattr(args, "matrix_seed", 0))
+    spec = EnsembleSpec(kind=kind, n=args.n, seed=args.matrix_seed or 0)
     desc = {"ensemble": args.ensemble, "n": args.n}
     if kind.startswith("random"):
         desc["matrix_seed"] = spec.seed
@@ -110,6 +112,21 @@ def _r_grid(args: argparse.Namespace) -> np.ndarray:
         raise UsageError("need finite 0 <= r-min < r-max and between 2 and "
                          f"{MAX_R_POINTS} r-points")
     return np.linspace(args.r_min, args.r_max, args.r_points)
+
+
+def _seed(text: str) -> int:
+    """A seed option: an integer in [0, 2^64), the seed space of the PRNG."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed {value} outside [0, 2^64)")
+    return value
+
+
+def _cap(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap {value} is negative")
+    return value
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -288,10 +305,9 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                        tail_violations == 0 and mean_ok, mean=dist.mean(),
                        mean_bound=supnorm_mean_bound(k))
                 xs = _spectrum_grid(exact[k], 8)
-                profile = pointwise_profile(tables[k], xs)
-                pw_violations = sum(
-                    1 for xi in range(xs.size) for r in r_grid
-                    if profile.tail(xi, float(r)) > pointwise_tail_bound(k, float(r)))
+                tails = pointwise_profile(tables[k], xs).tails(r_grid)
+                bounds = [pointwise_tail_bound(k, float(r)) for r in r_grid]
+                pw_violations = int(np.count_nonzero(tails > bounds))
                 record(f"exact-pointwise-tail-n{n}-k{k}-{label}", pw_violations, 0.0,
                        pw_violations == 0)
 
@@ -300,9 +316,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
     for _ in range(200):
         f = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
         g = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
-        for l in range(2, 13):
-            if not chaining_check(f, g, l):
-                chain_violations += 1
+        chain_violations += int(np.count_nonzero(~chaining_checks(f, g, range(2, 13))))
     record("chaining", chain_violations, 0.0, chain_violations == 0)
 
     return {"n_values": list(n_values), "corrupt": corrupt,
@@ -352,11 +366,11 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         profile = pointwise_profile(table, args.x)
         r_grid = np.linspace(0.0, 1.0, 21)
         doc["pointwise"] = [
-            {"x": float(x), "F": float(profile.f[i]),
-             "tails": [{"r": float(r), "probability": profile.tail(i, float(r)),
+            {"x": float(x), "F": float(f_x),
+             "tails": [{"r": float(r), "probability": float(p),
                         "bound": pointwise_tail_bound(args.k, float(r))}
-                       for r in r_grid]}
-            for i, x in enumerate(profile.xs)]
+                       for r, p in zip(r_grid, tails)]}
+            for x, f_x, tails in zip(profile.xs, profile.f, profile.tails(r_grid))]
     _emit(_to_json(doc) + "\n", args.out)
     return 0
 
@@ -386,8 +400,8 @@ def _add_matrix_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ensemble", choices=sorted(_ENSEMBLES),
                      help="built-in matrix family")
     sub.add_argument("--n", type=int, help="matrix order for --ensemble")
-    sub.add_argument("--matrix-seed", type=int, default=0,
-                     help="seed for random ensembles")
+    sub.add_argument("--matrix-seed", type=_seed,
+                     help="seed for random ensembles (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a matrix file")
     p.add_argument("ensemble", choices=sorted(_ENSEMBLES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -409,12 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("eigen", "singular"), default="eigen")
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=2.0)
     p.add_argument("--r-points", type=int, default=41,
                    help=f"tail-curve grid size, 2 to {MAX_R_POINTS}")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
@@ -425,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("eigen", "singular"), default="eigen")
     p.add_argument("--exclude-top", type=int, default=4)
     p.add_argument("--pairs", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_pair)
@@ -441,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_options(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("eigen", "singular"), default="eigen")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--x", type=float, nargs="+",
                    help="evaluation points for pointwise tails")
     p.add_argument("--format", choices=("json", "csv"), default="json")

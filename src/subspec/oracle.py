@@ -9,6 +9,13 @@ to the Monte Carlo estimators.
 subset's spectrum as one table, and the exact laws (`mean_cdf`,
 `supnorm_law`, `pointwise_profile`) are reductions of that table, so a
 caller that needs several of them solves each subset once.
+
+The reductions are array passes over the table, not loops over its rows:
+`pointwise_profile` compares the whole table with one x at a time,
+`PointwiseProfile.tails` counts every (x, r) tail from sorted deviation
+columns, and `chaining_checks` measures all quantile levels of a pair in
+one lookup.  Each gives the same floats as the per-row or per-level loop
+it replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from .linalg import DenseMatrix
 from .sampling import SubsetSample, index_dtype, solve_subsets
-from .spectra import StepCdf, quantile_grid, step_cdf, sup_distance, sup_distances
+from .spectra import StepCdf, quantiles, step_cdf, sup_distance, sup_distances
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -133,18 +140,28 @@ class PointwiseProfile:
     f: np.ndarray
     fa: np.ndarray
 
+    def tails(self, r_grid: Sequence[float]) -> np.ndarray:
+        """(X, R) exact probabilities that |F_A(x) - F(x)| >= r, one row per
+        grid x and one column per r.  Each deviation column is sorted once
+        and counted at every r with one `searchsorted` call."""
+        rows = self.fa.shape[0]
+        rs = np.array(r_grid, dtype=np.float64)
+        columns = np.sort(np.abs(self.fa - self.f), axis=0).T
+        below = np.array([np.searchsorted(col, rs) for col in columns])
+        return (rows - below.reshape(self.xs.size, rs.size)) / rows
+
     def tail(self, x_index: int, r: float) -> float:
         """Exact probability that |F_A(x) - F(x)| >= r at grid point x_index."""
-        dev = np.abs(self.fa[:, x_index] - self.f[x_index])
-        return float(np.count_nonzero(dev >= r)) / self.fa.shape[0]
+        return float(self.tails([r])[x_index, 0])
 
 
 def pointwise_profile(table: np.ndarray, xs: Sequence[float]) -> PointwiseProfile:
-    """Every row's ESD evaluated at each x, and their mean."""
+    """Every row's ESD evaluated at each x, and their mean.  A sorted row's
+    ESD at x is its count of entries <= x over its width."""
     xs_arr = np.array(xs, dtype=np.float64)
     fa = np.empty((table.shape[0], xs_arr.size), dtype=np.float64)
-    for i, row in enumerate(table):
-        fa[i] = np.searchsorted(row, xs_arr, side="right") / row.size
+    for j, x in enumerate(xs_arr):
+        fa[:, j] = np.count_nonzero(table <= x, axis=1) / table.shape[1]
     return PointwiseProfile(xs_arr, fa.sum(axis=0) / table.shape[0], fa)
 
 
@@ -208,13 +225,25 @@ def halfones_exact_mean(n: int, k: int) -> float:
     return math.fsum((probs * deviations).tolist())
 
 
+def chaining_checks(f: StepCdf, g: StepCdf, ls: Sequence[int]) -> np.ndarray:
+    """Discretization bound per level l in ls: sup|G - F| <= 1/l + Delta,
+    with Delta measured on the l-quantile grid of F (right values and left
+    limits).  All grids are looked up together and reduced per level, and
+    sup|G - F| is measured once."""
+    levels = np.array(ls, dtype=np.intp)
+    if levels.ndim != 1 or levels.size == 0 or levels.min() < 2:
+        raise ValueError("need at least one level, each at least 2")
+    # level l contributes the l - 1 quantiles i/l, i = 1..l-1
+    starts = np.concatenate(([0], np.cumsum(levels - 1)[:-1]))
+    denominators = np.repeat(levels, levels - 1)
+    numerators = np.arange(denominators.size) - np.repeat(starts, levels - 1) + 1
+    ts = quantiles(f, numerators / denominators)
+    delta = np.maximum(
+        np.abs(g.eval_many(ts) - f.eval_many(ts)),
+        np.abs(g.eval_many(ts, left=True) - f.eval_many(ts, left=True)))
+    return sup_distance(g, f) <= 1.0 / levels + np.maximum.reduceat(delta, starts) + 1e-12
+
+
 def chaining_check(f: StepCdf, g: StepCdf, l: int) -> bool:
-    """Discretization bound: sup|G - F| <= 1/l + Delta with Delta measured on
-    the l-quantile grid of F (right values and left limits)."""
-    if l < 2:
-        raise ValueError("l must be at least 2")
-    ts = quantile_grid(f, l)
-    delta_right = np.abs(g.eval_many(ts) - f.eval_many(ts))
-    delta_left = np.abs(g.eval_many(ts, left=True) - f.eval_many(ts, left=True))
-    delta = float(max(delta_right.max(), delta_left.max()))
-    return sup_distance(g, f) <= 1.0 / l + delta + 1e-12
+    """`chaining_checks` at the one level l."""
+    return bool(chaining_checks(f, g, [l])[0])

@@ -184,13 +184,17 @@ def ks_two_sample(f: StepCdf, g: StepCdf, a: int, b: int) -> KsResult:
     return KsResult(statistic=statistic, lam=lam, p_value=p)
 
 
+def quantiles(f: StepCdf, qs: np.ndarray) -> np.ndarray:
+    """Least jump with cumulative value >= q, per q (the last jump past 1)."""
+    idx = np.searchsorted(f.cum, qs, side="left")
+    return f.jumps[np.minimum(idx, f.jumps.size - 1)]
+
+
 def quantile_grid(f: StepCdf, l: int) -> np.ndarray:
     """Quantile points t_i = least jump with cumulative value >= i/l, i = 1..l-1."""
     if l < 2:
         raise ValueError("l must be at least 2")
-    qs = np.arange(1, l) / l
-    idx = np.searchsorted(f.cum, qs, side="left")
-    return f.jumps[np.minimum(idx, f.jumps.size - 1)].copy()
+    return quantiles(f, np.arange(1, l) / l)
 
 
 def cdf_to_csv(f: StepCdf) -> str:

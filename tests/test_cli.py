@@ -272,6 +272,76 @@ class TestVerify:
         assert sum(solved) == 3 * sum(math.comb(n, k) for n in (3, 4, 5) for k in range(1, n))
 
 
+    def test_tightened_pointwise_bound_counts(self, monkeypatch, former_loops):
+        # a passing run counts zero violations everywhere; under a bound
+        # about half as large the counts are nonzero and must match the former
+        # per-(x, r) loop, and no check evaluates one (x, r) tail at a time
+        import subspec.cli as cli
+        from subspec.ensembles import half_ones_diagonal, random_symmetric
+        from subspec.montecarlo import pointwise_tail_bound
+        from subspec.oracle import PointwiseProfile, mean_cdf, subset_spectra
+
+        def tight(k, r):
+            # a multiple of 1/4, so that some tails equal their bound exactly
+            return math.floor(2 * pointwise_tail_bound(k, r)) / 4
+
+        def one_tail(*args):
+            raise AssertionError("per-(x, r) tail call")
+
+        monkeypatch.setattr(cli, "pointwise_tail_bound", tight)
+        monkeypatch.setattr(PointwiseProfile, "tail", one_tail)
+        checks = {c["check"]: c for c in cli.run_verification([3, 4])["checks"]}
+        r_grid = np.linspace(0.0, 5.0, 26)
+        total = 0
+        for n in (3, 4):
+            for label, m in (("rw-covariance", rw_covariance(n)),
+                             ("half-ones", half_ones_diagonal(n)),
+                             ("random", random_symmetric(n, 101, "gaussian"))):
+                for k in range(1, min(4, n - 1) + 1):
+                    table = subset_spectra(m, k)
+                    xs = cli._spectrum_grid(mean_cdf(table), 8)
+                    fa, f = former_loops.profile(table, xs)
+                    expected = sum(1 for i in range(xs.size) for r in r_grid
+                                   if former_loops.tail(fa, f, i, float(r)) > tight(k, float(r)))
+                    check = checks[f"exact-pointwise-tail-n{n}-k{k}-{label}"]
+                    assert check["measured"] == expected
+                    assert check["pass"] is (expected == 0)
+                    total += expected
+        assert total > 0
+
+    def test_chaining_counts_one_call_per_pair(self, monkeypatch, former_loops):
+        # every pair's eleven levels in one call; an inflated distance makes
+        # some levels fail, and the count must match the former per-level loop
+        import subspec.cli as cli
+        import subspec.oracle
+        from subspec.spectra import sup_distance
+
+        def inflated(g, f):
+            return sup_distance(g, f) + 0.25
+
+        calls = []
+        real = cli.chaining_checks
+
+        def counting(f, g, ls):
+            calls.append(list(ls))
+            return real(f, g, ls)
+
+        monkeypatch.setattr(subspec.oracle, "sup_distance", inflated)
+        monkeypatch.setattr(cli, "chaining_checks", counting)
+        check = next(c for c in cli.run_verification([3])["checks"] if c["check"] == "chaining")
+        assert calls == [list(range(2, 13))] * 200
+
+        rng = np.random.default_rng(20260808)
+        expected = 0
+        for _ in range(200):
+            f = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
+            g = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
+            expected += sum(1 for l in range(2, 13)
+                            if not inflated(g, f) <= former_loops.chaining_bound(f, g, l))
+        assert 0 < check["measured"] == expected < 200 * 11
+        assert check["pass"] is False
+
+
 class TestOracle:
     def test_half_ones_mean(self, tmp_path):
         out = tmp_path / "o.json"
@@ -436,6 +506,55 @@ class TestUsage:
                 assert "--matrix takes neither" in capsys.readouterr().err
             assert run(*argv, "--matrix", str(matrix), "--k", "1",
                        "--out", str(tmp_path / "out")) == 0
+
+    def test_matrix_seed_needs_random_ensemble(self, tmp_path, capsys):
+        # the seed would be dropped from the run and from its recorded config
+        matrix = tmp_path / "one.txt"
+        save_matrix(DenseMatrix(np.array([[2.0]])), matrix)
+        out = tmp_path / "out.json"
+        for argv in (["estimate", "--k", "1", "--samples", "10"], ["oracle", "--k", "1"],
+                     ["pair", "--k", "1", "--exclude-top", "0", "--pairs", "2"]):
+            for source in (["--matrix", str(matrix)], ["--ensemble", "half-ones", "--n", "4"],
+                           ["--ensemble", "rw-covariance", "--n", "4"]):
+                capsys.readouterr()
+                assert run(*argv, *source, "--matrix-seed", "5", "--out", str(out)) == 2
+                assert "--matrix-seed takes a random ensemble" in capsys.readouterr().err
+                assert run(*argv, *source, "--out", str(out)) == 0
+                assert "matrix_seed" not in json.loads(out.read_text())["config"]
+            random = ["--ensemble", "random-pm1", "--n", "4"]
+            for seed, recorded in ((None, 0), ("0", 0), ("5", 5)):
+                extra = [] if seed is None else ["--matrix-seed", seed]
+                assert run(*argv, *random, *extra, "--out", str(out)) == 0
+                assert json.loads(out.read_text())["config"]["matrix_seed"] == recorded
+
+    def test_seeds_outside_the_seed_space(self, tmp_path, capsys):
+        # seeds are 64-bit: -1 and 2^64 + 5 would wrap onto 2^64 - 1 and 5
+        out = tmp_path / "out"
+        random = ["--ensemble", "random-pm1", "--n", "4"]
+        commands = [["gen", "random-gaussian", "--n", "3", "--seed"],
+                    ["estimate", *random, "--k", "1", "--samples", "5", "--seed"],
+                    ["estimate", *random, "--k", "1", "--samples", "5", "--matrix-seed"],
+                    ["pair", *random, "--k", "2", "--exclude-top", "0", "--pairs", "2",
+                     "--seed"],
+                    ["pair", *random, "--k", "2", "--exclude-top", "0", "--pairs", "2",
+                     "--matrix-seed"],
+                    ["oracle", *random, "--k", "1", "--matrix-seed"]]
+        for argv in commands:
+            for seed in ("-1", str(2**64), str(2**64 + 5)):
+                capsys.readouterr()
+                assert run(*argv, seed, "--out", str(out)) == 2
+                assert "outside [0, 2^64)" in capsys.readouterr().err
+            assert run(*argv, str(2**64 - 1), "--out", str(out)) == 0
+
+    def test_negative_cap(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        common = ["--ensemble", "half-ones", "--n", "4", "--k", "1"]
+        for argv in (["estimate", *common, "--samples", "5"], ["oracle", *common]):
+            for cap in ("-1", "-5"):
+                capsys.readouterr()
+                assert run(*argv, "--cap", cap, "--out", str(out)) == 2
+                assert "is negative" in capsys.readouterr().err
+        assert run("estimate", *common, "--samples", "5", "--cap", "0", "--out", str(out)) == 0
 
     def test_every_eigen_subcommand_rejects_non_hermitian_input(self, tmp_path, capsys):
         # identity with one off-diagonal 1: its 1 x 1 blocks, and the blocks

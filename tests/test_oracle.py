@@ -7,13 +7,14 @@ import pytest
 from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
                                rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, Spectrum
-from subspec.montecarlo import supnorm_mean_bound
-from subspec.oracle import (ExactDistribution, chaining_check, enumerate_subsets,
-                            exact_F, exact_pointwise_profile, exact_pointwise_tail,
-                            exact_supnorm_distribution, halfones_exact_mean,
-                            hypergeometric_pmf, subset_count)
+from subspec.montecarlo import pointwise_tail_bound, supnorm_mean_bound
+from subspec.oracle import (ExactDistribution, chaining_check, chaining_checks,
+                            enumerate_subsets, exact_F, exact_pointwise_profile,
+                            exact_pointwise_tail, exact_supnorm_distribution,
+                            halfones_exact_mean, hypergeometric_pmf, pointwise_profile,
+                            subset_count, subset_spectra)
 from subspec.sampling import subset_spectrum
-from subspec.spectra import StepCdf, esd, sup_distance
+from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
 
 
 class TestEnumerateSubsets:
@@ -289,3 +290,118 @@ class TestExactDistribution:
         lines = dist.to_csv().splitlines()
         assert lines[0] == "value,probability"
         assert len(lines) == 3
+
+
+def lattice_table(rng, rows, k):
+    """Sorted rows drawn from a five-point lattice with both signs of zero:
+    ties within and across rows, and -0.0 next to 0.0."""
+    values = rng.integers(-2, 3, size=(rows, k)) * 0.5
+    values[(values == 0) & (rng.random((rows, k)) < 0.5)] = -0.0
+    return np.sort(values, axis=1)
+
+
+def array_pass_tables():
+    rng = np.random.default_rng(31)
+    wide = random_symmetric(5, 8, "gaussian").data[:, :2]
+    return {
+        "half-ones": subset_spectra(half_ones_diagonal(8), 3),
+        "half-ones-k1": subset_spectra(half_ones_diagonal(6), 1),
+        "gaussian": subset_spectra(random_symmetric(7, 5, "gaussian"), 3),
+        "narrow-singular": subset_spectra(DenseMatrix(wide), 3, "singular"),
+        "lattice": lattice_table(rng, 200, 4),
+        "lattice-k1": lattice_table(rng, 50, 1),
+        "signed-zeros": np.sort(np.where(rng.random((40, 3)) < 0.5, -0.0, 0.0), axis=1),
+    }
+
+
+def grid_for(table):
+    """Every table value, both zeros and points outside the support."""
+    return np.concatenate((np.unique(table), [-0.0, 0.0, table.min() - 1.0,
+                                              table.max() + 1.0]))
+
+
+class TestArrayPasses:
+    """The array passes give the same floats as the loops they replaced."""
+
+    @pytest.mark.parametrize("name", list(array_pass_tables()))
+    def test_profile_matches_per_row_searchsorted(self, name, former_loops):
+        table = array_pass_tables()[name]
+        xs = grid_for(table)
+        fa, f = former_loops.profile(table, xs)
+        profile = pointwise_profile(table, xs)
+        assert profile.fa.tobytes() == fa.tobytes()
+        assert profile.f.tobytes() == f.tobytes()
+
+    @pytest.mark.parametrize("name", list(array_pass_tables()))
+    def test_tails_match_per_point_tail(self, name, former_loops):
+        table = array_pass_tables()[name]
+        profile = pointwise_profile(table, grid_for(table))
+        # every deviation as an r (ties at the threshold), both zeros, r past 1
+        r_grid = np.concatenate((np.unique(np.abs(profile.fa - profile.f)),
+                                 [-0.0, 0.0, 1.5], np.linspace(0.0, 1.0, 21)))
+        expected = [[former_loops.tail(profile.fa, profile.f, i, float(r)) for r in r_grid]
+                    for i in range(profile.xs.size)]
+        tails = profile.tails(r_grid)
+        assert tails.tobytes() == np.array(expected).tobytes()
+        for i in (0, profile.xs.size // 2, profile.xs.size - 1):
+            for j in range(0, r_grid.size, 5):
+                assert profile.tail(i, float(r_grid[j])) == expected[i][j]
+
+    def test_tails_over_a_tightened_bound(self, former_loops):
+        # a passing run counts no violations; a bound a tenth as large makes
+        # the counts nonzero, and they must still agree
+        r_grid = np.linspace(0.0, 1.0, 26)
+        seen = 0
+        for name, table in array_pass_tables().items():
+            k = table.shape[1]
+            tight = [pointwise_tail_bound(k, float(r)) / 10 for r in r_grid]
+            profile = pointwise_profile(table, grid_for(table))
+            fa, f = former_loops.profile(table, profile.xs)
+            expected = sum(1 for i in range(profile.xs.size) for r, b in zip(r_grid, tight)
+                           if former_loops.tail(fa, f, i, float(r)) > b)
+            assert int(np.count_nonzero(profile.tails(r_grid) > tight)) == expected
+            seen += expected
+        assert seen > 0
+
+    @staticmethod
+    def chaining_pairs():
+        rng = np.random.default_rng(12)
+        pairs = []
+        for _ in range(60):
+            pairs.append(tuple(step_cdf(rng.standard_normal(rng.integers(1, 9)))
+                               for _ in range(2)))
+        for _ in range(60):
+            pairs.append(tuple(step_cdf(lattice_table(rng, 1, int(rng.integers(1, 7)))[0])
+                               for _ in range(2)))
+        pairs.append((step_cdf(np.array([0.0])), step_cdf(np.array([-0.0, 0.0, 1.0]))))
+        return pairs
+
+    def test_chaining_levels_match_per_level_check(self, former_loops):
+        levels = [*range(2, 13), 40, 7, 2]
+        for f, g in self.chaining_pairs():
+            expected = [sup_distance(g, f) <= former_loops.chaining_bound(f, g, l)
+                        for l in levels]
+            assert chaining_checks(f, g, levels).tolist() == expected
+            assert [chaining_check(f, g, l) for l in levels] == expected
+
+    def test_chaining_levels_under_an_injected_distance(self, former_loops, monkeypatch):
+        # the bound holds on every valid pair, so the verdicts above are all
+        # true: a distance set to each level's bound, and one ulp past it,
+        # pins every level's 1/l + Delta bit for bit
+        import subspec.oracle
+        levels = list(range(2, 13))
+        failures = 0
+        for f, g in self.chaining_pairs()[::7]:
+            bounds = [former_loops.chaining_bound(f, g, l) for l in levels]
+            for s in (*bounds, *np.nextafter(bounds, np.inf)):
+                monkeypatch.setattr(subspec.oracle, "sup_distance", lambda g, f, s=s: s)
+                verdicts = chaining_checks(f, g, levels).tolist()
+                assert verdicts == [s <= b for b in bounds]
+                failures += verdicts.count(False)
+        assert failures > 0
+
+    def test_chaining_rejects_bad_levels(self):
+        f = step_cdf(np.array([0.0, 1.0]))
+        for levels in ([], [1], [3, 1], [[2, 3]]):
+            with pytest.raises(ValueError):
+                chaining_checks(f, f, levels)

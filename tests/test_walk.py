@@ -9,7 +9,7 @@ from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, gram, n
 from subspec.montecarlo import pointwise_tail_bound
 from subspec.oracle import enumerate_subsets, subset_spectra
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
-from subspec.spectra import esd, sup_distance
+from subspec.spectra import esd, step_cdf, sup_distance
 from subspec.walk import (FunctionOnSn, PermIndex, WalkReport, dirichlet_form,
                           esd_observable, esd_observable_grid, gap_concentration_bound,
                           kernel_errors, kernel_matrix, neighbor_table, perm_rank,
@@ -350,6 +350,30 @@ class TestRankStepCheck:
                     expected = [step(p, t) for p, t in steps]
                     assert ranks.tolist() == [r for r, _ in expected]
                     assert gaps.tolist() == [g for _, g in expected]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_gaps_on_tie_heavy_tables(self, k):
+        # the gaps read only the table, so any sorted C(n, k)-row table
+        # serves: lattice values with both signs of zero, against the former
+        # sup_distance(step_cdf(a), step_cdf(b)) of every step's two rows
+        n = 6
+        rng = np.random.default_rng(40 + k)
+        table = rng.integers(-2, 3, size=(math.comb(n, k), k)) * 0.5
+        table[(table == 0) & (rng.random(table.shape) < 0.5)] = -0.0
+        table = np.sort(table, axis=1)
+        row_of = {s.indices: r for r, s in enumerate(enumerate_subsets(n, k))}
+        steps = [(perm_unrank(n, r), tau) for r in range(0, 720, 11)
+                 for tau in transpositions(n)]
+        expected = []
+        for perm, (i, j) in steps:
+            moved = list(perm)
+            moved[i], moved[j] = moved[j], moved[i]
+            a, b = (table[row_of[tuple(sorted(v + 1 for v in p[:k]))]] for p in (perm, moved))
+            expected.append(sup_distance(step_cdf(a), step_cdf(b)))
+        _, gaps = rank_step_check(rw_covariance(n), table, [p for p, _ in steps],
+                                  [t for _, t in steps])
+        assert gaps.tobytes() == np.array(expected).tobytes()
+        assert 0.0 < gaps.max() <= 1.0
 
     def test_complex_hermitian_matrix(self):
         rng = np.random.default_rng(8)
