@@ -14,14 +14,25 @@ for all of them at once.  Each matrix keeps its own rescale, tolerance,
 pivot mask and convergence test, so its eigenvalues are bit-identical to
 a solve of it alone; a single matrix is a stack of one.  Singular values
 and numerical ranks go through the same stacks, so the walk's one-step
-differences are ranked all at once (`numerical_rank_stack`).  Callers
-bound memory by the stack they pass: the solver's working set is a few
-copies of it (`sampling.solve_stacks` gathers submatrices in stacks of
-at most `sampling.STACK_BYTES`).  Whether a matrix is Hermitian is
-decided once per matrix, by `principal_block_solver`: every principal
-block of a real matrix equal to its transpose bit for bit is exactly
-symmetric too and is solved as gathered, while the blocks of any other
-Hermitian matrix are guarded each at its own scale and symmetrized.
+differences are ranked all at once (`numerical_rank_stack`).
+
+`gather_submatrices` is the one submatrix extraction of the package: it
+turns rows of 0-based indices into a (B, k, cols) stack with a single
+`np.take`.  How a matrix's principal blocks are solved is decided once
+per matrix, by `principal_block_solver`:
+
+- a real diagonal M (off-diagonal zeros of either sign): every block is
+  diagonal, which the solver returns at sweep 0, so its eigenvalues come
+  from its k diagonal entries alone and no k x k block is built;
+- any other real M equal to its transpose bit for bit: every block is
+  exactly symmetric too and is solved as gathered;
+- any other Hermitian M: every block is guarded at its own scale and
+  symmetrized first.
+
+The `BlockSolver` it returns takes index rows and states the bytes one
+row reads (k x k entries, or k diagonal ones), so callers bound memory by
+the rows they pass (`sampling.solve_stacks` keeps each stack within
+`sampling.STACK_BYTES`): the solver's working set is a few copies of it.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -32,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,18 +160,71 @@ def _require_hermitian_stack(stack: np.ndarray) -> None:
         raise ValueError("not Hermitian")
 
 
-def principal_block_solver(m: DenseMatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Check that M is square and Hermitian, then return the eigensolver
-    for (B, k, k) stacks of its principal submatrices.  The blocks of a real
-    M equal to its transpose bit for bit are exactly symmetric too and go to
-    the bare Jacobi solver as gathered, which overwrites them; any other M's
-    go through `eigenvalues_hermitian_stack`, each guarded at its own scale."""
+def gather_submatrices(m: DenseMatrix, idx: np.ndarray, mode: str) -> np.ndarray:
+    """The submatrices of m at the 0-based index rows of a (B, k) array, as
+    a fresh (B, k, cols) stack: principal k x k blocks in eigen mode, k x n
+    row blocks in singular mode.  Rows keep the order of their indices."""
+    if mode == "eigen":
+        # one gather from the flat matrix, with no k x n intermediate
+        return np.take(m.data.reshape(-1), idx[:, :, None] * m.cols + idx[:, None, :])
+    if mode == "singular":
+        return np.take(m.data, idx, axis=0)
+    raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+
+
+class BlockSolver(NamedTuple):
+    """The spectra of one matrix's blocks: `solve` maps a (B, k) array of
+    0-based index rows to a (B, width) array, one ascending row per block,
+    and `row_bytes(k)` is what it reads for one row of k indices.  `path`
+    names the way the blocks are solved."""
+
+    path: str
+    solve: Callable[[np.ndarray], np.ndarray]
+    row_bytes: Callable[[int], int]
+
+
+def principal_block_solver(m: DenseMatrix) -> BlockSolver:
+    """Check that M is square and Hermitian, then return the eigensolver for
+    its principal blocks.  A real diagonal M's blocks are solved from their
+    diagonal entries alone; those of another real M equal to its transpose
+    bit for bit are exactly symmetric too and go to the bare Jacobi solver
+    as gathered; any other M's go through `eigenvalues_hermitian_stack`,
+    each guarded at its own scale."""
+    if not m.is_square():
+        raise ValueError("not square")
+    symmetric = False
     if not m.is_complex:
+        diagonal = m.data.diagonal()
+        # -0.0 counts as zero, and a diagonal M is symmetric: test it first
+        if np.count_nonzero(m.data) == np.count_nonzero(diagonal):
+            return BlockSolver("diagonal", lambda idx: _diagonal_eigenvalues(diagonal[idx]),
+                               lambda k: k * diagonal.itemsize)
         bits = m.data.view(np.int64)
-        if np.array_equal(bits, bits.T):
-            return _symmetric_eigenvalues
-    require_hermitian(m)
-    return eigenvalues_hermitian_stack
+        symmetric = np.array_equal(bits, bits.T)
+    if not symmetric:
+        require_hermitian(m)
+    solve = _symmetric_eigenvalues if symmetric else eigenvalues_hermitian_stack
+    return BlockSolver("symmetric" if symmetric else "hermitian",
+                       lambda idx: solve(gather_submatrices(m, idx, "eigen")),
+                       lambda k: k * k * m.data.itemsize)
+
+
+def row_block_solver(m: DenseMatrix) -> BlockSolver:
+    """The singular values of M's k x cols row blocks, from their Gram
+    spectra (`singular_values_stack`)."""
+    return BlockSolver(
+        "gram", lambda idx: singular_values_stack(gather_submatrices(m, idx, "singular")),
+        lambda k: k * m.cols * m.data.itemsize)
+
+
+def _diagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
+    """`_symmetric_eigenvalues` of the diagonal matrices with the rows of a
+    (B, k) array on their diagonals, bit for bit.  Such a matrix has no
+    off-diagonal mass after its rescale, so the solver returns it at sweep
+    0 as its sorted rescaled diagonal times the rescale factor; the same
+    sort of the same row also orders signed zeros alike."""
+    rescale = _rescale_factors(np.abs(d).max(axis=1))[:, None]
+    return np.sort(d / rescale, axis=1) * rescale
 
 
 # A + A* stays finite while every entry is below 2^1023; at or above it the

@@ -19,15 +19,17 @@ of its scalar stream.  `Xoshiro256pp` and `random_k_subset` are that
 scalar stream, one Python integer at a time; they are the reference the
 lanes are tested against bit for bit.
 
-`gather_submatrices` is the one submatrix extraction of the package: it
-turns rows of 0-based indices into a (B, k, cols) stack with a single
-`np.take`.  `solve_stacks` cuts each subset array of an iterable (a
-chunk, which may be drawn lazily) into stacks for the batched solver and
-hands their spectra out in row order; it checks M before it reads the
-first chunk.  `solve_subsets` solves one chunk into one table.  The
-one-matrix helpers (`principal_submatrix`, `row_submatrix`,
-`subset_spectrum`) are batches of one over the same functions.  The
-walk's rank steps gather their permuted-order blocks with it too.
+`solve_stacks` cuts each subset array of an iterable (a chunk, which may
+be drawn lazily) into stacks of index rows and hands their spectra out
+in row order.  It asks `linalg` how M's blocks are solved once, before
+it reads the first chunk: `principal_block_solver` in eigen mode (a
+diagonal, symmetric or Hermitian path), `row_block_solver` in singular
+mode.  A stack holds as many rows as fit in STACK_BYTES of what the path
+reads: k x k entries per gathered principal block, k x cols per row
+block, k entries per block of a real diagonal M.  `solve_subsets` solves
+one chunk into one table.  The one-matrix helpers (`principal_submatrix`,
+`row_submatrix`, `subset_spectrum`) are batches of one over the same
+functions.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import DenseMatrix, Spectrum, principal_block_solver, singular_values_stack
+from .linalg import (DenseMatrix, Spectrum, gather_submatrices, principal_block_solver,
+                     row_block_solver)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,10 +50,10 @@ _MIX_C2 = 0x94D049BB133111EB
 
 PRNG_NAME = "splitmix64+xoshiro256++"
 
-# Byte budget of one stack of extracted submatrices (a stack holds at least
-# one).  `solve_subsets` works one stack at a time, so beyond its output
-# table it needs a few times this much memory, however many subsets it
-# solves.
+# Byte budget of what the block solver reads for one stack of subsets (a
+# stack holds at least one).  `solve_subsets` works one stack at a time, so
+# beyond its output table it needs a few times this much memory, however
+# many subsets it solves.
 STACK_BYTES = 256 * 1024
 
 # Streams that `draw_subsets` runs in lockstep.  Its shuffle pool holds
@@ -237,18 +240,6 @@ def draw_subsets(n: int, k: int, master_seed: int, offset: int, count: int) -> n
     return out
 
 
-def gather_submatrices(m: DenseMatrix, idx: np.ndarray, mode: str) -> np.ndarray:
-    """The submatrices of m at the 0-based index rows of a (B, k) array, as
-    a fresh (B, k, cols) stack: principal k x k blocks in eigen mode, k x n
-    row blocks in singular mode.  Rows keep the order of their indices."""
-    if mode == "eigen":
-        # one gather from the flat matrix, with no k x n intermediate
-        return np.take(m.data.reshape(-1), idx[:, :, None] * m.cols + idx[:, None, :])
-    if mode == "singular":
-        return np.take(m.data, idx, axis=0)
-    raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
-
-
 def principal_submatrix(m: DenseMatrix, s: SubsetSample) -> DenseMatrix:
     """The submatrix keeping rows and columns s.indices, in order."""
     if not m.is_square() or m.rows != s.n:
@@ -278,23 +269,22 @@ def solve_stacks(m: DenseMatrix, chunks: Iterable[np.ndarray], mode: str
     joined, the stacks are every chunk's rows in turn.  A stack never
     spans two chunks, and no chunk is read before the stacks ahead of it.
 
-    Each stack holds at most STACK_BYTES of submatrices (at least one) and
-    is solved by the batched eigensolver.  width is k, or min(k, m.cols)
-    in singular mode.  In eigen mode m must be square and Hermitian
-    (`linalg.principal_block_solver`), checked before the first chunk.
+    Each stack holds as many rows as fit in STACK_BYTES of what the
+    block solver reads for them (at least one).  width is k, or
+    min(k, m.cols) in singular mode.  In eigen mode m must be square and
+    Hermitian (`linalg.principal_block_solver`), checked before the first
+    chunk.
     """
     if mode == "eigen":
-        solve = principal_block_solver(m)
+        blocks = principal_block_solver(m)
     elif mode == "singular":
-        solve = singular_values_stack
+        blocks = row_block_solver(m)
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
     for subsets in chunks:
-        k = subsets.shape[1]
-        step = max(1, STACK_BYTES // (k * (k if mode == "eigen" else m.cols) * m.data.itemsize))
+        step = max(1, STACK_BYTES // blocks.row_bytes(subsets.shape[1]))
         for start in range(0, len(subsets), step):
-            idx = subsets[start:start + step].astype(np.intp) - 1
-            yield solve(gather_submatrices(m, idx, mode))
+            yield blocks.solve(subsets[start:start + step].astype(np.intp) - 1)
 
 
 def solve_subsets(m: DenseMatrix, subsets: np.ndarray, mode: str) -> np.ndarray:

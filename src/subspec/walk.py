@@ -35,9 +35,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DenseMatrix, eigenvalues_hermitian, numerical_rank_stack
+from .linalg import (DenseMatrix, eigenvalues_hermitian, gather_submatrices,
+                     numerical_rank_stack)
 from .oracle import enumerate_subsets, pointwise_profile
-from .sampling import gather_submatrices
 
 _MAX_DENSE_N = 6
 _MAX_PERM_N = 8

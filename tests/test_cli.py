@@ -19,19 +19,20 @@ def run(*argv):
 
 
 def count_batched_subset_solves(monkeypatch):
-    """Record the number of matrices in each stack `solve_subsets` hands to
-    the eigensolver that `principal_block_solver` picks for its matrix."""
+    """Record the number of index rows in each stack `solve_subsets` hands to
+    the block solver that `principal_block_solver` picks for its matrix, on
+    every path, gathered or diagonal."""
     import subspec.sampling
     real = subspec.sampling.principal_block_solver
     solved = []
 
     def counting_solver(m):
-        solve = real(m)
+        blocks = real(m)
 
-        def counting(stack):
-            solved.append(stack.shape[0])
-            return solve(stack)
-        return counting
+        def counting(idx):
+            solved.append(idx.shape[0])
+            return blocks.solve(idx)
+        return blocks._replace(solve=counting)
 
     monkeypatch.setattr(subspec.sampling, "principal_block_solver", counting_solver)
     return solved

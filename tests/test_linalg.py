@@ -8,7 +8,8 @@ import pytest
 from subspec import linalg as linalg_mod
 from subspec.ensembles import load_matrix, random_symmetric, rw_covariance, save_matrix
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
-                            eigenvalues_hermitian_stack, gram, is_hermitian, numerical_rank,
+                            eigenvalues_hermitian_stack, gather_submatrices, gram,
+                            is_hermitian, numerical_rank,
                             numerical_rank_stack, principal_block_solver, singular_values,
                             singular_values_stack)
 from subspec.sampling import solve_subsets
@@ -450,7 +451,7 @@ class TestPrincipalBlockSolver:
         data = (nudged_rw_covariance().data if case == "nudged" else
                 signed_zero_pair(random_symmetric(9, 5, "gaussian").data))
         m = DenseMatrix(data)
-        assert principal_block_solver(m) is eigenvalues_hermitian_stack
+        assert principal_block_solver(m).path == "hermitian"
         subsets = np.array(list(itertools.combinations(range(1, 10), 4)))
         table = solve_subsets(m, subsets, "eigen")
         for row, s in zip(table, subsets - 1):
@@ -486,6 +487,93 @@ class TestPrincipalBlockSolver:
             principal_block_solver(dm([[1.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="not Hermitian"):
             principal_block_solver(DenseMatrix(np.array([[1.0, 1j], [1j, 1.0]])))
+
+
+def gathered_block_eigenvalues(m, idx):
+    """The path the diagonal one replaces: the batched Jacobi solver over the
+    gathered k x k blocks, kept as the oracle for it."""
+    return linalg_mod._symmetric_eigenvalues(gather_submatrices(m, idx, "eigen"))
+
+
+def diagonal_cases(tmp_path):
+    """(name, diagonal M, (B, k) 0-based index rows)"""
+    rng = np.random.default_rng(61)
+    # a third each of tiny, moderate and huge magnitudes, of either sign,
+    # so that blocks rescale up, not at all, and down
+    exponents = np.concatenate([rng.uniform(-300, -100, 20), rng.uniform(-99, 99, 20),
+                                rng.uniform(101, 300, 20)])
+    wide = rng.choice([-1.0, 1.0], 60) * 10.0 ** exponents
+    bands = [rng.permutation(20)[:5] + 20 * band for band in range(3) for _ in range(10)]
+    mixed = [rng.permutation(60)[:5] for _ in range(30)]
+    signed = rng.choice([-0.0, 0.0, -3.5, 2.0, 1e-200], 12)
+    signed[:4] = [-0.0, 0.0, -0.0, 0.0]
+    file_data = np.diag(rng.choice([-1.0, 0.0, 2.0], 9))
+    file_data[0, 1], file_data[3, 7], file_data[8, 2] = -0.0, -0.0, -0.0
+    save_matrix(DenseMatrix(file_data), tmp_path / "d.txt")
+    ties = rng.choice([-1.0, 0.0, 2.0], 16)
+    return [
+        ("wide", DenseMatrix(np.diag(wide)), np.array(bands + mixed)),
+        ("signed-zero", DenseMatrix(np.diag(signed)),
+         np.array([[0, 1, 2, 3], [1, 0, 3, 2], [3, 2, 1, 0], [0, 1, 4, 5]]
+                  + [rng.permutation(12)[:4] for _ in range(40)])),
+        ("file-negative-zero", load_matrix(tmp_path / "d.txt"),
+         np.array(list(itertools.combinations(range(9), 4)))),
+        ("ties-k1", DenseMatrix(np.diag(ties)), np.arange(16)[:, None]),
+        ("ties-kn", DenseMatrix(np.diag(ties)),
+         np.array([np.arange(16), rng.permutation(16), np.arange(16)[::-1]])),
+        ("ties", DenseMatrix(np.diag(ties)), np.array([rng.permutation(16)[:7]
+                                                       for _ in range(50)])),
+    ]
+
+
+class TestDiagonalBlocks:
+    def test_matches_gathered_solve(self, tmp_path):
+        for name, m, idx in diagonal_cases(tmp_path):
+            blocks = principal_block_solver(m)
+            assert blocks.path == "diagonal", name
+            expected = gathered_block_eigenvalues(m, idx)
+            assert blocks.solve(idx).tobytes() == expected.tobytes(), name
+            # and through the stacks, one row at a time
+            table = solve_subsets(m, idx + 1, "eigen")
+            assert table.tobytes() == expected.tobytes(), name
+
+    def test_cases_rescale_both_ways(self, tmp_path):
+        _, m, idx = diagonal_cases(tmp_path)[0]
+        amax = np.abs(m.data.diagonal()[idx]).max(axis=1)
+        factors = linalg_mod._rescale_factors(amax)
+        assert np.any(factors > 1e100) and np.any(factors < 1e-100)
+        assert np.any(factors == 1.0)
+
+    def test_negative_zero_file_matches_the_general_path(self, tmp_path):
+        # the file matrix differs from its transpose in the sign of its
+        # zeros, which took it down the guarded path before
+        _, m, idx = diagonal_cases(tmp_path)[2]
+        bits = m.data.view(np.int64)
+        assert not np.array_equal(bits, bits.T)
+        expected = eigenvalues_hermitian_stack(gather_submatrices(m, idx, "eigen"))
+        assert principal_block_solver(m).solve(idx).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["one-off-diagonal", "symmetric-pair", "complex"])
+    def test_near_diagonal_and_complex_take_the_general_path(self, case):
+        d = np.array([3.0, -1.0, 0.0, 2.5, 1.0, -4.0])
+        idx = np.array(list(itertools.combinations(range(6), 3)))
+        data = np.diag(d)
+        if case == "one-off-diagonal":
+            # within the guard's tolerance, but not symmetric
+            data[1, 4] = 1e-12
+            path, solve = "hermitian", eigenvalues_hermitian_stack
+        elif case == "symmetric-pair":
+            data[1, 4] = data[4, 1] = 0.5
+            path, solve = "symmetric", linalg_mod._symmetric_eigenvalues
+        else:
+            data = data.astype(np.complex128)
+            path, solve = "hermitian", eigenvalues_hermitian_stack
+        m = DenseMatrix(data)
+        blocks = principal_block_solver(m)
+        assert blocks.path == path
+        assert blocks.row_bytes(3) == 3 * 3 * m.data.itemsize
+        expected = solve(gather_submatrices(m, idx, "eigen"))
+        assert blocks.solve(idx).tobytes() == expected.tobytes()
 
 
 class TestGram:

@@ -15,7 +15,7 @@ from subspec.oracle import exact_F, exact_supnorm_distribution, halfones_exact_m
 from subspec import sampling as sampling_mod
 from subspec.sampling import (SeedPlan, SubsetSample, draw_subsets, random_k_subset,
                               solve_subsets, subset_spectrum)
-from subspec.spectra import esd, step_cdf, sup_distance
+from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
 
 
 class TestBounds:
@@ -183,6 +183,24 @@ class TestEstimateSupnorm:
         sigma = math.sqrt(exact_supnorm_distribution(m, 2).variance() / n_samples)
         assert abs(report.mean_supnorm - exact_mean) <= 3.0 * sigma
 
+    def test_half_ones_law_at_scale(self):
+        # every sample is |1/2 - H/256| for H hypergeometric (256 draws, 512
+        # marked of 1024); the empirical CDF of 20000 samples stays in the
+        # DKW band of the exact law, computed here from binomials alone
+        n, k, n_samples = 1024, 256, 20_000
+        half_cdf = StepCdf(np.array([0.0, 1.0]), np.array([0.5, 1.0]))
+        report = estimate_supnorm(half_ones_diagonal(n), k, "eigen", n_samples, 29, half_cdf)
+        steps = report.samples * k
+        assert np.all(steps == np.round(steps)) and steps.max() <= k // 2
+        total = math.comb(n, k)
+        pmf = [math.comb(n // 2, h) * math.comb(n // 2, k - h) / total for h in range(k + 1)]
+        # P(|H - k/2| = j) for j = 0 .. k/2
+        law = [pmf[k // 2]] + [pmf[k // 2 - j] + pmf[k // 2 + j] for j in range(1, k // 2 + 1)]
+        exact = np.cumsum(law)
+        empirical = np.cumsum(np.bincount(steps.astype(np.intp), minlength=k // 2 + 1)) / n_samples
+        band = math.sqrt(math.log(2 / 1e-6) / (2 * n_samples))
+        assert np.abs(empirical - exact).max() <= band
+
     def test_self_fit_bias_direction(self):
         # diagnostic at a fixed configuration: comparing against the run's own
         # average understates the deviation relative to the exact reference
@@ -295,19 +313,32 @@ class TestSolvedAsDrawn:
         assert rows == [(start, min(lanes, 5000 - start)) for start in range(0, 5000, lanes)]
 
     def test_hermitian_decision_once_per_call(self, monkeypatch):
+        # one decision per call, and every draw solved once on whichever
+        # path it picks, gathered or diagonal
         decisions = []
+        rows = []
         real = sampling_mod.principal_block_solver
 
         def recording(m):
-            decisions.append(m)
-            return real(m)
+            blocks = real(m)
+            decisions.append(blocks.path)
+
+            def counting(idx):
+                rows.append(idx.shape[0])
+                return blocks.solve(idx)
+            return blocks._replace(solve=counting)
 
         monkeypatch.setattr(sampling_mod, "principal_block_solver", recording)
         m = random_symmetric(9, 4, "pm1")
         estimate_F(m, 3, "eigen", 5000, 4)
-        assert len(decisions) == 1
+        assert decisions == ["symmetric"] and sum(rows) == 5000
         estimate_supnorm(m, 3, "eigen", 5000, 4, exact_F(m, 3))
         assert len(decisions) == 3  # exact_F decides once too
+        assert sum(rows) == 2 * 5000 + math.comb(9, 3)
+        decisions.clear()
+        rows.clear()
+        estimate_F(half_ones_diagonal(64), 8, "eigen", 5000, 4)
+        assert decisions == ["diagonal"] and sum(rows) == 5000
 
     def test_non_hermitian_fails_before_any_draw(self, monkeypatch):
         draws = []

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
-from subspec.linalg import DenseMatrix, singular_values
+from subspec import linalg as linalg_mod
+from subspec.linalg import DenseMatrix, gather_submatrices, singular_values
 from subspec.oracle import exact_F
 from subspec import sampling as sampling_mod
 from subspec.sampling import (SeedPlan, SubsetSample, Xoshiro256pp, derive_sample_seed,
-                              draw_subsets, gather_submatrices, principal_submatrix,
+                              draw_subsets, principal_submatrix,
                               random_k_subset, row_submatrix, solve_subsets, splitmix64_mix,
                               subset_spectrum)
 
@@ -281,28 +282,60 @@ class TestSolveSubsets:
                 spectrum = subset_spectrum(m, SubsetSample(s, m.rows), mode)
                 assert row.tobytes() == spectrum.values.tobytes()
 
+    @staticmethod
+    def record_stacks(monkeypatch):
+        """(index rows, bytes gathered by the solver) for each stack that
+        `solve_subsets` hands to the block solver, on every path."""
+        stacks = []
+        real_solver = sampling_mod.principal_block_solver
+        real_gather = linalg_mod.gather_submatrices
+
+        def recording_solver(m):
+            blocks = real_solver(m)
+
+            def record(idx):
+                stacks.append([idx.shape[0], 0])
+                return blocks.solve(idx)
+            return blocks._replace(solve=record)
+
+        def recording_gather(m, idx, mode):
+            stack = real_gather(m, idx, mode)
+            stacks[-1][1] += stack.nbytes
+            return stack
+
+        monkeypatch.setattr(sampling_mod, "principal_block_solver", recording_solver)
+        monkeypatch.setattr(linalg_mod, "gather_submatrices", recording_gather)
+        return stacks
+
     def test_stacks_stay_within_budget(self, monkeypatch):
-        sizes = []
-        real = sampling_mod.principal_block_solver
-
-        def recording(m):
-            solve = real(m)
-
-            def record(stack):
-                sizes.append(stack.nbytes)
-                return solve(stack)
-            return record
-
-        monkeypatch.setattr(sampling_mod, "principal_block_solver", recording)
+        stacks = self.record_stacks(monkeypatch)
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
         m = rw_covariance(12)
         subsets = list(itertools.combinations(range(1, 13), 3))
         solve_subsets(m, np.array(subsets), "eigen")
+        sizes = [size for _, size in stacks]
         assert sum(sizes) == len(subsets) * 9 * 8
         assert max(sizes) <= 1000
-        sizes.clear()
+        stacks.clear()
         solve_subsets(m, np.array([range(1, 13)]), "eigen")
-        assert sizes == [12 * 12 * 8]
+        assert [size for _, size in stacks] == [12 * 12 * 8]
+
+    def test_diagonal_stacks_read_only_the_diagonal(self, monkeypatch):
+        # a stack of a diagonal M's blocks holds STACK_BYTES of diagonal
+        # entries, k of them per row, and gathers no k x k block
+        stacks = self.record_stacks(monkeypatch)
+        monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
+        m = half_ones_diagonal(12)
+        subsets = np.array(list(itertools.combinations(range(1, 13), 3)))
+        table = solve_subsets(m, subsets, "eigen")
+        rows = [count for count, _ in stacks]
+        assert sum(rows) == len(subsets)
+        assert max(rows) == 1000 // (8 * 3)
+        assert all(size == 0 for _, size in stacks)
+        assert table.tobytes() == np.sort(m.data.diagonal()[subsets - 1], axis=1).tobytes()
+        stacks.clear()
+        solve_subsets(m, np.array([range(1, 13)]), "eigen")
+        assert stacks == [[1, 0]]
 
     def test_stacks_tile_the_table(self, monkeypatch):
         # the per-stack form hands out consecutive row blocks of each chunk
