@@ -135,7 +135,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown ensemble {args.ensemble!r}")
     if args.n < 1:
         raise UsageError("--n must be positive")
-    matrix = make_matrix(EnsembleSpec(kind=kind, n=args.n, seed=args.seed))
+    if args.seed is not None and not kind.startswith("random"):
+        raise UsageError("--seed takes a random ensemble")
+    matrix = make_matrix(EnsembleSpec(kind=kind, n=args.n, seed=args.seed or 0))
     save_matrix(matrix, args.out)
     return 0
 
@@ -414,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="write a matrix file")
     p.add_argument("ensemble", choices=sorted(_ENSEMBLES))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_seed,
+                   help="seed for random ensembles (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -130,11 +130,6 @@ class Spectrum:
         return int(self.values.size)
 
 
-def is_hermitian(m: DenseMatrix, tol: float) -> bool:
-    """True iff max |M[i,j] - conj(M[j,i])| <= tol.  Raises on non-square input."""
-    return float(_hermitian_gaps(m.data[None])[0]) <= tol
-
-
 def _hermitian_gaps(stack: np.ndarray) -> np.ndarray:
     """max |A[i,j] - conj(A[j,i])| of each matrix of a (B, k, k) stack."""
     if stack.shape[1] != stack.shape[2]:
@@ -306,10 +301,11 @@ def singular_values_stack(stack: np.ndarray) -> np.ndarray:
         np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
     if np.any(rescale != 1.0):
         work = work / rescale[:, None, None]
-    g = _gram_stack(work)
+    g = work @ work.conj().transpose(0, 2, 1)
     if not np.all(np.isfinite(g)):
         raise ValueError("matrix entries must be finite")
-    # g is Hermitian by construction: no guard
+    # g is Hermitian up to rounding in the product: no guard, and the
+    # solver's one symmetrization removes that rounding
     vals = _guarded_eigenvalues(g)
     scale = amax / rescale
     clamp = 1e-9 * scale * scale

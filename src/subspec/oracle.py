@@ -5,6 +5,11 @@ rather than estimates.  The enumeration refuses to run past a configurable
 cap instead of silently subsampling; callers who outgrow it should switch
 to the Monte Carlo estimators.
 
+`subset_table` is the one builder of the lexicographic subsets: an
+integer array with one sorted 1-based subset per row.  `enumerate_subsets`
+walks its rows, `subset_spectra` solves them, and `walk` maps permutations
+onto them.
+
 `subset_spectra` is the one enumerate-and-solve pass: it returns every
 subset's spectrum as one table, and the exact laws (`mean_cdf`,
 `supnorm_law`, `pointwise_profile`) are reductions of that table, so a
@@ -79,11 +84,19 @@ def subset_count(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def subset_table(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """(C(n, k), k) array of all k-subsets of {1..n} in lexicographic order,
+    one sorted 1-based subset per row, in `index_dtype(n)`."""
+    count = _check_enumerable(n, k, cap)
+    combos = chain.from_iterable(combinations(range(1, n + 1), k))
+    return np.fromiter(combos, dtype=index_dtype(n), count=count * k).reshape(count, k)
+
+
 def enumerate_subsets(n: int, k: int,
                       cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SubsetSample]:
-    """All C(n, k) subsets of {1..n} in lexicographic order."""
-    _check_enumerable(n, k, cap)
-    return (SubsetSample(combo, n) for combo in combinations(range(1, n + 1), k))
+    """All C(n, k) subsets of {1..n} in lexicographic order: the rows of
+    `subset_table(n, k, cap)`."""
+    return (SubsetSample(tuple(row.tolist()), n) for row in subset_table(n, k, cap))
 
 
 def _check_enumerable(n: int, k: int, cap: int) -> int:
@@ -101,7 +114,7 @@ def _check_enumerable(n: int, k: int, cap: int) -> int:
 def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
                    cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """Read-only (C(n, k), k) float64 table whose row i is the sorted
-    spectrum of the i-th subset of `enumerate_subsets` (lexicographic).
+    spectrum of the subset in row i of `subset_table(n, k)` (lexicographic).
 
     In singular mode a matrix with fewer than k columns gives cols values
     per subset, and the table is that wide.  The table takes
@@ -109,10 +122,7 @@ def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
     CDF of a generic matrix has that many distinct jumps, so building it
     costs that much memory with or without the table.
     """
-    count = _check_enumerable(m.rows, k, cap)
-    combos = chain.from_iterable(combinations(range(1, m.rows + 1), k))
-    subsets = np.fromiter(combos, dtype=index_dtype(m.rows), count=count * k)
-    table = solve_subsets(m, subsets.reshape(count, k), mode)
+    table = solve_subsets(m, subset_table(m.rows, k, cap), mode)
     table.setflags(write=False)
     return table
 
@@ -184,13 +194,6 @@ def exact_pointwise_profile(m: DenseMatrix, k: int, xs: Sequence[float],
                             mode: str = "eigen",
                             cap: int = DEFAULT_ENUMERATION_CAP) -> PointwiseProfile:
     return pointwise_profile(subset_spectra(m, k, mode, cap), xs)
-
-
-def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,
-                         mode: str = "eigen",
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Exact probability that |F_A(x) - F(x)| >= r under a uniform subset."""
-    return exact_pointwise_profile(m, k, [x], mode, cap).tail(0, r)
 
 
 def hypergeometric_pmf(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,24 @@
 """The random-transpositions walk on the symmetric group, made concrete.
 
-States are permutations in one-line notation, addressed by lexicographic
-rank.  One step holds with probability 1/n or composes on the right with a
+States are permutations in one-line notation, the rows of the read-only
+(n!, n) array `permutations(n)`, which lists them in lexicographic order;
+a state is its row there, and a function on S_n is one value per row.
+One step holds with probability 1/n or composes on the right with a
 uniformly random transposition (probability 2/n^2 each), i.e. swaps two
 positions of the one-line word.  The uniform measure is invariant and the
 kernel is symmetric, so everything reversible-chain-shaped can be checked
 by direct matrix inspection.
 
-Dense n! x n! work is capped at n = 6 (720^2 floats); rank/unrank and the
-matrix-free neighbor sums (Dirichlet form, worst-case one-step increment)
-additionally work for n = 7 and 8.
+Every other table is derived from `permutations(n)` with array
+operations.  `neighbor_table` reads each row as a base-n numeral; these
+codes increase along the rows, so the row of a swapped word is found by
+`searchsorted` on them.  The selected set of a permutation, its first k
+entries, is a bitmask, and one 2^n lookup maps it to its row of
+`oracle.subset_table(n, k)`.
+
+Dense n! x n! work is capped at n = 6 (720^2 floats); the permutation
+array and the matrix-free neighbor sums (Dirichlet form, worst-case
+one-step increment) additionally work for n = 7 and 8.
 
 A permutation acts on the matrix only through the set of its first k
 entries, so the ESD observables and the one-step ESD gap read rows of the
@@ -27,69 +36,25 @@ two stacks of rows, with no per-step CDF.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .linalg import (DenseMatrix, eigenvalues_hermitian, gather_submatrices,
                      numerical_rank_stack)
-from .oracle import enumerate_subsets, pointwise_profile
+from .oracle import pointwise_profile, subset_table
 
 _MAX_DENSE_N = 6
 _MAX_PERM_N = 8
 
 
-def perm_rank(perm: Sequence[int]) -> int:
-    """Lexicographic rank of a permutation of 0..n-1."""
-    n = len(perm)
-    rank = 0
-    for i in range(n):
-        smaller = sum(1 for j in range(i + 1, n) if perm[j] < perm[i])
-        rank += smaller * math.factorial(n - 1 - i)
-    return rank
-
-
-def perm_unrank(n: int, rank: int) -> tuple[int, ...]:
-    """Permutation of 0..n-1 with the given lexicographic rank."""
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError("rank out of range")
-    pool = list(range(n))
-    out = []
-    for i in range(n):
-        f = math.factorial(n - 1 - i)
-        idx, rank = divmod(rank, f)
-        out.append(pool.pop(idx))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class PermIndex:
-    """A permutation of {0..n-1} addressed by lexicographic rank, n <= 8."""
-
-    n: int
-    rank: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= _MAX_PERM_N:
-            raise ValueError(f"n must lie in [1, {_MAX_PERM_N}]")
-        if not 0 <= self.rank < math.factorial(self.n):
-            raise ValueError("rank out of range")
-
-    def permutation(self) -> tuple[int, ...]:
-        return perm_unrank(self.n, self.rank)
-
-    @classmethod
-    def from_permutation(cls, perm: Sequence[int]) -> "PermIndex":
-        return cls(len(perm), perm_rank(perm))
-
-
 @dataclass(frozen=True)
 class FunctionOnSn:
-    """Real function on S_n, indexed by permutation rank."""
+    """Real function on S_n, one value per row of `permutations(n)`."""
 
     n: int
     values: np.ndarray
@@ -134,30 +99,36 @@ class WalkReport:
 
 def transpositions(n: int) -> list[tuple[int, int]]:
     """All n(n-1)/2 position pairs, lexicographic."""
-    return list(combinations(range(n), 2))
+    return list(itertools.combinations(range(n), 2))
 
 
 @lru_cache(maxsize=8)
-def _perm_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
-    perms = tuple(perm_unrank(n, r) for r in range(math.factorial(n)))
-    return perms, {p: r for r, p in enumerate(perms)}
+def permutations(n: int) -> np.ndarray:
+    """Read-only (n!, n) array whose rows are the permutations of 0..n-1 in
+    lexicographic order."""
+    if not 1 <= n <= _MAX_PERM_N:
+        raise ValueError(f"n must lie in [1, {_MAX_PERM_N}]")
+    words = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(words, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
 
 
 @lru_cache(maxsize=8)
 def neighbor_table(n: int) -> np.ndarray:
-    """neighbor_table(n)[r, t] is the rank of permutation r with the positions
-    of transposition t swapped (one walk step via transposition t)."""
+    """neighbor_table(n)[r, t] is the row of `permutations(n)` that holds row
+    r with the positions of transposition t swapped (one walk step via
+    transposition t)."""
     if not 2 <= n <= _MAX_PERM_N:
         raise ValueError(f"n must lie in [2, {_MAX_PERM_N}]")
-    perms, rank_of = _perm_table(n)
-    taus = transpositions(n)
-    table = np.empty((len(perms), len(taus)), dtype=np.intp)
-    for r, perm in enumerate(perms):
-        word = list(perm)
-        for t, (i, j) in enumerate(taus):
-            word[i], word[j] = word[j], word[i]
-            table[r, t] = rank_of[tuple(word)]
-            word[i], word[j] = word[j], word[i]
+    perms = permutations(n)
+    # row r as a base-n numeral: increasing in r, and below 8^8 for n <= 8
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = (perms * place).sum(axis=1)
+    i, j = np.array(transpositions(n)).T
+    # swapping positions i and j moves the code by (p_j - p_i)(n^(n-1-i) - n^(n-1-j))
+    swapped = codes[:, None] + (perms[:, j] - perms[:, i]) * (place[i] - place[j])
+    table = np.searchsorted(codes, swapped)
     table.setflags(write=False)
     return table
 
@@ -226,26 +197,32 @@ def triple_norm(f: FunctionOnSn) -> float:
     return math.sqrt(worst / (f.n * f.n))
 
 
+def _bitmasks(sets: np.ndarray) -> np.ndarray:
+    """The bitmask of each row of a (B, k) array of distinct 0-based indices."""
+    return (1 << sets).sum(axis=1)
+
+
 @lru_cache(maxsize=32)
-def _subset_rows(n: int, k: int) -> np.ndarray:
-    """_subset_rows(n, k)[r] is the row, in `enumerate_subsets` order, of
-    the set of permutation r's first k entries."""
-    row_of = {s.indices: i for i, s in enumerate(enumerate_subsets(n, k))}
-    perms, _ = _perm_table(n)
-    rows = np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))] for perm in perms],
-                    dtype=np.intp)
-    rows.setflags(write=False)
-    return rows
+def _set_rows(n: int, k: int) -> np.ndarray:
+    """Read-only 2^n lookup: the entry at the bitmask of a k-subset of
+    0..n-1 is that subset's row of `subset_table(n, k)`, every other entry
+    is -1."""
+    masks = _bitmasks(subset_table(n, k).astype(np.intp) - 1)
+    lookup = np.full(1 << n, -1, dtype=np.intp)
+    lookup[masks] = np.arange(masks.size)
+    lookup.setflags(write=False)
+    return lookup
 
 
-def _table_rows(table: np.ndarray, n: int) -> np.ndarray:
-    """Per-rank rows into a `subset_spectra` table of k = table.shape[1]."""
+def _table_lookup(table: np.ndarray, n: int) -> np.ndarray:
+    """`_set_rows` of a `subset_spectra` table of k = table.shape[1], after
+    checking that it has one row per k-subset of an order-n matrix."""
     if not 2 <= n <= _MAX_DENSE_N:
         raise ValueError(f"matrix order must lie in [2, {_MAX_DENSE_N}]")
     k = table.shape[1]
     if not 1 <= k <= n or table.shape[0] != math.comb(n, k):
         raise ValueError(f"table must have C(n, k) = C({n}, {k}) rows, one per subset")
-    return _subset_rows(n, k)
+    return _set_rows(n, k)
 
 
 def esd_observable(table: np.ndarray, n: int, x: float) -> FunctionOnSn:
@@ -257,7 +234,7 @@ def esd_observable(table: np.ndarray, n: int, x: float) -> FunctionOnSn:
 
 def esd_observable_grid(table: np.ndarray, n: int, xs: Sequence[float]) -> list[FunctionOnSn]:
     """esd_observable for every x in xs."""
-    rows = _table_rows(table, n)
+    rows = _table_lookup(table, n)[_bitmasks(permutations(n)[:, :table.shape[1]])]
     per_subset = pointwise_profile(table, xs).fa
     return [FunctionOnSn(n, per_subset[rows, j]) for j in range(len(xs))]
 
@@ -307,12 +284,14 @@ def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
 
 
 def rank_step_check(m: DenseMatrix, table: np.ndarray,
-                    sigmas: Sequence[PermIndex | Sequence[int]],
+                    sigmas: Sequence[Sequence[int]],
                     taus: Sequence[tuple[int, int]], rel_tol: float = 1e-7
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Walk steps sigma -> sigma tau seen through the submatrix, for
     k = table.shape[1]: per step, the rank of A(sigma) - A(sigma tau) and
-    the sup-norm gap of the two ESDs, as (ranks, gaps) arrays.
+    the sup-norm gap of the two ESDs, as (ranks, gaps) arrays.  Each sigma
+    is a permutation of 0..n-1 in one-line notation, such as a row of
+    `permutations(n)`.
 
     The submatrices keep the permutation's own row/column order; that is what
     confines the difference to one changed position (rank at most 2).  All
@@ -321,8 +300,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     selected set has gap exactly 0.  Each gap is the same float as
     `sup_distance(step_cdf(a), step_cdf(b))` of the step's two rows.
     """
-    before = np.array([s.permutation() if isinstance(s, PermIndex) else s for s in sigmas],
-                      dtype=np.intp)
+    before = np.array(sigmas, dtype=np.intp)
     pairs = np.array(taus, dtype=np.intp)
     if before.ndim != 2 or before.shape[0] == 0 or pairs.shape != (before.shape[0], 2):
         raise ValueError("need one tau per sigma and at least one step")
@@ -331,7 +309,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
         raise ValueError("matrix order must match the permutation length")
     if np.any(np.sort(before, axis=1) != np.arange(n)):
         raise ValueError("each sigma must be a permutation of 0..n-1")
-    rows = _table_rows(table, n)
+    lookup = _table_lookup(table, n)
     k = table.shape[1]
     i, j = pairs[:, 0], pairs[:, 1]
     if np.any(i == j) or pairs.min() < 0 or pairs.max() >= n:
@@ -343,9 +321,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     diff = (gather_submatrices(m, before[:, :k], "eigen")
             - gather_submatrices(m, after[:, :k], "eigen"))
     ranks = numerical_rank_stack(diff, rel_tol)
-    _, rank_of = _perm_table(n)
-    a, b = (table[[rows[rank_of[tuple(p)]] for p in perms.tolist()]]
-            for perms in (before, after))
+    a, b = (table[lookup[_bitmasks(perms[:, :k])]] for perms in (before, after))
     # both ESDs at every entry of either row, as the c/k floats sup_distance
     # compares; on the union of the jumps every left limit is the value at
     # the jump before, so the values alone give the supremum

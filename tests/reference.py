@@ -1,0 +1,109 @@
+"""Loop, dict and object encodings that the package replaced with arrays,
+kept as the oracles the array paths are compared with.
+
+`perm_rank`, `perm_unrank` and `PermIndex` address a permutation by its
+lexicographic rank one digit at a time; `neighbor_table` and `subset_rows`
+are the former `walk` tables built from them with Python loops and
+tuple-keyed dicts.  `is_hermitian` and `exact_pointwise_tail` are the
+former one-matrix and one-point wrappers of `linalg` and `oracle`.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from subspec.linalg import DenseMatrix, _hermitian_gaps
+from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
+
+MAX_PERM_N = 8
+
+
+def perm_rank(perm: Sequence[int]) -> int:
+    """Lexicographic rank of a permutation of 0..n-1."""
+    n = len(perm)
+    rank = 0
+    for i in range(n):
+        smaller = sum(1 for j in range(i + 1, n) if perm[j] < perm[i])
+        rank += smaller * math.factorial(n - 1 - i)
+    return rank
+
+
+def perm_unrank(n: int, rank: int) -> tuple[int, ...]:
+    """Permutation of 0..n-1 with the given lexicographic rank."""
+    if not 0 <= rank < math.factorial(n):
+        raise ValueError("rank out of range")
+    pool = list(range(n))
+    out = []
+    for i in range(n):
+        f = math.factorial(n - 1 - i)
+        idx, rank = divmod(rank, f)
+        out.append(pool.pop(idx))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class PermIndex:
+    """A permutation of {0..n-1} addressed by lexicographic rank, n <= 8."""
+
+    n: int
+    rank: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_PERM_N:
+            raise ValueError(f"n must lie in [1, {MAX_PERM_N}]")
+        if not 0 <= self.rank < math.factorial(self.n):
+            raise ValueError("rank out of range")
+
+    def permutation(self) -> tuple[int, ...]:
+        return perm_unrank(self.n, self.rank)
+
+    @classmethod
+    def from_permutation(cls, perm: Sequence[int]) -> "PermIndex":
+        return cls(len(perm), perm_rank(perm))
+
+
+def perm_table(n: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """Every permutation of 0..n-1 by rank, and the tuple -> rank dict."""
+    perms = tuple(perm_unrank(n, r) for r in range(math.factorial(n)))
+    return perms, {p: r for r, p in enumerate(perms)}
+
+
+def neighbor_table(n: int) -> np.ndarray:
+    """[r, t] is the rank of permutation r with the positions of
+    transposition t swapped, one (state, transposition) pair at a time."""
+    perms, rank_of = perm_table(n)
+    taus = list(itertools.combinations(range(n), 2))
+    table = np.empty((len(perms), len(taus)), dtype=np.intp)
+    for r, perm in enumerate(perms):
+        word = list(perm)
+        for t, (i, j) in enumerate(taus):
+            word[i], word[j] = word[j], word[i]
+            table[r, t] = rank_of[tuple(word)]
+            word[i], word[j] = word[j], word[i]
+    return table
+
+
+def subset_rows(n: int, k: int) -> np.ndarray:
+    """[r] is the lexicographic row of the set of permutation r's first k
+    entries among the k-subsets of {1..n}, found in a tuple-keyed dict."""
+    row_of = {s: i for i, s in enumerate(itertools.combinations(range(1, n + 1), k))}
+    perms, _ = perm_table(n)
+    return np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))] for perm in perms],
+                    dtype=np.intp)
+
+
+def is_hermitian(m: DenseMatrix, tol: float) -> bool:
+    """True iff max |M[i,j] - conj(M[j,i])| <= tol.  Raises on non-square input."""
+    return float(_hermitian_gaps(m.data[None])[0]) <= tol
+
+
+def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,
+                         mode: str = "eigen",
+                         cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+    """Exact probability that |F_A(x) - F(x)| >= r under a uniform subset."""
+    return exact_pointwise_profile(m, k, [x], mode, cap).tail(0, r)

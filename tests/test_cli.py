@@ -58,6 +58,19 @@ class TestGen:
         run("gen", "random-gaussian", "--n", "8", "--seed", "7", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_needs_random_ensemble(self, tmp_path, capsys):
+        # a non-random ensemble would drop the seed without a word
+        for ensemble in ("rw-covariance", "half-ones"):
+            capsys.readouterr()
+            out = tmp_path / f"{ensemble}.txt"
+            assert run("gen", ensemble, "--n", "5", "--seed", "9", "--out", str(out)) == 2
+            assert "--seed takes a random ensemble" in capsys.readouterr().err
+            assert not out.exists()
+        unseeded, seeded = tmp_path / "unseeded.txt", tmp_path / "seeded.txt"
+        assert run("gen", "random-pm1", "--n", "5", "--out", str(unseeded)) == 0
+        assert run("gen", "random-pm1", "--n", "5", "--seed", "0", "--out", str(seeded)) == 0
+        assert unseeded.read_bytes() == seeded.read_bytes()
+
 
 class TestEstimate:
     def test_constant_matrix_zero_mean(self, tmp_path):

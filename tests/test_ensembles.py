@@ -4,7 +4,9 @@ import pytest
 from subspec.ensembles import (EnsembleSpec, half_ones_diagonal, load_matrix,
                                make_matrix, random_symmetric, rw_covariance,
                                save_matrix)
-from subspec.linalg import DenseMatrix, eigenvalues_hermitian, is_hermitian
+from subspec.linalg import DenseMatrix, eigenvalues_hermitian
+
+from reference import is_hermitian
 
 
 class TestRwCovariance:

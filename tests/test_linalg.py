@@ -9,10 +9,11 @@ from subspec import linalg as linalg_mod
 from subspec.ensembles import load_matrix, random_symmetric, rw_covariance, save_matrix
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack, gather_submatrices, gram,
-                            is_hermitian, numerical_rank,
-                            numerical_rank_stack, principal_block_solver, singular_values,
-                            singular_values_stack)
+                            numerical_rank, numerical_rank_stack, principal_block_solver,
+                            singular_values, singular_values_stack)
 from subspec.sampling import solve_subsets
+
+from reference import is_hermitian
 
 
 def dm(rows):
@@ -127,6 +128,21 @@ def per_matrix_singular_values(data):
     ev = per_matrix_eigenvalues(0.5 * (g + g.conj().T))
     ev[ev < 0] = 0.0
     return np.sqrt(ev)
+
+
+def two_pass_singular_values(stack):
+    """The former `singular_values_stack`, which symmetrized every Gram
+    product twice: `_gram_stack` returned (G + G*) / 2, and the solver's
+    `_hermitized` averaged that with its adjoint again."""
+    amax = np.abs(stack).max(axis=(1, 2))
+    rescale = linalg_mod._rescale_factors(amax)
+    work = stack if stack.shape[1] <= stack.shape[2] else \
+        np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    if np.any(rescale != 1.0):
+        work = work / rescale[:, None, None]
+    vals = linalg_mod._guarded_eigenvalues(linalg_mod._gram_stack(work))
+    vals[vals < 0] = 0.0
+    return np.sqrt(vals) * rescale[:, None]
 
 
 def principal_blocks(m, k, count, seed):
@@ -661,6 +677,20 @@ class TestSingularValues:
         for i, scale in ((1, 1e-300), (2, 1e200)):
             expected = per_matrix_singular_values(blocks[i] / scale) * scale
             np.testing.assert_allclose(got[i], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_symmetrization_matches_two(self, field):
+        # the raw product G goes to the solver, whose one (G + G*) / 2 is
+        # the former symmetrized G: the same bits at every scale and shape
+        rng = np.random.default_rng(45 if field == "real" else 46)
+        for shape in ((3, 3, 3), (4, 2, 6), (4, 6, 2), (2, 5, 5)):
+            for scale in (1e-150, 1e-120, 1e-60, 1.0, 1e60, 1e120, 1e150):
+                stack = rng.standard_normal(shape)
+                if field == "complex":
+                    stack = stack + 1j * rng.standard_normal(shape)
+                stack = stack * scale
+                assert (singular_values_stack(stack).tobytes()
+                        == two_pass_singular_values(stack).tobytes())
 
 
 class TestNumericalRank:

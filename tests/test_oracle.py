@@ -10,11 +10,13 @@ from subspec.linalg import DenseMatrix, Spectrum
 from subspec.montecarlo import pointwise_tail_bound, supnorm_mean_bound
 from subspec.oracle import (ExactDistribution, chaining_check, chaining_checks,
                             enumerate_subsets, exact_F, exact_pointwise_profile,
-                            exact_pointwise_tail, exact_supnorm_distribution,
-                            halfones_exact_mean, hypergeometric_pmf, pointwise_profile,
-                            subset_count, subset_spectra)
+                            exact_supnorm_distribution, halfones_exact_mean,
+                            hypergeometric_pmf, pointwise_profile, subset_count,
+                            subset_spectra, subset_table)
 from subspec.sampling import subset_spectrum
 from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
+
+from reference import exact_pointwise_tail
 
 
 class TestEnumerateSubsets:
@@ -32,6 +34,16 @@ class TestEnumerateSubsets:
     def test_cap_exceeded(self):
         with pytest.raises(ValueError, match="Monte Carlo"):
             enumerate_subsets(30, 15, cap=1000)
+        with pytest.raises(ValueError, match="Monte Carlo"):
+            subset_table(30, 15, cap=1000)
+
+    def test_table_rows_are_the_subsets(self):
+        for n, k in ((1, 1), (4, 2), (7, 3), (9, 9), (300, 1)):
+            table = subset_table(n, k)
+            assert table.dtype == np.uint8 if n < 256 else table.dtype == np.uint16
+            assert table.tolist() == [list(c) for c in itertools.combinations(range(1, n + 1), k)]
+            rows = [tuple(r) for r in table.tolist()]
+            assert [s.indices for s in enumerate_subsets(n, k)] == rows
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

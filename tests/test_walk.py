@@ -10,12 +10,15 @@ from subspec.montecarlo import pointwise_tail_bound
 from subspec.oracle import enumerate_subsets, subset_spectra
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
 from subspec.spectra import esd, step_cdf, sup_distance
-from subspec.walk import (FunctionOnSn, PermIndex, WalkReport, dirichlet_form,
+from subspec.walk import (FunctionOnSn, WalkReport, _bitmasks, _set_rows, dirichlet_form,
                           esd_observable, esd_observable_grid, gap_concentration_bound,
-                          kernel_errors, kernel_matrix, neighbor_table, perm_rank,
-                          perm_unrank, rank_step_check, spectral_gap, transpositions,
-                          triple_norm, variance_mu, verify_gap_concentration,
-                          verify_kernel, verify_triple_norm_bound)
+                          kernel_errors, kernel_matrix, neighbor_table, permutations,
+                          rank_step_check, spectral_gap, transpositions, triple_norm,
+                          variance_mu, verify_gap_concentration, verify_kernel,
+                          verify_triple_norm_bound)
+
+import reference
+from reference import PermIndex, perm_rank, perm_unrank
 
 
 class TestPermIndex:
@@ -46,6 +49,41 @@ class TestPermIndex:
             PermIndex(3, 6)
         p = PermIndex.from_permutation((2, 0, 1))
         assert p.permutation() == (2, 0, 1)
+
+
+class TestPermutationArrays:
+    """The array tables of `walk` against the rank loops and tuple-keyed
+    dicts they replaced (`tests/reference.py`)."""
+
+    def test_rows_are_unranked_permutations(self):
+        for n in range(1, 7):
+            perms = permutations(n)
+            assert perms.shape == (math.factorial(n), n)
+            assert [tuple(p) for p in perms.tolist()] == [
+                perm_unrank(n, r) for r in range(math.factorial(n))]
+        for n in (7, 8):
+            perms = permutations(n)
+            assert perms.shape == (math.factorial(n), n)
+            for r in (0, 1, 719, 5039, 12345 % math.factorial(n), math.factorial(n) - 1):
+                assert tuple(perms[r].tolist()) == perm_unrank(n, r)
+        assert not permutations(4).flags.writeable
+        for n in (0, 9):
+            with pytest.raises(ValueError):
+                permutations(n)
+
+    def test_neighbor_table_matches_loop(self):
+        for n in range(2, 9):
+            assert np.array_equal(neighbor_table(n), reference.neighbor_table(n))
+        with pytest.raises(ValueError):
+            neighbor_table(9)
+
+    def test_set_rows_match_dict(self):
+        for n in range(1, 9):
+            perms = permutations(n)
+            for k in range(1, n + 1):
+                rows = _set_rows(n, k)[_bitmasks(perms[:, :k])]
+                assert np.array_equal(rows, reference.subset_rows(n, k))
+                assert np.count_nonzero(_set_rows(n, k) >= 0) == math.comb(n, k)
 
 
 class TestKernel:
@@ -390,7 +428,8 @@ class TestRankStepCheck:
 
     def test_accepts_permindex(self):
         m = random_symmetric(4, 6, "gaussian")
-        ranks, _ = rank_step_check(m, subset_spectra(m, 2), [PermIndex(4, 7)], [(0, 3)])
+        ranks, _ = rank_step_check(m, subset_spectra(m, 2), [PermIndex(4, 7).permutation()],
+                                   [(0, 3)])
         assert ranks[0] <= 2
 
     def test_rejects_bad_steps(self):
