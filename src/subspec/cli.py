@@ -26,7 +26,7 @@ from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimat
                          pointwise_tail_bound, standard_metadata, supnorm_mean_bound,
                          supnorm_tail_bound)
 from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_checks, mean_cdf, pointwise_profile,
-                     subset_count, subset_spectra, supnorm_law)
+                     subset_spectra, supnorm_law)
 from .sampling import draw_subsets, solve_subsets
 from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf
 
@@ -89,17 +89,21 @@ def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
         m = make_matrix(EnsembleSpec(kind="file", path=args.matrix))
         if args.mode == "eigen" and not m.is_square():  # ensembles are square
             raise UsageError("eigen mode needs a square matrix; use --mode singular")
-        return m, {"matrix": args.matrix}
-    kind = _ENSEMBLES.get(args.ensemble or "")
-    if kind is None:
-        raise UsageError("need --matrix PATH or --ensemble NAME")
-    if args.n is None or args.n < 1:
-        raise UsageError("--ensemble requires a positive --n")
-    spec = EnsembleSpec(kind=kind, n=args.n, seed=args.matrix_seed or 0)
-    desc = {"ensemble": args.ensemble, "n": args.n}
-    if kind.startswith("random"):
-        desc["matrix_seed"] = spec.seed
-    return make_matrix(spec), desc
+        desc = {"matrix": args.matrix}
+    else:
+        kind = _ENSEMBLES.get(args.ensemble or "")
+        if kind is None:
+            raise UsageError("need --matrix PATH or --ensemble NAME")
+        if args.n is None or args.n < 1:
+            raise UsageError("--ensemble requires a positive --n")
+        spec = EnsembleSpec(kind=kind, n=args.n, seed=args.matrix_seed or 0)
+        desc = {"ensemble": args.ensemble, "n": args.n}
+        if kind.startswith("random"):
+            desc["matrix_seed"] = spec.seed
+        m = make_matrix(spec)
+    if not 1 <= args.k <= m.rows:
+        raise UsageError("k must satisfy 1 <= k <= n")
+    return m, desc
 
 
 # The tail curve holds a few floats per r point and is printed whole, so
@@ -144,8 +148,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
-    if not 1 <= args.k <= matrix.rows:
-        raise UsageError("k must satisfy 1 <= k <= n")
     if args.samples < 1:
         raise UsageError("samples must be positive")
     r_grid = _r_grid(args)
@@ -177,8 +179,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_pair(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
     n = matrix.rows
-    if not 1 <= args.k <= n:
-        raise UsageError("k must satisfy 1 <= k <= n")
     # a singular-mode spectrum has min(k, cols) values, the width of the table
     width = min(args.k, matrix.cols) if args.mode == "singular" else args.k
     if not 0 <= args.exclude_top < width:
@@ -276,7 +276,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                 xs = _spectrum_grid(exact[k], 20)
                 worst = walk.verify_triple_norm_bound(tables[k], n, xs)
                 record(f"one-step-norm-n{n}-k{k}-{label}", worst, 4.0,
-                       worst <= 4.0 + 1e-9)
+                       worst <= 4.0 + k * n * 1e-12)
                 mid = xs[len(xs) // 2]
                 f = walk.esd_observable(tables[k], n, float(mid))
                 ok = True
@@ -338,11 +338,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
-    if not 1 <= args.k <= matrix.rows:
-        raise UsageError("k must satisfy 1 <= k <= n")
     if args.x is not None and not all(math.isfinite(x) for x in args.x):
         raise UsageError("--x values must be finite")
-    if subset_count(matrix.rows, args.k) > args.cap:
+    if math.comb(matrix.rows, args.k) > args.cap:
         raise UsageError(
             f"subset count C({matrix.rows},{args.k}) exceeds the enumeration cap "
             f"{args.cap}; use the Monte Carlo estimate subcommand instead")

@@ -94,16 +94,6 @@ class DenseMatrix:
     def field(self) -> str:
         return "complex" if self.is_complex else "real"
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Row-major flat view of real64 values, re/im interleaved if complex."""
-        if self.is_complex:
-            return self.data.view(np.float64).ravel()
-        return self.data.ravel()
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.data)))
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -124,10 +114,6 @@ class Spectrum:
             raise ValueError("spectrum values must be sorted ascending")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def count(self) -> int:
-        return int(self.values.size)
 
 
 def _hermitian_gaps(stack: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL
-from .oracle import DEFAULT_ENUMERATION_CAP, exact_F, subset_count
+from .oracle import DEFAULT_ENUMERATION_CAP, exact_F
 from . import sampling
-from .sampling import PRNG_NAME, SeedPlan, draw_subsets, solve_stacks
+from .sampling import PRNG_NAME, derive_sample_seed, draw_subsets, solve_stacks
 from .spectra import StepCdf, step_cdf, sup_distances
 
 QUANTILE_PROBS = (0.5, 0.9, 0.99)
@@ -224,8 +224,8 @@ def choose_reference(m: DenseMatrix, k: int, mode: str, n_samples: int,
     """Reference CDF for tail experiments: the exact expected CDF when full
     enumeration fits under the cap, otherwise an independent-seed estimate
     with ten times the samples.  Returns the CDF and a metadata note."""
-    if subset_count(m.rows, k) <= cap:
+    if math.comb(m.rows, k) <= cap:
         return exact_F(m, k, mode, cap), "reference=exact_F"
-    independent_seed = SeedPlan(master_seed).seed_for(2**32)
+    independent_seed = derive_sample_seed(master_seed, 2**32)
     ref = estimate_F(m, k, mode, 10 * n_samples, independent_seed)
     return ref, f"reference=estimate_F(samples={10 * n_samples},seed={independent_seed})"

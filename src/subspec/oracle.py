@@ -6,9 +6,8 @@ cap instead of silently subsampling; callers who outgrow it should switch
 to the Monte Carlo estimators.
 
 `subset_table` is the one builder of the lexicographic subsets: an
-integer array with one sorted 1-based subset per row.  `enumerate_subsets`
-walks its rows, `subset_spectra` solves them, and `walk` maps permutations
-onto them.
+integer array with one sorted 1-based subset per row.  `subset_spectra`
+solves its rows, and `walk` maps permutations onto them.
 
 `subset_spectra` is the one enumerate-and-solve pass: it returns every
 subset's spectrum as one table, and the exact laws (`mean_cdf`,
@@ -28,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import DenseMatrix
-from .sampling import SubsetSample, index_dtype, solve_subsets
+from .sampling import index_dtype, solve_subsets
 from .spectra import StepCdf, quantiles, step_cdf, sup_distance, sup_distances
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -80,27 +79,10 @@ class ExactDistribution:
         return "\n".join(lines) + "\n"
 
 
-def subset_count(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def subset_table(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """(C(n, k), k) array of all k-subsets of {1..n} in lexicographic order,
-    one sorted 1-based subset per row, in `index_dtype(n)`."""
-    count = _check_enumerable(n, k, cap)
-    combos = chain.from_iterable(combinations(range(1, n + 1), k))
-    return np.fromiter(combos, dtype=index_dtype(n), count=count * k).reshape(count, k)
-
-
-def enumerate_subsets(n: int, k: int,
-                      cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[SubsetSample]:
-    """All C(n, k) subsets of {1..n} in lexicographic order: the rows of
-    `subset_table(n, k, cap)`."""
-    return (SubsetSample(tuple(row.tolist()), n) for row in subset_table(n, k, cap))
-
-
-def _check_enumerable(n: int, k: int, cap: int) -> int:
-    """C(n, k), after checking 1 <= k <= n and that it fits under the cap."""
+    one sorted 1-based subset per row, in `index_dtype(n)`.  Raises
+    ValueError unless 1 <= k <= n and C(n, k) fits under the cap."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     count = math.comb(n, k)
@@ -108,7 +90,8 @@ def _check_enumerable(n: int, k: int, cap: int) -> int:
         raise ValueError(
             f"subset count C({n},{k}) = {count} exceeds the enumeration cap {cap}; "
             "use the Monte Carlo estimators instead")
-    return count
+    combos = chain.from_iterable(combinations(range(1, n + 1), k))
+    return np.fromiter(combos, dtype=index_dtype(n), count=count * k).reshape(count, k)
 
 
 def subset_spectra(m: DenseMatrix, k: int, mode: str = "eigen",
@@ -159,10 +142,6 @@ class PointwiseProfile:
         columns = np.sort(np.abs(self.fa - self.f), axis=0).T
         below = np.array([np.searchsorted(col, rs) for col in columns])
         return (rows - below.reshape(self.xs.size, rs.size)) / rows
-
-    def tail(self, x_index: int, r: float) -> float:
-        """Exact probability that |F_A(x) - F(x)| >= r at grid point x_index."""
-        return float(self.tails([r])[x_index, 0])
 
 
 def pointwise_profile(table: np.ndarray, xs: Sequence[float]) -> PointwiseProfile:

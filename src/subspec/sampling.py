@@ -1,10 +1,11 @@
 """Uniform k-subset sampling, submatrix extraction, and reproducible seeding.
 
 Randomness is bit-exact and platform independent: a splitmix64 finalizer
-derives one 64-bit seed per sample index from the master seed, and each
-sample runs its own xoshiro256++ stream seeded from four splitmix64
-outputs.  Sample i therefore sees the same draws whatever samples are
-drawn with it and in whatever order.
+derives one 64-bit seed per sample index from the master seed
+(`derive_sample_seed`), and each sample runs its own xoshiro256++ stream
+seeded from four splitmix64 outputs of it (`Xoshiro256pp.from_seed`).
+Sample i therefore sees the same draws whatever samples are drawn with it
+and in whatever order.
 
 Bounded integers use the multiply-shift reduction (x * bound) >> 64.  It
 consumes exactly one 64-bit draw per integer, which keeps the number of
@@ -131,19 +132,6 @@ class Xoshiro256pp:
 
 
 @dataclass(frozen=True)
-class SeedPlan:
-    """Master seed plus the stream-derivation rule for parallel sampling."""
-
-    master_seed: int
-
-    def seed_for(self, i: int) -> int:
-        return derive_sample_seed(self.master_seed, i)
-
-    def stream(self, i: int) -> Xoshiro256pp:
-        return Xoshiro256pp.from_seed(self.seed_for(i))
-
-
-@dataclass(frozen=True)
 class SubsetSample:
     """Sorted k-subset of {1..n}, the randomization unit; indices are 1-based."""
 
@@ -192,7 +180,8 @@ def index_dtype(n: int) -> np.dtype:
 def draw_subsets(n: int, k: int, master_seed: int, offset: int, count: int) -> np.ndarray:
     """The subsets of samples offset .. offset + count - 1, as a (count, k)
     array of sorted 1-based indices in `index_dtype(n)`: row i equals
-    `random_k_subset(n, k, SeedPlan(master_seed).stream(offset + i)).indices`.
+    `random_k_subset(n, k, Xoshiro256pp.from_seed(derive_sample_seed(master_seed,
+    offset + i))).indices`.
 
     Up to DRAW_LANES streams run in lockstep, one uint64 lane each, and
     their partial Fisher-Yates shuffles step together on one pool row per

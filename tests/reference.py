@@ -106,4 +106,4 @@ def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,
                          mode: str = "eigen",
                          cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact probability that |F_A(x) - F(x)| >= r under a uniform subset."""
-    return exact_pointwise_profile(m, k, [x], mode, cap).tail(0, r)
+    return float(exact_pointwise_profile(m, k, [x], mode, cap).tails([r])[0, 0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -8,8 +9,9 @@ import pytest
 from subspec.cli import MAX_R_POINTS, main
 from subspec.ensembles import load_matrix, rw_covariance, save_matrix
 from subspec.linalg import DenseMatrix
-from subspec.oracle import enumerate_subsets, halfones_exact_mean
-from subspec.sampling import SeedPlan, random_k_subset, subset_spectrum
+from subspec.oracle import halfones_exact_mean
+from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed, random_k_subset,
+                              subset_spectrum)
 from subspec.spectra import cdf_to_csv, esd, ks_two_sample
 from subspec.linalg import Spectrum
 
@@ -162,6 +164,14 @@ class TestPair:
                  "--exclude-top", "4", "--pairs", "2", "--out", str(tmp_path / "x.json"))
         assert rc == 2
 
+    def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
+        for k in ("0", "11"):
+            capsys.readouterr()
+            rc = run("pair", "--ensemble", "rw-covariance", "--n", "10", "--k", k,
+                     "--exclude-top", "0", "--pairs", "2", "--out", str(tmp_path / "x.json"))
+            assert rc == 2
+            assert "k must satisfy" in capsys.readouterr().err
+
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "pairs.csv"
         rc = run("pair", "--ensemble", "rw-covariance", "--n", "12", "--k", "5",
@@ -228,12 +238,11 @@ class TestPair:
         path = tmp_path / "m.txt"
         save_matrix(m, path)
         m = load_matrix(path)
-        plan = SeedPlan(seed)
 
         def sample_cdf(stream):
-            sample = random_k_subset(m.rows, k, plan.stream(stream))
-            spectrum = subset_spectrum(m, sample, mode)
-            return esd(Spectrum(spectrum.values[:spectrum.count - exclude_top]))
+            rng = Xoshiro256pp.from_seed(derive_sample_seed(seed, stream))
+            spectrum = subset_spectrum(m, random_k_subset(m.rows, k, rng), mode)
+            return esd(Spectrum(spectrum.values[:spectrum.values.size - exclude_top]))
 
         cdfs = [(sample_cdf(2 * p), sample_cdf(2 * p + 1)) for p in range(pairs)]
         results = [ks_two_sample(a, b, k - exclude_top, k - exclude_top) for a, b in cdfs]
@@ -274,6 +283,21 @@ class TestVerify:
         doc = json.loads(out.read_text())
         assert doc["pass"] is False
 
+    def test_failed_one_step_norm_is_reported(self, tmp_path, monkeypatch):
+        # a one-step norm far over budget fails its checks in the report
+        # instead of aborting the run
+        import subspec.cli as cli
+        import subspec.walk as walk_mod
+        monkeypatch.setattr(walk_mod, "triple_norm", lambda f: 10.0)
+        report = cli.run_verification([3])
+        norms = [c for c in report["checks"] if c["check"].startswith("one-step-norm-")]
+        assert len(norms) == 3
+        assert all(c["pass"] is False and c["measured"] == 600.0 for c in norms)
+        assert report["pass"] is False
+        out = tmp_path / "verify.json"
+        assert run("verify", "--n", "3", "--out", str(out)) == 1
+        assert json.loads(out.read_text())["pass"] is False
+
     def test_rejects_large_n(self, tmp_path):
         assert run("verify", "--n", "7", "--out", str(tmp_path / "x.json")) == 2
 
@@ -299,11 +323,14 @@ class TestVerify:
             # a multiple of 1/4, so that some tails equal their bound exactly
             return math.floor(2 * pointwise_tail_bound(k, r)) / 4
 
-        def one_tail(*args):
-            raise AssertionError("per-(x, r) tail call")
+        whole_grid_tails = PointwiseProfile.tails
+
+        def tails(profile, r_grid):
+            assert len(r_grid) == 26, "per-(x, r) tail call"
+            return whole_grid_tails(profile, r_grid)
 
         monkeypatch.setattr(cli, "pointwise_tail_bound", tight)
-        monkeypatch.setattr(PointwiseProfile, "tail", one_tail)
+        monkeypatch.setattr(PointwiseProfile, "tails", tails)
         checks = {c["check"]: c for c in cli.run_verification([3, 4])["checks"]}
         r_grid = np.linspace(0.0, 5.0, 26)
         total = 0
@@ -375,6 +402,14 @@ class TestOracle:
         assert doc["supnorm_distribution"]["values"] == [0.0]
         assert doc["supnorm_distribution"]["probabilities"] == [1.0]
 
+    def test_k_out_of_range_is_usage_error(self, tmp_path, capsys):
+        for k in ("0", "5"):
+            capsys.readouterr()
+            rc = run("oracle", "--ensemble", "half-ones", "--n", "4", "--k", k,
+                     "--out", str(tmp_path / "x.json"))
+            assert rc == 2
+            assert "k must satisfy" in capsys.readouterr().err
+
     def test_cap_exceeded_is_usage_error(self, tmp_path):
         rc = run("oracle", "--ensemble", "rw-covariance", "--n", "30", "--k", "15",
                  "--cap", "1000", "--out", str(tmp_path / "x.json"))
@@ -433,8 +468,8 @@ class TestOracle:
                  "--out", str(out))
         assert rc == 0
         doc = json.loads(out.read_text())
-        cdfs = [esd(subset_spectrum(load_matrix(matrix), s, "singular"))
-                for s in enumerate_subsets(5, 3)]
+        cdfs = [esd(subset_spectrum(load_matrix(matrix), SubsetSample(s, 5), "singular"))
+                for s in itertools.combinations(range(1, 6), 3)]
         mixture = average_cdfs(cdfs, [0.1] * 10)
         assert doc["exact_F"]["jumps"] == mixture.jumps.tolist()
         np.testing.assert_allclose(doc["exact_F"]["cum"], mixture.cum, atol=1e-15)

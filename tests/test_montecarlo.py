@@ -13,8 +13,8 @@ from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 supnorm_tail_bound)
 from subspec.oracle import exact_F, exact_supnorm_distribution, halfones_exact_mean
 from subspec import sampling as sampling_mod
-from subspec.sampling import (SeedPlan, SubsetSample, draw_subsets, random_k_subset,
-                              solve_subsets, subset_spectrum)
+from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed, draw_subsets,
+                              random_k_subset, solve_subsets, subset_spectrum)
 from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
 
 
@@ -130,15 +130,15 @@ class TestEstimateF:
                           "half-ones": (half_ones_diagonal(8), 3, "eigen"),
                           "singular": (random_symmetric(8, 3, "gaussian"), 3, "singular"),
                           }[case]
-        plan = SeedPlan(31)
-        subsets = [random_k_subset(m.rows, k, plan.stream(i)).indices for i in range(300)]
+        subsets = [random_k_subset(m.rows, k, Xoshiro256pp.from_seed(derive_sample_seed(31, i)))
+                   .indices for i in range(300)]
         spectra = {s: subset_spectrum(m, SubsetSample(s, m.rows), mode) for s in subsets}
         counts = {}
         for s in subsets:
             counts[s] = counts.get(s, 0) + 1
         all_values = np.concatenate([spectra[s].values for s in counts])
         all_weights = np.concatenate(
-            [np.full(spectra[s].count, c, dtype=np.float64) for s, c in counts.items()])
+            [np.full(spectra[s].values.size, c, dtype=np.float64) for s, c in counts.items()])
         uniq, inverse = np.unique(all_values, return_inverse=True)
         per_value = np.bincount(inverse, weights=all_weights, minlength=uniq.size)
         cum = np.cumsum(per_value) / (len(subsets) * k)
@@ -163,8 +163,8 @@ class TestEstimateSupnorm:
         # the same F_hat whether the counts come from one stack or many
         m = random_symmetric(8, 3, "gaussian")
         ref = exact_F(m, 3)
-        plan = SeedPlan(9)
-        draws = [random_k_subset(8, 3, plan.stream(i)) for i in range(300)]
+        draws = [random_k_subset(8, 3, Xoshiro256pp.from_seed(derive_sample_seed(9, i)))
+                 for i in range(300)]
         expected = np.array([sup_distance(step_cdf(subset_spectrum(m, s, "eigen").values), ref)
                              for s in draws])
         one_stack = estimate_F(m, 3, "eigen", 300, 9)

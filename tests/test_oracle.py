@@ -8,12 +8,11 @@ from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric
                                rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, Spectrum
 from subspec.montecarlo import pointwise_tail_bound, supnorm_mean_bound
-from subspec.oracle import (ExactDistribution, chaining_check, chaining_checks,
-                            enumerate_subsets, exact_F, exact_pointwise_profile,
-                            exact_supnorm_distribution, halfones_exact_mean,
-                            hypergeometric_pmf, pointwise_profile, subset_count,
+from subspec.oracle import (ExactDistribution, chaining_check, chaining_checks, exact_F,
+                            exact_pointwise_profile, exact_supnorm_distribution,
+                            halfones_exact_mean, hypergeometric_pmf, pointwise_profile,
                             subset_spectra, subset_table)
-from subspec.sampling import subset_spectrum
+from subspec.sampling import SubsetSample, subset_spectrum
 from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
 
 from reference import exact_pointwise_tail
@@ -21,19 +20,16 @@ from reference import exact_pointwise_tail
 
 class TestEnumerateSubsets:
     def test_lexicographic_4_choose_2(self):
-        subsets = [s.indices for s in enumerate_subsets(4, 2)]
-        assert subsets == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+        subsets = subset_table(4, 2).tolist()
+        assert subsets == [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
 
     def test_single_subset(self):
-        assert [s.indices for s in enumerate_subsets(3, 3)] == [(1, 2, 3)]
+        assert subset_table(3, 3).tolist() == [[1, 2, 3]]
 
     def test_count_20_choose_10(self):
-        assert subset_count(20, 10) == 184756
-        assert sum(1 for _ in enumerate_subsets(20, 10)) == 184756
+        assert subset_table(20, 10).shape == (184756, 10)
 
     def test_cap_exceeded(self):
-        with pytest.raises(ValueError, match="Monte Carlo"):
-            enumerate_subsets(30, 15, cap=1000)
         with pytest.raises(ValueError, match="Monte Carlo"):
             subset_table(30, 15, cap=1000)
 
@@ -42,12 +38,10 @@ class TestEnumerateSubsets:
             table = subset_table(n, k)
             assert table.dtype == np.uint8 if n < 256 else table.dtype == np.uint16
             assert table.tolist() == [list(c) for c in itertools.combinations(range(1, n + 1), k)]
-            rows = [tuple(r) for r in table.tolist()]
-            assert [s.indices for s in enumerate_subsets(n, k)] == rows
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
-            enumerate_subsets(4, 5)
+            subset_table(4, 5)
 
 
 class TestExactF:
@@ -101,10 +95,10 @@ def _buffered_exact_F(m, k, mode, buffer_limit):
         uniq, inverse = np.unique(stacked, return_inverse=True)
         return uniq, np.bincount(inverse, weights=weights, minlength=uniq.size)
 
-    for s in enumerate_subsets(m.rows, k):
-        spec = subset_spectrum(m, s, mode)
+    for s in itertools.combinations(range(1, m.rows + 1), k):
+        spec = subset_spectrum(m, SubsetSample(s, m.rows), mode)
         buffer.append(spec.values)
-        buffered += spec.count
+        buffered += spec.values.size
         if buffered >= buffer_limit:
             values, counts = merge(values, counts, buffer)
             buffer, buffered = [], 0
@@ -124,7 +118,8 @@ def test_exact_laws_match_per_subset_reference(case, tmp_path):
     assert f.jumps.tobytes() == reference.jumps.tobytes()
     assert f.cum.tobytes() == reference.cum.tobytes()
 
-    spectra = [subset_spectrum(m, s, mode) for s in enumerate_subsets(m.rows, k)]
+    spectra = [subset_spectrum(m, SubsetSample(s, m.rows), mode)
+               for s in itertools.combinations(range(1, m.rows + 1), k)]
     distances = np.array([sup_distance(esd(spec), reference) for spec in spectra])
     uniq, counts = np.unique(distances, return_counts=True)
     law = exact_supnorm_distribution(m, k, mode)
@@ -132,7 +127,7 @@ def test_exact_laws_match_per_subset_reference(case, tmp_path):
     assert law.probs.tobytes() == (counts / len(spectra)).tobytes()
 
     xs = np.array([reference.jumps[0] - 1.0, *reference.jumps[::7], 0.5])
-    fa = np.array([np.searchsorted(spec.values, xs, side="right") / spec.count
+    fa = np.array([np.searchsorted(spec.values, xs, side="right") / spec.values.size
                    for spec in spectra])
     profile = exact_pointwise_profile(m, k, xs, mode)
     assert profile.fa.tobytes() == fa.tobytes()
@@ -195,7 +190,7 @@ class TestPointwise:
         m = rw_covariance(6)
         profile = exact_pointwise_profile(m, 2, [1.0, 3.0])
         for i, x in enumerate((1.0, 3.0)):
-            assert profile.tail(i, 0.25) == exact_pointwise_tail(m, 2, x, 0.25)
+            assert profile.tails([0.25])[i, 0] == exact_pointwise_tail(m, 2, x, 0.25)
 
     def test_profile_mean_is_exact_f(self):
         m = rw_covariance(5)
@@ -357,7 +352,7 @@ class TestArrayPasses:
         assert tails.tobytes() == np.array(expected).tobytes()
         for i in (0, profile.xs.size // 2, profile.xs.size - 1):
             for j in range(0, r_grid.size, 5):
-                assert profile.tail(i, float(r_grid[j])) == expected[i][j]
+                assert profile.tails([r_grid[j]])[i, 0] == expected[i][j]
 
     def test_tails_over_a_tightened_bound(self, former_loops):
         # a passing run counts no violations; a bound a tenth as large makes

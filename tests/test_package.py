@@ -1,17 +1,40 @@
-"""The package's public surface: every exported name exists, and the
-README's library example runs as printed."""
+"""The package's public surface: every exported name exists, every public
+function and class is used, and the README's library example runs as
+printed."""
 
+import ast
 import re
 from pathlib import Path
 
 import subspec
 
+from test_traced_names import load_traced
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(subspec.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     assert [name for name in subspec.__all__ if not hasattr(subspec, name)] == []
     assert len(set(subspec.__all__)) == len(subspec.__all__)
+
+
+def test_every_public_definition_is_used():
+    # a use is a name or attribute reference in another module or elsewhere
+    # in its own, an export, or a name the benchmark tracer wraps; strings
+    # and docstrings do not count
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    used.update(subspec.__all__)
+    used.update(name for _, names in load_traced().values() for name in names)
+    unused = [f"subspec.{module}.{node.name}"
+              for module, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert unused == []
 
 
 def test_readme_library_example_runs(capsys):

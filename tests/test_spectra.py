@@ -63,6 +63,20 @@ class TestEval:
         for x in np.linspace(-3, 3, 50):
             assert f.eval_left(x) <= f.eval(x)
 
+    def test_eval_many_matches_scalar(self):
+        # the array evaluator that sup_distance, sup_distances and the
+        # chaining checks run, against eval and eval_left point by point
+        rng = np.random.default_rng(23)
+        for trial in range(200):
+            size = int(rng.integers(1, 30))
+            values = rng.integers(-4, 5, size) * 0.5 if trial % 2 else rng.standard_normal(size)
+            f = esd(Spectrum(np.sort(values)))
+            lo, hi = f.jumps[0], f.jumps[-1]
+            xs = np.concatenate([f.jumps, f.jumps - 1e-12, f.jumps + 1e-12,
+                                 [lo - 1.0, lo - 1e-12, hi + 1e-12, hi + 1.0]])
+            assert f.eval_many(xs).tolist() == [f.eval(float(x)) for x in xs]
+            assert f.eval_many(xs, left=True).tolist() == [f.eval_left(float(x)) for x in xs]
+
 
 class TestStepCdfValidation:
     def test_rejects_unsorted_jumps(self):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
 from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, gram, numerical_rank
 from subspec.montecarlo import pointwise_tail_bound
-from subspec.oracle import enumerate_subsets, subset_spectra
+from subspec.oracle import subset_spectra
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
 from subspec.spectra import esd, step_cdf, sup_distance
 from subspec.walk import (FunctionOnSn, WalkReport, _bitmasks, _set_rows, dirichlet_form,
@@ -294,7 +295,7 @@ def rank_step_reference(m, table, rel_tol=1e-7):
     np.ix_ blocks in permuted order, a zero-difference short-cut and one
     `numerical_rank` per difference, memoized on the two selections."""
     k = table.shape[1]
-    row_of = {s.indices: r for r, s in enumerate(enumerate_subsets(m.rows, k))}
+    row_of = {s: r for r, s in enumerate(itertools.combinations(range(1, m.rows + 1), k))}
 
     @functools.lru_cache(maxsize=None)
     def rank(sel_a, sel_b):
@@ -399,7 +400,7 @@ class TestRankStepCheck:
         table = rng.integers(-2, 3, size=(math.comb(n, k), k)) * 0.5
         table[(table == 0) & (rng.random(table.shape) < 0.5)] = -0.0
         table = np.sort(table, axis=1)
-        row_of = {s.indices: r for r, s in enumerate(enumerate_subsets(n, k))}
+        row_of = {s: r for r, s in enumerate(itertools.combinations(range(1, n + 1), k))}
         steps = [(perm_unrank(n, r), tau) for r in range(0, 720, 11)
                  for tau in transpositions(n)]
         expected = []
