@@ -5,6 +5,10 @@ success, 1 when a computation or verification fails, 2 for usage and
 configuration errors.  All outputs are UTF-8 text; JSON and CSV numbers are
 printed with 17 significant digits so reruns with the same configuration
 are byte-identical.
+
+Importing this module pins OpenBLAS to one thread before numpy loads, unless
+OPENBLAS_NUM_THREADS is set: the only BLAS calls are Gram products, small next
+to the Jacobi solves after them, so a worker thread would only spin.
 """
 
 from __future__ import annotations
@@ -12,9 +16,12 @@ from __future__ import annotations
 import argparse
 import json as _json
 import math
+import os
 import sys
 from statistics import median
 from typing import Sequence
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
 
 import numpy as np
 
@@ -55,11 +62,15 @@ def _to_json(obj, indent: int = 0) -> str:
         rows = [f"{child}{_json.dumps(str(key))}: {_to_json(value, indent + 1)}"
                 for key, value in obj.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = list(obj)
-        if not items:
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
             return "[]"
-        rows = [f"{child}{_to_json(value, indent + 1)}" for value in items]
+        if all(type(value) is float for value in obj):  # fast path for long float lists
+            rows = [f"{child}{value:.17g}" for value in obj]
+        else:
+            rows = [f"{child}{_to_json(value, indent + 1)}" for value in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
         return "true" if obj else "false"

@@ -51,12 +51,18 @@ def make_matrix(spec: EnsembleSpec) -> DenseMatrix:
     return load_matrix(spec.path)
 
 
+def _adopt(arr: np.ndarray) -> DenseMatrix:
+    """Hand a freshly built array to DenseMatrix, which keeps it uncopied."""
+    arr.setflags(write=False)
+    return DenseMatrix(arr)
+
+
 def rw_covariance(n: int) -> DenseMatrix:
     """Symmetric positive definite matrix with entry (i, j) = min(i, j), 1-based."""
     if n < 1:
         raise ValueError("n must be positive")
     idx = np.arange(1, n + 1, dtype=np.float64)
-    return DenseMatrix(np.minimum.outer(idx, idx))
+    return _adopt(np.minimum.outer(idx, idx))
 
 
 def half_ones_diagonal(n: int) -> DenseMatrix:
@@ -65,7 +71,7 @@ def half_ones_diagonal(n: int) -> DenseMatrix:
         raise ValueError("n must be positive")
     diag = np.zeros(n, dtype=np.float64)
     diag[: n // 2] = 1.0
-    return DenseMatrix(np.diag(diag))
+    return _adopt(np.diag(diag))
 
 
 def random_symmetric(n: int, seed: int, dist: str) -> DenseMatrix:
@@ -88,7 +94,7 @@ def random_symmetric(n: int, seed: int, dist: str) -> DenseMatrix:
                 v = 1.0 if rng.next_u64() >> 63 == 0 else -1.0
             m[i, j] = v
             m[j, i] = v
-    return DenseMatrix(m)
+    return _adopt(m)
 
 
 def _format_entry(value: complex | float, is_complex: bool) -> str:
@@ -156,4 +162,4 @@ def load_matrix(path: str | os.PathLike) -> DenseMatrix:
     if len(rows_read) != rows:
         raise ValueError(f"{path_str}: expected {rows} data rows, found {len(rows_read)}")
     dtype = np.complex128 if is_complex else np.float64
-    return DenseMatrix(np.array(rows_read, dtype=dtype))
+    return _adopt(np.array(rows_read, dtype=dtype))

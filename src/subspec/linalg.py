@@ -60,7 +60,9 @@ class DenseMatrix:
 
     `data` is a 2-D C-ordered numpy array, float64 for real matrices and
     complex128 for complex ones.  The array is copied on construction and
-    frozen, so values may be shared freely across threads.
+    frozen, so values may be shared freely across threads.  An array that
+    is already read-only, of that dtype, C-ordered and the owner of its data
+    is adopted without a copy: whoever hands it over gives up writing to it.
     """
 
     data: np.ndarray
@@ -69,10 +71,10 @@ class DenseMatrix:
         arr = np.asarray(self.data)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("matrix data must be 2-D and non-empty")
-        if np.iscomplexobj(arr):
-            arr = np.array(arr, dtype=np.complex128, order="C")
-        else:
-            arr = np.array(arr, dtype=np.float64, order="C")
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+        flags = arr.flags
+        if flags.writeable or not (flags.owndata and flags.c_contiguous) or arr.dtype != dtype:
+            arr = np.array(arr, dtype=dtype, order="C")
         if not np.all(np.isfinite(arr.view(np.float64) if arr.dtype == np.complex128 else arr)):
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)

@@ -6,11 +6,13 @@ lexicographic rank one digit at a time; `neighbor_table` and `subset_rows`
 are the former `walk` tables built from them with Python loops and
 tuple-keyed dicts.  `is_hermitian` and `exact_pointwise_tail` are the
 former one-matrix and one-point wrappers of `linalg` and `oracle`.
+`to_json` is the former one-call-per-value JSON formatter of `cli`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,3 +109,31 @@ def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact probability that |F_A(x) - F(x)| >= r under a uniform subset."""
     return float(exact_pointwise_profile(m, k, [x], mode, cap).tails([r])[0, 0])
+
+
+def to_json(obj, indent: int = 0) -> str:
+    """The CLI's JSON text, one recursive call per value: two-space indent,
+    one item per line, floats with 17 significant digits."""
+    pad = "  " * indent
+    child = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        rows = [f"{child}{json.dumps(str(key))}: {to_json(value, indent + 1)}"
+                for key, value in obj.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        items = list(obj)
+        if not items:
+            return "[]"
+        rows = [f"{child}{to_json(value, indent + 1)}" for value in items]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{float(obj):.17g}"
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))

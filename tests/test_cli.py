@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from subspec.cli import MAX_R_POINTS, main
+from subspec.cli import MAX_R_POINTS, _to_json, main
 from subspec.ensembles import load_matrix, rw_covariance, save_matrix
 from subspec.linalg import DenseMatrix
 from subspec.oracle import halfones_exact_mean
@@ -14,6 +14,8 @@ from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed, ra
                               subset_spectrum)
 from subspec.spectra import cdf_to_csv, esd, ks_two_sample
 from subspec.linalg import Spectrum
+
+import reference
 
 
 def run(*argv):
@@ -649,3 +651,30 @@ class TestByteIdenticalReruns:
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestJson:
+    """`_to_json` prints a list of Python floats in one pass and an array
+    through `.tolist()`; both must give the bytes of the one-call-per-value
+    formatter they bypass (`reference.to_json`)."""
+
+    CASES = [
+        [],
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0, -1e300],
+        [1.5, 2, True, False, None, "x", -0.0],
+        [np.float64(0.1), 0.2, np.float32(0.3), np.int64(-7), np.bool_(True), np.nan],
+        [np.float64(-0.0), np.float64(np.inf)],
+        [[], [0.5, -0.0], [[1.0], [2, 3.0]], (4.0, 5.0), ()],
+        {"a": [math.nan, 1e-310], "b": {}, "c": [], "d": (1.0,), "e": {"f": [2.0, 3]}},
+        np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324]]),
+        np.array([], dtype=np.float64),
+        np.zeros((0, 3)),
+        np.array([1, -2, 3], dtype=np.int16),
+        np.array([True, False]),
+        [np.array([0.25, 0.5]), np.arange(6.0).reshape(2, 3), np.array([[1, 2]])],
+    ]
+
+    @pytest.mark.parametrize("obj", CASES, ids=[str(i) for i in range(len(CASES))])
+    def test_matches_recursive_formatter(self, obj):
+        assert _to_json(obj) == reference.to_json(obj)
+        assert _to_json(obj, 2) == reference.to_json(obj, 2)

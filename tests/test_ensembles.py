@@ -128,6 +128,14 @@ class TestMatrixFiles:
             load_matrix(path)
 
 
+def test_ensembles_hand_over_their_arrays(tmp_path):
+    # DenseMatrix adopts a read-only array that owns its data, so no n x n copy is made
+    save_matrix(rw_covariance(3), tmp_path / "m.txt")
+    for m in (half_ones_diagonal(8), rw_covariance(5), random_symmetric(4, 1, "pm1"),
+              load_matrix(tmp_path / "m.txt")):
+        assert m.data.flags.owndata and not m.data.flags.writeable
+
+
 class TestEnsembleSpec:
     def test_dispatch(self):
         m = make_matrix(EnsembleSpec(kind="rw_covariance", n=4))

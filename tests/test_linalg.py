@@ -213,6 +213,33 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
+    def test_writable_input_is_copied(self):
+        a = np.eye(3)
+        m = DenseMatrix(a)
+        a[0, 0] = 5.0
+        a[1, 2] = -1.0
+        assert m.data.tolist() == np.eye(3).tolist()
+        assert not np.shares_memory(a, m.data)
+
+    def test_read_only_views_and_other_dtypes_are_copied(self):
+        base = np.eye(4)
+        view = base[:3, :3]
+        view.setflags(write=False)
+        ints = np.eye(3, dtype=np.int64)
+        ints.setflags(write=False)
+        columns = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        columns.setflags(write=False)
+        for arr in (view, ints, columns):
+            m = DenseMatrix(arr)
+            assert not np.shares_memory(arr, m.data)
+            assert m.data.dtype == np.float64 and m.data.flags.c_contiguous
+            assert m.data.tolist() == arr.tolist()
+
+    def test_read_only_owned_array_is_adopted(self):
+        for arr in (np.arange(6.0).reshape(2, 3).copy(), np.array([[1 + 2j, 3 - 4j]])):
+            arr.setflags(write=False)
+            assert DenseMatrix(arr).data is arr
+
 
 class TestIsHermitian:
     def test_identity_zero_tol(self):
