@@ -20,7 +20,7 @@ _EXPORTS = {
                "numerical_rank"),
     "spectra": ("StepCdf", "KsResult", "esd", "sup_distance", "ks_two_sample", "quantile_grid",
                 "cdf_to_csv"),
-    "ensembles": ("EnsembleSpec", "rw_covariance", "half_ones_diagonal", "random_symmetric",
+    "ensembles": ("make_matrix", "rw_covariance", "half_ones_diagonal", "random_symmetric",
                   "load_matrix", "save_matrix"),
     "sampling": ("SubsetSample", "Xoshiro256pp", "derive_sample_seed", "random_k_subset",
                  "draw_subsets", "principal_submatrix", "row_submatrix", "subset_spectrum"),
@@ -29,7 +29,7 @@ _EXPORTS = {
                    "pointwise_tail_bound"),
     "oracle": ("ExactDistribution", "exact_F", "exact_supnorm_distribution", "halfones_exact_mean",
                "chaining_check", "subset_spectra"),
-    "walk": ("FunctionOnSn", "WalkReport", "kernel_matrix", "verify_kernel", "spectral_gap",
+    "walk": ("FunctionOnSn", "kernel_matrix", "spectral_gap",
              "dirichlet_form", "variance_mu", "triple_norm", "esd_observable",
              "verify_triple_norm_bound", "verify_gap_concentration", "rank_step_check"),
 }

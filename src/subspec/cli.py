@@ -4,7 +4,8 @@ Subcommands: gen, estimate, pair, verify, oracle, ks.  Exit codes: 0 on
 success, 1 when a computation or verification fails, 2 for usage and
 configuration errors.  All outputs are UTF-8 text; JSON and CSV numbers are
 printed with 17 significant digits so reruns with the same configuration
-are byte-identical.
+are byte-identical; every CSV output goes through `_csv`.  The names that
+`--ensemble` and `gen` accept are the keys of `ensembles.ENSEMBLES`.
 
 Importing this module pins OpenBLAS to one thread before numpy loads, unless
 OPENBLAS_NUM_THREADS is set: the only BLAS calls are Gram products, small next
@@ -26,8 +27,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLA
 import numpy as np
 
 from . import walk
-from .ensembles import (EnsembleSpec, half_ones_diagonal, make_matrix, random_symmetric,
-                        rw_covariance, save_matrix)
+from .ensembles import (ENSEMBLES, half_ones_diagonal, load_matrix, make_matrix,
+                        random_symmetric, rw_covariance, save_matrix)
 from .linalg import DenseMatrix, Spectrum
 from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimate_supnorm,
                          pointwise_tail_bound, standard_metadata, supnorm_mean_bound,
@@ -37,20 +38,8 @@ from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_checks, mean_cdf, pointwi
 from .sampling import draw_subsets, solve_subsets
 from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf
 
-_ENSEMBLES = {
-    "rw-covariance": "rw_covariance",
-    "half-ones": "half_ones",
-    "random-gaussian": "random_symmetric_gaussian",
-    "random-pm1": "random_symmetric_pm1",
-}
-
-
 class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
-
-
-def _fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _to_json(obj, indent: int = 0) -> str:
@@ -77,10 +66,17 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        return f"{float(obj):.17g}"
     if obj is None:
         return "null"
     return _json.dumps(str(obj))
+
+
+def _csv(header: str, *columns) -> str:
+    """CSV text: the header line, then one line per row of the equal-length
+    columns, every number with 17 significant digits."""
+    lines = [header, *(",".join(f"{v:.17g}" for v in row) for row in zip(*columns))]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -97,21 +93,20 @@ def _resolve_matrix(args: argparse.Namespace) -> tuple[DenseMatrix, dict]:
     if args.matrix:
         if args.ensemble is not None or args.n is not None:
             raise UsageError("--matrix takes neither --ensemble nor --n")
-        m = make_matrix(EnsembleSpec(kind="file", path=args.matrix))
+        m = load_matrix(args.matrix)
         if args.mode == "eigen" and not m.is_square():  # ensembles are square
             raise UsageError("eigen mode needs a square matrix; use --mode singular")
         desc = {"matrix": args.matrix}
     else:
-        kind = _ENSEMBLES.get(args.ensemble or "")
-        if kind is None:
+        if args.ensemble is None:
             raise UsageError("need --matrix PATH or --ensemble NAME")
         if args.n is None or args.n < 1:
             raise UsageError("--ensemble requires a positive --n")
-        spec = EnsembleSpec(kind=kind, n=args.n, seed=args.matrix_seed or 0)
+        seed = args.matrix_seed or 0
         desc = {"ensemble": args.ensemble, "n": args.n}
-        if kind.startswith("random"):
-            desc["matrix_seed"] = spec.seed
-        m = make_matrix(spec)
+        if args.ensemble.startswith("random"):
+            desc["matrix_seed"] = seed
+        m = make_matrix(args.ensemble, args.n, seed)
     if not 1 <= args.k <= m.rows:
         raise UsageError("k must satisfy 1 <= k <= n")
     return m, desc
@@ -145,15 +140,11 @@ def _cap(text: str) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    kind = _ENSEMBLES.get(args.ensemble)
-    if kind is None:
-        raise UsageError(f"unknown ensemble {args.ensemble!r}")
     if args.n < 1:
         raise UsageError("--n must be positive")
-    if args.seed is not None and not kind.startswith("random"):
+    if args.seed is not None and not args.ensemble.startswith("random"):
         raise UsageError("--seed takes a random ensemble")
-    matrix = make_matrix(EnsembleSpec(kind=kind, n=args.n, seed=args.seed or 0))
-    save_matrix(matrix, args.out)
+    save_matrix(make_matrix(args.ensemble, args.n, args.seed or 0), args.out)
     return 0
 
 
@@ -169,7 +160,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     curve = empirical_tail(report, r_grid)
     violations = compare_tail(curve)
     if args.format == "csv":
-        _emit(curve.to_csv(), args.out)
+        _emit(_csv("r,empirical,bound,stderr", curve.r_grid, curve.empirical, curve.bound,
+                   curve.stderr()), args.out)
         return 0
     doc = {
         "config": {
@@ -214,11 +206,8 @@ def cmd_pair(args: argparse.Namespace) -> int:
                         for q in (0.1, 0.25, 0.5, 0.75, 0.9)},
     }
     if args.format == "csv":
-        lines = ["pair,D,lambda,p"]
-        for i, r in enumerate(results):
-            lines.append(f"{i},{_fmt_float(r.statistic)},{_fmt_float(r.lam)},"
-                         f"{_fmt_float(r.p_value)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_csv("pair,D,lambda,p", range(args.pairs), [r.statistic for r in results],
+                   [r.lam for r in results], [r.p_value for r in results]), args.out)
         return 0
     doc = {
         "config": {
@@ -248,11 +237,18 @@ def _spectrum_grid(full: StepCdf, points: int) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def run_verification(n_values: Sequence[int], corrupt: bool = False,
-                     rng_seed: int = 20260808) -> dict:
+# seeds the random permutations of the rank steps and the chaining pairs
+VERIFY_SEED = 20260808
+
+
+def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
     """The inequality suite: kernel sanity, spectral gap, one-step norm
-    budget, gap concentration, rank steps, exact tails, chaining."""
+    budget, gap concentration, rank steps, exact tails, chaining.
+
+    Each n's walk report holds the clean kernel's errors and its gap; with
+    `corrupt`, the kernel-validity check alone sees the altered kernel."""
     checks: list[dict] = []
+    walk_reports: list[dict] = []
 
     def record(name: str, measured: float, required: float, ok: bool, **extra) -> None:
         checks.append({"check": name, "measured": measured, "required": required,
@@ -260,10 +256,10 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
 
     for n in n_values:
         kernel = walk.kernel_matrix(n)
+        row_err, rev_err, inv_err = clean = walk.kernel_errors(kernel)
         if corrupt:
-            kernel = kernel.copy()
             kernel[0, 1] *= 1.5
-        row_err, rev_err, inv_err = walk.kernel_errors(kernel)
+            row_err, rev_err, inv_err = walk.kernel_errors(kernel)
         record(f"kernel-validity-n{n}", max(row_err, rev_err, inv_err), 1e-14,
                max(row_err, rev_err, inv_err) <= 1e-14,
                row_sum_error=row_err, reversibility_error=rev_err,
@@ -272,6 +268,9 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
         gap = walk.spectral_gap(n)
         record(f"spectral-gap-n{n}", abs(gap - 2.0 / n), gap_tol,
                abs(gap - 2.0 / n) <= gap_tol, gap=gap, gap_theory=2.0 / n)
+        walk_reports.append({"n": n, "row_sum_error": clean[0],
+                             "reversibility_error": clean[1], "invariance_error": clean[2],
+                             "gap": gap, "gap_theory": 2.0 / n})
 
         matrices = {
             "rw-covariance": rw_covariance(n),
@@ -279,7 +278,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
             "random": random_symmetric(n, 101, "gaussian"),
         }
         r_grid = np.linspace(0.0, 5.0, 26)
-        rng = np.random.default_rng(rng_seed + n)
+        rng = np.random.default_rng(VERIFY_SEED + n)
         for label, matrix in matrices.items():
             tables = {k: subset_spectra(matrix, k) for k in range(1, n)}
             exact = {k: mean_cdf(table) for k, table in tables.items()}
@@ -324,7 +323,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
                 record(f"exact-pointwise-tail-n{n}-k{k}-{label}", pw_violations, 0.0,
                        pw_violations == 0)
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(VERIFY_SEED)
     chain_violations = 0
     for _ in range(200):
         f = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
@@ -334,7 +333,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False,
 
     return {"n_values": list(n_values), "corrupt": corrupt,
             "metadata": standard_metadata(),
-            "walk_reports": [walk.verify_kernel(n).to_dict() for n in n_values],
+            "walk_reports": walk_reports,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
@@ -359,7 +358,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     reference = mean_cdf(table)
     dist = supnorm_law(table, reference)
     if args.format == "csv":
-        _emit(dist.to_csv(), args.out)
+        _emit(_csv("value,probability", dist.values, dist.probs), args.out)
         return 0
     doc = {
         "config": {
@@ -395,9 +394,8 @@ def cmd_ks(args: argparse.Namespace) -> int:
         cdf_b = cdf_from_csv(fh.read())
     result = ks_two_sample(cdf_a, cdf_b, args.na, args.nb)
     if args.format == "csv":
-        _emit("D,lambda,p\n"
-              f"{_fmt_float(result.statistic)},{_fmt_float(result.lam)},"
-              f"{_fmt_float(result.p_value)}\n", args.out)
+        _emit(_csv("D,lambda,p", [result.statistic], [result.lam], [result.p_value]),
+              args.out)
         return 0
     doc = {"config": {"subcommand": "ks", "cdf_a": args.cdf_a, "cdf_b": args.cdf_b,
                       "na": args.na, "nb": args.nb},
@@ -408,7 +406,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
 
 def _add_matrix_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--matrix", help="path to a matrix file")
-    sub.add_argument("--ensemble", choices=sorted(_ENSEMBLES),
+    sub.add_argument("--ensemble", choices=sorted(ENSEMBLES),
                      help="built-in matrix family")
     sub.add_argument("--n", type=int, help="matrix order for --ensemble")
     sub.add_argument("--matrix-seed", type=_seed,
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("gen", help="write a matrix file")
-    p.add_argument("ensemble", choices=sorted(_ENSEMBLES))
+    p.add_argument("ensemble", choices=sorted(ENSEMBLES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_seed,
                    help="seed for random ensembles (default 0)")

@@ -1,5 +1,10 @@
 """Constructors for named test matrices and the text matrix-file format.
 
+`ENSEMBLES` is the one list of named ensembles: it maps each CLI name to
+a builder (n, seed) -> n x n DenseMatrix, and `make_matrix` builds from
+it.  Only the builders of the names that start with "random" read the
+seed; the CLI relies on that prefix to accept a seed option.
+
 File format: the first non-comment line is "rows cols field" with field
 "real" or "complex", followed by one line per row with whitespace-separated
 entries; a complex entry is "re,im" with no spaces.  Lines starting with
@@ -10,45 +15,11 @@ round-trips float64 exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DenseMatrix
 from .sampling import Xoshiro256pp
-
-ENSEMBLE_KINDS = ("rw_covariance", "half_ones", "random_symmetric_gaussian",
-                  "random_symmetric_pm1", "file")
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Names one input matrix: a built-in family, a random family, or a file."""
-
-    kind: str
-    n: int = 0
-    seed: int = 0
-    path: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in ENSEMBLE_KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.kind != "file" and self.n < 1:
-            raise ValueError("n must be positive")
-        if self.kind == "file" and not self.path:
-            raise ValueError("file ensembles need a path")
-
-
-def make_matrix(spec: EnsembleSpec) -> DenseMatrix:
-    if spec.kind == "rw_covariance":
-        return rw_covariance(spec.n)
-    if spec.kind == "half_ones":
-        return half_ones_diagonal(spec.n)
-    if spec.kind == "random_symmetric_gaussian":
-        return random_symmetric(spec.n, spec.seed, "gaussian")
-    if spec.kind == "random_symmetric_pm1":
-        return random_symmetric(spec.n, spec.seed, "pm1")
-    return load_matrix(spec.path)
 
 
 def _adopt(arr: np.ndarray) -> DenseMatrix:
@@ -95,6 +66,23 @@ def random_symmetric(n: int, seed: int, dist: str) -> DenseMatrix:
             m[i, j] = v
             m[j, i] = v
     return _adopt(m)
+
+
+# CLI name -> builder (n, seed); each looks its constructor up when called
+ENSEMBLES = {
+    "rw-covariance": lambda n, seed: rw_covariance(n),
+    "half-ones": lambda n, seed: half_ones_diagonal(n),
+    "random-gaussian": lambda n, seed: random_symmetric(n, seed, "gaussian"),
+    "random-pm1": lambda n, seed: random_symmetric(n, seed, "pm1"),
+}
+
+
+def make_matrix(name: str, n: int, seed: int = 0) -> DenseMatrix:
+    """The order-n matrix of the named ensemble of `ENSEMBLES`.  Raises
+    ValueError for an unknown name or n < 1."""
+    if name not in ENSEMBLES:
+        raise ValueError(f"unknown ensemble {name!r}")
+    return ENSEMBLES[name](n, seed)
 
 
 def _format_entry(value: complex | float, is_complex: bool) -> str:

@@ -128,15 +128,10 @@ def _hermitian_gaps(stack: np.ndarray) -> np.ndarray:
     return np.abs(diff, out=diff if diff.dtype == np.float64 else None).max(axis=(1, 2))
 
 
-def require_hermitian(m: DenseMatrix) -> None:
-    """Raise ValueError("not Hermitian") unless M is Hermitian to within
-    1e-10 times its largest entry (or 1e-10 for the zero matrix)."""
-    _require_hermitian_stack(m.data[None])
-
-
 def _require_hermitian_stack(stack: np.ndarray) -> None:
-    """`require_hermitian` for every matrix of a (B, k, k) stack, each
-    against its own largest entry."""
+    """Raise ValueError("not Hermitian") unless every matrix of a (B, k, k)
+    stack is Hermitian to within 1e-10 times its own largest entry (or
+    1e-10 for a zero matrix)."""
     gaps = _hermitian_gaps(stack)
     scale = np.abs(stack).max(axis=(1, 2))
     if np.any(gaps > 1e-10 * np.where(scale > 0, scale, 1.0)):
@@ -185,7 +180,7 @@ def principal_block_solver(m: DenseMatrix) -> BlockSolver:
         bits = m.data.view(np.int64)
         symmetric = np.array_equal(bits, bits.T)
     if not symmetric:
-        require_hermitian(m)
+        _require_hermitian_stack(m.data[None])
     solve = _symmetric_eigenvalues if symmetric else eigenvalues_hermitian_stack
     return BlockSolver("symmetric" if symmetric else "hermitian",
                        lambda idx: solve(gather_submatrices(m, idx, "eigen")),

@@ -94,12 +94,6 @@ class TailCurve:
             "n_samples": self.n_samples,
         }
 
-    def to_csv(self) -> str:
-        lines = ["r,empirical,bound,stderr"]
-        for r, e, b, se in zip(self.r_grid, self.empirical, self.bound, self.stderr()):
-            lines.append(f"{r:.17g},{e:.17g},{b:.17g},{se:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class EstimateReport:

@@ -72,12 +72,6 @@ class ExactDistribution:
         """Exact probability of a value >= threshold."""
         return math.fsum(self.probs[self.values >= threshold].tolist())
 
-    def to_csv(self) -> str:
-        lines = ["value,probability"]
-        for v, p in zip(self.values, self.probs):
-            lines.append(f"{v:.17g},{p:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def subset_table(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """(C(n, k), k) array of all k-subsets of {1..n} in lexicographic order,

@@ -7,7 +7,9 @@ One step holds with probability 1/n or composes on the right with a
 uniformly random transposition (probability 2/n^2 each), i.e. swaps two
 positions of the one-line word.  The uniform measure is invariant and the
 kernel is symmetric, so everything reversible-chain-shaped can be checked
-by direct matrix inspection.
+by direct matrix inspection: `kernel_errors` gives the row-sum,
+detailed-balance and invariance errors of a dense `kernel_matrix`, and
+`spectral_gap` its gap; the CLI's `verify` reports these per n.
 
 Every other table is derived from `permutations(n)` with array
 operations.  `neighbor_table` reads each row as a base-n numeral; these
@@ -50,6 +52,8 @@ from .oracle import pointwise_profile, subset_table
 
 _MAX_DENSE_N = 6
 _MAX_PERM_N = 8
+# the rel_tol at which `rank_step_check` ranks its one-step differences
+RANK_STEP_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -67,34 +71,6 @@ class FunctionOnSn:
             raise ValueError("values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class WalkReport:
-    """Kernel sanity numbers and the measured spectral gap for one n."""
-
-    n: int
-    row_sum_error: float
-    reversibility_error: float
-    invariance_error: float
-    gap: float
-    gap_theory: float
-
-    def __post_init__(self) -> None:
-        if min(self.row_sum_error, self.reversibility_error, self.invariance_error) < 0:
-            raise ValueError("error fields must be nonnegative")
-        if not self.gap > 0:
-            raise ValueError("gap must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "row_sum_error": self.row_sum_error,
-            "reversibility_error": self.reversibility_error,
-            "invariance_error": self.invariance_error,
-            "gap": self.gap,
-            "gap_theory": self.gap_theory,
-        }
 
 
 def transpositions(n: int) -> list[tuple[int, int]]:
@@ -164,11 +140,6 @@ def spectral_gap(n: int) -> float:
     expensive one)."""
     spectrum = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n)))
     return 1.0 - float(spectrum.values[-2])
-
-
-def verify_kernel(n: int) -> WalkReport:
-    errors = kernel_errors(kernel_matrix(n))
-    return WalkReport(n, *errors, gap=spectral_gap(n), gap_theory=2.0 / n)
 
 
 def _neighbor_diffs(f: FunctionOnSn) -> np.ndarray:
@@ -276,8 +247,7 @@ def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
 
 def rank_step_check(m: DenseMatrix, table: np.ndarray,
                     sigmas: Sequence[Sequence[int]],
-                    taus: Sequence[tuple[int, int]], rel_tol: float = 1e-7
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    taus: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     """Walk steps sigma -> sigma tau seen through the submatrix, for
     k = table.shape[1]: per step, the rank of A(sigma) - A(sigma tau) and
     the sup-norm gap of the two ESDs, as (ranks, gaps) arrays.  Each sigma
@@ -286,7 +256,8 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
 
     The submatrices keep the permutation's own row/column order; that is what
     confines the difference to one changed position (rank at most 2).  All
-    differences are gathered into one stack and ranked together.  The ESDs
+    differences are gathered into one stack and ranked together, with
+    `numerical_rank_stack` at rel_tol `RANK_STEP_REL_TOL`.  The ESDs
     are rows of `table`, `subset_spectra(m, k)`, so a step that keeps the
     selected set has gap exactly 0.  Each gap is the same float as
     `sup_distance(step_cdf(a), step_cdf(b))` of the step's two rows.
@@ -311,7 +282,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     after[steps, j] = before[steps, i]
     diff = (gather_submatrices(m, before[:, :k], "eigen")
             - gather_submatrices(m, after[:, :k], "eigen"))
-    ranks = numerical_rank_stack(diff, rel_tol)
+    ranks = numerical_rank_stack(diff, RANK_STEP_REL_TOL)
     a, b = (table[lookup[_bitmasks(perms[:, :k])]] for perms in (before, after))
     # both ESDs at every entry of either row, as the c/k floats sup_distance
     # compares; on the union of the jumps every left limit is the value at

@@ -4,9 +4,12 @@ kept as the oracles the array paths are compared with.
 `perm_rank`, `perm_unrank` and `PermIndex` address a permutation by its
 lexicographic rank one digit at a time; `neighbor_table` and `subset_rows`
 are the former `walk` tables built from them with Python loops and
-tuple-keyed dicts.  `is_hermitian` and `exact_pointwise_tail` are the
-former one-matrix and one-point wrappers of `linalg` and `oracle`.
-`to_json` is the former one-call-per-value JSON formatter of `cli`.
+tuple-keyed dicts.  `is_hermitian`, `require_hermitian` and
+`exact_pointwise_tail` are the former one-matrix and one-point wrappers of
+`linalg` and `oracle`.  `to_json` is the former one-call-per-value JSON
+formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv` and
+`ks_csv` are the former one-line-at-a-time CSV writers of `estimate`,
+`oracle`, `pair` and `ks`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from subspec.linalg import DenseMatrix, _hermitian_gaps
+from subspec.linalg import DenseMatrix, _hermitian_gaps, _require_hermitian_stack
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
 
 MAX_PERM_N = 8
@@ -104,6 +107,12 @@ def is_hermitian(m: DenseMatrix, tol: float) -> bool:
     return float(_hermitian_gaps(m.data[None])[0]) <= tol
 
 
+def require_hermitian(m: DenseMatrix) -> None:
+    """Raise ValueError("not Hermitian") unless M is Hermitian to within
+    1e-10 times its largest entry (or 1e-10 for the zero matrix)."""
+    _require_hermitian_stack(m.data[None])
+
+
 def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,
                          mode: str = "eigen",
                          cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -137,3 +146,35 @@ def to_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return json.dumps(str(obj))
+
+
+def tail_csv(curve) -> str:
+    """`estimate --format csv` of a `TailCurve`, one line per r point."""
+    lines = ["r,empirical,bound,stderr"]
+    for r, e, b, se in zip(curve.r_grid, curve.empirical, curve.bound, curve.stderr()):
+        lines.append(f"{r:.17g},{e:.17g},{b:.17g},{se:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def distribution_csv(dist) -> str:
+    """`oracle --format csv` of an `ExactDistribution`, one line per value."""
+    lines = ["value,probability"]
+    for v, p in zip(dist.values, dist.probs):
+        lines.append(f"{v:.17g},{p:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def pair_csv(results) -> str:
+    """`pair --format csv` of a list of `KsResult`, one line per pair."""
+    lines = ["pair,D,lambda,p"]
+    for i, r in enumerate(results):
+        lines.append(f"{i},{float(r.statistic):.17g},{float(r.lam):.17g},"
+                     f"{float(r.p_value):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def ks_csv(result) -> str:
+    """`ks --format csv` of one `KsResult`."""
+    return ("D,lambda,p\n"
+            f"{float(result.statistic):.17g},{float(result.lam):.17g},"
+            f"{float(result.p_value):.17g}\n")

@@ -6,14 +6,16 @@ import time
 import numpy as np
 import pytest
 
-from subspec.cli import MAX_R_POINTS, _to_json, main
+from subspec.cli import MAX_R_POINTS, _to_json, main, run_verification
 from subspec.ensembles import load_matrix, rw_covariance, save_matrix
 from subspec.linalg import DenseMatrix
-from subspec.oracle import halfones_exact_mean
+from subspec.montecarlo import TailCurve
+from subspec.oracle import ExactDistribution, halfones_exact_mean
 from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed, random_k_subset,
                               subset_spectrum)
-from subspec.spectra import cdf_to_csv, esd, ks_two_sample
+from subspec.spectra import KsResult, cdf_to_csv, esd, ks_two_sample
 from subspec.linalg import Spectrum
+from subspec.walk import kernel_errors, kernel_matrix
 
 import reference
 
@@ -284,6 +286,26 @@ class TestVerify:
         assert rc == 1
         doc = json.loads(out.read_text())
         assert doc["pass"] is False
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_walk_reports_match_checks(self, corrupt):
+        # each n's walk report holds the numbers of its kernel-validity and
+        # spectral-gap checks; a corrupted kernel fails its check while the
+        # report keeps the clean kernel's errors
+        report = run_verification([3, 4], corrupt=corrupt)
+        checks = {c["check"]: c for c in report["checks"]}
+        keys = ["row_sum_error", "reversibility_error", "invariance_error"]
+        assert [r["n"] for r in report["walk_reports"]] == [3, 4]
+        for entry in report["walk_reports"]:
+            n = entry["n"]
+            assert list(entry) == ["n", *keys, "gap", "gap_theory"]
+            kernel, gap = checks[f"kernel-validity-n{n}"], checks[f"spectral-gap-n{n}"]
+            assert (entry["gap"], entry["gap_theory"]) == (gap["gap"], gap["gap_theory"])
+            clean = [entry[key] for key in keys]
+            assert clean == list(kernel_errors(kernel_matrix(n)))
+            assert max(clean) <= 1e-14
+            assert kernel["pass"] is not corrupt
+            assert ([kernel[key] for key in keys] == clean) is not corrupt
 
     def test_failed_one_step_norm_is_reported(self, tmp_path, monkeypatch):
         # a one-step norm far over budget fails its checks in the report
@@ -678,3 +700,50 @@ class TestJson:
     def test_matches_recursive_formatter(self, obj):
         assert _to_json(obj) == reference.to_json(obj)
         assert _to_json(obj, 2) == reference.to_json(obj, 2)
+
+
+class TestCsv:
+    """Every CSV output goes through `cli._csv`; each must give the bytes of
+    the one-line-at-a-time writer it replaced (`reference.*_csv`), also on
+    -0.0, the smallest subnormal and two-digit pair indices."""
+
+    CURVE = TailCurve(np.array([-0.0, 5e-324, 1.0 / 3.0, 2.0]),
+                      np.array([1.0, 1.0 / 3.0, 5e-324, -0.0]),
+                      np.array([1.0, 0.7, 1e-300, 0.0]), 3)
+    LAW = ExactDistribution(np.array([-0.0, 5e-324, 1.0 / 3.0]),
+                            np.array([0.5, 5e-324, 0.5]))
+    RESULTS = [KsResult(-0.0, -0.0, 1.0), KsResult(5e-324, 5e-324, 1.0),
+               KsResult(1.0 / 3.0, 0.7453559924999299, 0.6), KsResult(1.0, 2.0, 5e-324)] * 3
+
+    def run_csv(self, tmp_path, *argv):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--format", "csv", "--out", str(out)) == 0
+        return out.read_text()
+
+    def test_estimate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("subspec.cli.empirical_tail", lambda report, r_grid: self.CURVE)
+        text = self.run_csv(tmp_path, "estimate", "--ensemble", "half-ones", "--n", "6",
+                            "--k", "2", "--samples", "10")
+        assert text == reference.tail_csv(self.CURVE)
+
+    def test_oracle(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("subspec.cli.supnorm_law", lambda table, ref: self.LAW)
+        text = self.run_csv(tmp_path, "oracle", "--ensemble", "half-ones", "--n", "4",
+                            "--k", "2")
+        assert text == reference.distribution_csv(self.LAW)
+
+    def test_pair(self, tmp_path, monkeypatch):
+        results = iter(self.RESULTS)
+        monkeypatch.setattr("subspec.cli.ks_two_sample", lambda *args: next(results))
+        text = self.run_csv(tmp_path, "pair", "--ensemble", "rw-covariance", "--n", "8",
+                            "--k", "3", "--exclude-top", "0", "--pairs", "12")
+        assert len(text.splitlines()) == 13
+        assert text == reference.pair_csv(self.RESULTS)
+
+    @pytest.mark.parametrize("result", RESULTS[:4], ids=["-0", "5e-324", "third", "one"])
+    def test_ks(self, tmp_path, monkeypatch, result):
+        monkeypatch.setattr("subspec.cli.ks_two_sample", lambda *args: result)
+        cdf = tmp_path / "a.csv"
+        cdf.write_text(cdf_to_csv(esd(Spectrum(np.array([0.0, 1.0])))))
+        text = self.run_csv(tmp_path, "ks", str(cdf), str(cdf), "--na", "2", "--nb", "2")
+        assert text == reference.ks_csv(result)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from subspec.ensembles import (EnsembleSpec, half_ones_diagonal, load_matrix,
-                               make_matrix, random_symmetric, rw_covariance,
-                               save_matrix)
+from subspec.cli import build_parser
+from subspec.ensembles import (ENSEMBLES, half_ones_diagonal, load_matrix, make_matrix,
+                               random_symmetric, rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, eigenvalues_hermitian
 
 from reference import is_hermitian
@@ -136,15 +136,43 @@ def test_ensembles_hand_over_their_arrays(tmp_path):
         assert m.data.flags.owndata and not m.data.flags.writeable
 
 
-class TestEnsembleSpec:
-    def test_dispatch(self):
-        m = make_matrix(EnsembleSpec(kind="rw_covariance", n=4))
-        assert m.data[3, 1] == 2.0
+class TestEnsembleTable:
+    # each CLI name and the constructor call it stands for
+    BUILT = {
+        "rw-covariance": lambda n, seed: rw_covariance(n),
+        "half-ones": lambda n, seed: half_ones_diagonal(n),
+        "random-gaussian": lambda n, seed: random_symmetric(n, seed, "gaussian"),
+        "random-pm1": lambda n, seed: random_symmetric(n, seed, "pm1"),
+    }
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(kind="nope", n=3)
-        with pytest.raises(ValueError):
-            EnsembleSpec(kind="rw_covariance", n=0)
-        with pytest.raises(ValueError):
-            EnsembleSpec(kind="file")
+    def test_names(self):
+        assert sorted(ENSEMBLES) == sorted(self.BUILT)
+
+    @pytest.mark.parametrize("name", sorted(ENSEMBLES))
+    def test_builds_its_constructor(self, name):
+        for n, seed in ((1, 0), (2, 5), (7, 3)):
+            m = make_matrix(name, n, seed)
+            assert m.data.shape == (n, n)
+            assert m.data.tobytes() == self.BUILT[name](n, seed).data.tobytes()
+        assert make_matrix(name, 6).data.tobytes() == make_matrix(name, 6, 0).data.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(ENSEMBLES))
+    def test_only_random_names_read_the_seed(self, name):
+        # the CLI accepts a seed option for exactly the names with this prefix
+        one, two = make_matrix(name, 6, 1), make_matrix(name, 6, 2)
+        assert (one.data.tobytes() != two.data.tobytes()) == name.startswith("random")
+
+    def test_cli_choices_are_the_table(self):
+        subcommands = next(action.choices for action in build_parser()._actions
+                           if action.dest == "subcommand")
+        choices = {name: action.choices for name, sub in subcommands.items()
+                   for action in sub._actions if action.dest == "ensemble"}
+        assert sorted(choices) == ["estimate", "gen", "oracle", "pair"]
+        assert all(sorted(c) == sorted(ENSEMBLES) for c in choices.values())
+
+    def test_rejects_unknown_name_and_empty_order(self):
+        with pytest.raises(ValueError, match="unknown ensemble 'nope'"):
+            make_matrix("nope", 3)
+        for name in ENSEMBLES:
+            with pytest.raises(ValueError, match="n must be positive"):
+                make_matrix(name, 0)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from subspec.cli import main as cli_main
 from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
                                rw_covariance, save_matrix)
-from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, require_hermitian
+from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian
 from subspec import montecarlo as montecarlo_mod
 from subspec.montecarlo import (TailCurve, choose_reference, compare_tail,
                                 empirical_tail, estimate_F, estimate_supnorm,
@@ -16,6 +17,8 @@ from subspec import sampling as sampling_mod
 from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed, draw_subsets,
                               random_k_subset, solve_subsets, subset_spectrum)
 from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
+
+from reference import require_hermitian
 
 
 class TestBounds:
@@ -379,11 +382,20 @@ class TestEmpiricalTail:
         curve = empirical_tail(report, np.linspace(0.0, 2.0, 9))
         assert np.all(curve.empirical == 0.0)
 
-    def test_csv_shape(self):
-        curve = empirical_tail(self.make_report(), np.linspace(0.0, 1.0, 5))
-        lines = curve.to_csv().splitlines()
+    def test_csv_shape(self, tmp_path):
+        # the CLI's CSV of the same run: a header and one row per r point,
+        # holding the curve's floats
+        out = tmp_path / "tail.csv"
+        assert cli_main(["estimate", "--ensemble", "half-ones", "--n", "8", "--k", "2",
+                         "--samples", "2000", "--seed", "23", "--r-max", "1",
+                         "--r-points", "5", "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
         assert lines[0] == "r,empirical,bound,stderr"
         assert len(lines) == 6
+        curve = empirical_tail(self.make_report(), np.linspace(0.0, 1.0, 5))
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        columns = np.column_stack((curve.r_grid, curve.empirical, curve.bound, curve.stderr()))
+        assert rows.tobytes() == columns.tobytes()
 
 
 class TestCompareTail:

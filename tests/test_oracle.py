@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from subspec.cli import main as cli_main
 from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
                                rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, Spectrum
@@ -292,11 +293,18 @@ class TestExactDistribution:
         assert abs(dist.mean() - 0.125) <= 1e-15
         assert abs(dist.variance() - (0.75 * 0.125**2 + 0.25 * 0.375**2)) <= 1e-15
 
-    def test_csv(self):
-        dist = ExactDistribution(np.array([0.0, 0.5]), np.array([0.75, 0.25]))
-        lines = dist.to_csv().splitlines()
+    def test_csv(self, tmp_path):
+        # the CLI's CSV of an exact law: a header and one (value, probability)
+        # row per value, holding the law's floats
+        out = tmp_path / "law.csv"
+        assert cli_main(["oracle", "--ensemble", "half-ones", "--n", "4", "--k", "2",
+                         "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
         assert lines[0] == "value,probability"
-        assert len(lines) == 3
+        dist = exact_supnorm_distribution(half_ones_diagonal(4), 2)
+        assert len(lines) == 1 + dist.values.size
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.tobytes() == np.column_stack((dist.values, dist.probs)).tobytes()
 
 
 def lattice_table(rng, rows, k):

@@ -1,12 +1,16 @@
 """The package's public surface: every exported name exists, every public
-function and class is used, and the README's library example runs as
-printed."""
+function and class is used, the README's library example runs as printed,
+and its command lines parse."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import subspec
+from subspec.cli import build_parser
 
 from test_traced_names import load_traced
 
@@ -43,3 +47,27 @@ def test_readme_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 and "<=" in printed[0]
+
+
+def readme_command_lines():
+    """Each `subspec ...` line of README's "Command line" block, with its
+    backslash continuations joined and its comment dropped, as an argv."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("subspec ")]
+
+
+def test_readme_covers_every_subcommand():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if action.dest == "subcommand")
+    assert sorted({argv[1] for argv in readme_command_lines()}) == sorted(subcommands)
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    # parse only: a renamed flag or ensemble fails here, nothing is run
+    assert argv[0] == "subspec"
+    args = build_parser().parse_args(argv[1:])
+    assert args.subcommand == argv[1]

@@ -11,12 +11,11 @@ from subspec.montecarlo import pointwise_tail_bound
 from subspec.oracle import subset_spectra
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
 from subspec.spectra import esd, step_cdf, sup_distance
-from subspec.walk import (FunctionOnSn, WalkReport, _bitmasks, _set_rows, dirichlet_form,
+from subspec.walk import (FunctionOnSn, _bitmasks, _set_rows, dirichlet_form,
                           esd_observable, esd_observable_grid, gap_concentration_bound,
                           kernel_errors, kernel_matrix, neighbor_table, permutations,
                           rank_step_check, spectral_gap, transpositions, triple_norm,
-                          variance_mu, verify_gap_concentration, verify_kernel,
-                          verify_triple_norm_bound)
+                          variance_mu, verify_gap_concentration, verify_triple_norm_bound)
 
 import reference
 from reference import PermIndex, perm_rank, perm_unrank
@@ -129,15 +128,6 @@ class TestSpectralGap:
         assert abs(spectral_gap(2) - 1.0) <= 1e-10
         assert abs(spectral_gap(3) - 2 / 3) <= 1e-8
         assert abs(spectral_gap(4) - 1 / 2) <= 1e-8
-
-    def test_verify_kernel_report(self):
-        report = verify_kernel(3)
-        assert isinstance(report, WalkReport)
-        assert report.gap_theory == 2 / 3
-        assert max(report.row_sum_error, report.reversibility_error,
-                   report.invariance_error) <= 1e-14
-        doc = report.to_dict()
-        assert doc["n"] == 3 and doc["gap"] > 0
 
 
 class TestDirichletAndVariance:
