@@ -4,8 +4,9 @@ Subcommands: gen, estimate, pair, verify, oracle, ks.  Exit codes: 0 on
 success, 1 when a computation or verification fails, 2 for usage and
 configuration errors.  All outputs are UTF-8 text; JSON and CSV numbers are
 printed with 17 significant digits so reruns with the same configuration
-are byte-identical; every CSV output goes through `_csv`.  The names that
-`--ensemble` and `gen` accept are the keys of `ensembles.ENSEMBLES`.
+are byte-identical; every CSV output goes through `spectra.to_csv`.  The
+names that `--ensemble` and `gen` accept are the keys of
+`ensembles.ENSEMBLES`.
 
 Importing this module pins OpenBLAS to one thread before numpy loads, unless
 OPENBLAS_NUM_THREADS is set: the only BLAS calls are Gram products, small next
@@ -36,7 +37,7 @@ from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimat
 from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_checks, mean_cdf, pointwise_profile,
                      subset_spectra, supnorm_law)
 from .sampling import draw_subsets, solve_subsets
-from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf
+from .spectra import StepCdf, cdf_from_csv, esd, ks_two_sample, step_cdf, to_csv
 
 class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
@@ -70,13 +71,6 @@ def _to_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     return _json.dumps(str(obj))
-
-
-def _csv(header: str, *columns) -> str:
-    """CSV text: the header line, then one line per row of the equal-length
-    columns, every number with 17 significant digits."""
-    lines = [header, *(",".join(f"{v:.17g}" for v in row) for row in zip(*columns))]
-    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -160,8 +154,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     curve = empirical_tail(report, r_grid)
     violations = compare_tail(curve)
     if args.format == "csv":
-        _emit(_csv("r,empirical,bound,stderr", curve.r_grid, curve.empirical, curve.bound,
-                   curve.stderr()), args.out)
+        _emit(to_csv("r,empirical,bound,stderr", curve.r_grid, curve.empirical, curve.bound,
+                     curve.stderr()), args.out)
         return 0
     doc = {
         "config": {
@@ -206,8 +200,8 @@ def cmd_pair(args: argparse.Namespace) -> int:
                         for q in (0.1, 0.25, 0.5, 0.75, 0.9)},
     }
     if args.format == "csv":
-        _emit(_csv("pair,D,lambda,p", range(args.pairs), [r.statistic for r in results],
-                   [r.lam for r in results], [r.p_value for r in results]), args.out)
+        _emit(to_csv("pair,D,lambda,p", range(args.pairs), [r.statistic for r in results],
+                     [r.lam for r in results], [r.p_value for r in results]), args.out)
         return 0
     doc = {
         "config": {
@@ -358,7 +352,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     reference = mean_cdf(table)
     dist = supnorm_law(table, reference)
     if args.format == "csv":
-        _emit(_csv("value,probability", dist.values, dist.probs), args.out)
+        _emit(to_csv("value,probability", dist.values, dist.probs), args.out)
         return 0
     doc = {
         "config": {
@@ -394,7 +388,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
         cdf_b = cdf_from_csv(fh.read())
     result = ks_two_sample(cdf_a, cdf_b, args.na, args.nb)
     if args.format == "csv":
-        _emit(_csv("D,lambda,p", [result.statistic], [result.lam], [result.p_value]),
+        _emit(to_csv("D,lambda,p", [result.statistic], [result.lam], [result.p_value]),
               args.out)
         return 0
     doc = {"config": {"subcommand": "ks", "cdf_a": args.cdf_a, "cdf_b": args.cdf_b,

@@ -25,12 +25,12 @@ be drawn lazily) into stacks of index rows and hands their spectra out
 in row order.  It asks `linalg` how M's blocks are solved once, before
 it reads the first chunk: `principal_block_solver` in eigen mode (a
 diagonal, symmetric or Hermitian path), `row_block_solver` in singular
-mode.  A stack holds as many rows as fit in STACK_BYTES of what the path
-reads: k x k entries per gathered principal block, k x cols per row
-block, k entries per block of a real diagonal M.  `solve_subsets` solves
-one chunk into one table.  The one-matrix helpers (`principal_submatrix`,
-`row_submatrix`, `subset_spectrum`) are batches of one over the same
-functions.
+mode.  A stack holds as many rows as fit in STACK_BYTES of what a row
+holds while solved: k x k entries per gathered principal block, k x cols
+per row block, and 4k per block of a real diagonal M (index, value and
+two copies).  `solve_subsets` solves one chunk into one table.  The
+one-matrix helpers (`principal_submatrix`, `row_submatrix`,
+`subset_spectrum`) are batches of one over the same functions.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ _MIX_C2 = 0x94D049BB133111EB
 
 PRNG_NAME = "splitmix64+xoshiro256++"
 
-# Byte budget of what the block solver reads for one stack of subsets (a
+# Byte budget of what the block solver holds for one stack of subsets (a
 # stack holds at least one).  `solve_subsets` works one stack at a time, so
-# beyond its output table it needs a few times this much memory, however
-# many subsets it solves.
-STACK_BYTES = 256 * 1024
+# beyond its output table it needs at most 8 times this much memory (16 for
+# complex Hermitian M), however many subsets it solves.
+STACK_BYTES = 1024 * 1024
 
 # Streams that `draw_subsets` runs in lockstep.  Its shuffle pool holds
 # DRAW_LANES x n indices of `index_dtype(n)`, 2 MB at n = 1024.

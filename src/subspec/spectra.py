@@ -197,11 +197,16 @@ def quantile_grid(f: StepCdf, l: int) -> np.ndarray:
     return quantiles(f, np.arange(1, l) / l)
 
 
-def cdf_to_csv(f: StepCdf) -> str:
-    lines = ["x,F"]
-    for x, c in zip(f.jumps, f.cum):
-        lines.append(f"{x:.17g},{c:.17g}")
+def to_csv(header: str, *columns) -> str:
+    """CSV text, the one format of every CSV output: the header line, then
+    one line per row of the equal-length columns, every number with 17
+    significant digits."""
+    lines = [header, *(",".join(f"{v:.17g}" for v in row) for row in zip(*columns))]
     return "\n".join(lines) + "\n"
+
+
+def cdf_to_csv(f: StepCdf) -> str:
+    return to_csv("x,F", f.jumps, f.cum)
 
 
 def cdf_from_csv(text: str) -> StepCdf:

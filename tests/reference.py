@@ -7,9 +7,9 @@ are the former `walk` tables built from them with Python loops and
 tuple-keyed dicts.  `is_hermitian`, `require_hermitian` and
 `exact_pointwise_tail` are the former one-matrix and one-point wrappers of
 `linalg` and `oracle`.  `to_json` is the former one-call-per-value JSON
-formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv` and
-`ks_csv` are the former one-line-at-a-time CSV writers of `estimate`,
-`oracle`, `pair` and `ks`.
+formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv`,
+`ks_csv` and `cdf_csv` are the former one-line-at-a-time CSV writers of
+`estimate`, `oracle`, `pair`, `ks` and `spectra.cdf_to_csv`.
 """
 
 from __future__ import annotations
@@ -178,3 +178,11 @@ def ks_csv(result) -> str:
     return ("D,lambda,p\n"
             f"{float(result.statistic):.17g},{float(result.lam):.17g},"
             f"{float(result.p_value):.17g}\n")
+
+
+def cdf_csv(f) -> str:
+    """`spectra.cdf_to_csv` of a `StepCdf`, one line per jump."""
+    lines = ["x,F"]
+    for x, c in zip(f.jumps, f.cum):
+        lines.append(f"{x:.17g},{c:.17g}")
+    return "\n".join(lines) + "\n"

@@ -703,7 +703,7 @@ class TestJson:
 
 
 class TestCsv:
-    """Every CSV output goes through `cli._csv`; each must give the bytes of
+    """Every CSV output goes through `spectra.to_csv`; each must give the bytes of
     the one-line-at-a-time writer it replaced (`reference.*_csv`), also on
     -0.0, the smallest subnormal and two-digit pair indices."""
 

@@ -17,6 +17,7 @@ import platform
 import numpy as np
 import pytest
 
+from subspec import sampling
 from subspec.cli import main
 
 RECORDED_ON = {"numpy": "2.4.6", "machine": "x86_64"}
@@ -71,3 +72,22 @@ def test_output_bytes_unchanged(tmp_path, config):
     exit_code, digest = GOLDEN[config]
     assert main(config.split() + ["--out", str(out)]) == exit_code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# entries solved in stacks of many blocks at the default stack budget, all
+# but `pair` (40 blocks of order 8) batch last
+ONE_BLOCK_PER_STACK = [
+    "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3",
+    "oracle --ensemble rw-covariance --n 11 --k 5 --x 10 30",
+    "pair --ensemble rw-covariance --n 30 --k 8 --exclude-top 2 --pairs 20 --seed 6",
+    "estimate --ensemble half-ones --n 12 --k 4 --samples 300 --seed 5 --mode singular",
+]
+
+
+@pytest.mark.skipif(_platform_mismatch() is not None, reason=str(_platform_mismatch()))
+@pytest.mark.parametrize("config", ONE_BLOCK_PER_STACK)
+def test_output_bytes_unchanged_one_block_per_stack(tmp_path, monkeypatch, config):
+    # with a budget of one byte every stack holds one block, which the
+    # solver takes row-major: the layout must not change a byte
+    monkeypatch.setattr(sampling, "STACK_BYTES", 1)
+    test_output_bytes_unchanged(tmp_path, config)

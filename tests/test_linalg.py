@@ -457,6 +457,116 @@ class TestBatchedSolver:
         assert got[1].tobytes() == per_matrix_eigenvalues(ordinary).tobytes()
 
 
+def layout_cases():
+    """Stacks at the edges of the rotation arithmetic, for both layouts."""
+    rng = np.random.default_rng(44)
+
+    def sym(a):
+        return a + np.swapaxes(a, -1, -2)
+
+    def with_zeros(a, zero):
+        # a symmetric pattern of off-diagonal zeros, and zeros on half the diagonal
+        a = a.copy()
+        pattern = rng.random(a.shape) < 0.4
+        a[pattern | np.swapaxes(pattern, -1, -2)] = zero
+        a[..., ::2, ::2][..., np.eye((a.shape[-1] + 1) // 2, dtype=bool)] = zero
+        return a
+
+    equal_diagonal = sym(rng.standard_normal((6, 5, 5)))
+    equal_diagonal[:, np.arange(5), np.arange(5)] = 2.0
+    tiny = np.diag(np.arange(1.0, 6.0)) + sym(np.triu(np.full((5, 5), 1e-40), 1))
+    near_diagonal = np.diag(np.arange(91.0)) + 1e-9 * sym(rng.standard_normal((91, 91)))
+    return {
+        # theta = 0: pivots between equal diagonal entries
+        "theta-zero": [*equal_diagonal, np.full((5, 5), 0.5) + 0.5 * np.eye(5)],
+        # pivots that miss, |a_pq| < |a_qq - a_pp| * 1e-36 or a_pq = 0, in
+        # rounds where batch-mates rotate the same pairs
+        "tiny-pivots": [tiny, np.diag(np.arange(1.0, 6.0)), np.full((5, 5), 3.0) * 0.0,
+                        *sym(rng.standard_normal((4, 5, 5)))],
+        "signed-zeros": [*with_zeros(sym(rng.standard_normal((6, 6, 6))), -0.0),
+                         *with_zeros(sym(rng.standard_normal((3, 6, 6))), 0.0),
+                         np.full((6, 6), -0.0), np.where(np.eye(6) > 0, -0.0, 1.0),
+                         # their sorted diagonals keep the order of the zeros
+                         np.diag([0.0, -0.0, -0.0, 1.0, 2.0, 3.0]),
+                         np.diag([-0.0, 0.0, 5.0, -0.0, 0.0, -1.0])],
+        "rescaled": [sym(rng.standard_normal((6, 6))) * scale
+                     for scale in (1e150, 1e-150, 1.0, 1e101, -1e-101, 1e200, 1e-200, 3.0)],
+        "order-1": list(rng.standard_normal((4, 1, 1))),
+        "order-2": [*sym(rng.standard_normal((5, 2, 2))), np.eye(2), np.array([[-0.0, 1.0],
+                                                                             [1.0, -0.0]])],
+        "odd-order": list(sym(rng.standard_normal((9, 7, 7)))),
+        # batch-mates that leave the stack at sweeps 0, 1 and later
+        "mixed-sweeps": [np.diag(rng.standard_normal(6)),
+                         np.diag(np.arange(6.0)) + 1e-7 * sym(rng.standard_normal((6, 6))),
+                         *sym(rng.standard_normal((3, 6, 6))), np.zeros((6, 6))],
+        "below-order": list(sym(rng.standard_normal((19, 20, 20)))),
+        "above-order": list(sym(rng.standard_normal((21, 20, 20)))),
+        # 91^2 entries exceed numpy's 8192-element reduction buffer
+        "past-one-reduction-block": [near_diagonal, 2.0 * near_diagonal],
+    }
+
+
+class TestLayouts:
+    """The row-major and batch-last sweeps of `linalg._jacobi` must give the
+    same bytes as each other and as the per-matrix solver."""
+
+    @pytest.mark.parametrize("case", ["theta-zero", "tiny-pivots", "signed-zeros", "rescaled",
+                                      "order-1", "order-2", "odd-order", "mixed-sweeps",
+                                      "below-order", "above-order",
+                                      "past-one-reduction-block"])
+    def test_layouts_agree(self, case):
+        stack = np.array(layout_cases()[case])
+        expected = np.array([_symmetric_eigenvalues(b) for b in stack])
+        for batch_last in (False, True):
+            got = linalg_mod._jacobi(stack.copy(), batch_last)
+            assert got.tobytes() == expected.tobytes()
+        assert linalg_mod._symmetric_eigenvalues(stack.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", ["theta-zero", "tiny-pivots", "signed-zeros", "rescaled",
+                                      "order-2", "odd-order", "mixed-sweeps",
+                                      "past-one-reduction-block"])
+    def test_sweeps_leave_the_same_bytes(self, case):
+        # every entry, signed zeros and pivots set to zero included, and
+        # every off-diagonal norm, sweep after sweep
+        row = np.array(layout_cases()[case])
+        amax = np.abs(row).max(axis=(1, 2))
+        row /= linalg_mod._rescale_factors(amax)[:, None, None]
+        batch = np.ascontiguousarray(row.transpose(1, 2, 0))
+        threshold = 1e-3 * np.abs(row).max(axis=(1, 2))
+        for _ in range(3):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                off = linalg_mod._sweep_row_major(row, threshold)
+                assert linalg_mod._sweep_batch_last(batch, threshold).tobytes() == off.tobytes()
+            assert batch.transpose(2, 0, 1).tobytes() == row.tobytes()
+        assert off.tobytes() == np.array([_off_norm(b) for b in row]).tobytes()
+
+    def test_tiny_pivots_that_rotate(self, monkeypatch):
+        # at this tolerance pivots of 1e-40 between diagonal entries 1 apart
+        # are above threshold and take the tiny-pivot branch
+        monkeypatch.setattr(linalg_mod, "JACOBI_TOL", 1e-60)
+        stack = np.array(layout_cases()["tiny-pivots"])
+        expected = np.array([_symmetric_eigenvalues(b) for b in stack])
+        for batch_last in (False, True):
+            assert linalg_mod._jacobi(stack.copy(), batch_last).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("batch_last", [False, True])
+    def test_sweep_cap_raises_in_both_layouts(self, monkeypatch, batch_last):
+        monkeypatch.setattr(linalg_mod, "JACOBI_MAX_SWEEPS", 1)
+        stack = np.array([np.diag([1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
+        with pytest.raises(RuntimeError, match="did not converge"):
+            linalg_mod._jacobi(stack, batch_last)
+
+    def test_layout_rule(self, monkeypatch):
+        # batch last when B >= n and B * n >= 400, from B and n alone
+        chosen = []
+        monkeypatch.setattr(linalg_mod, "_jacobi", lambda a, batch_last: chosen.append(batch_last))
+        for count, n in [(19, 20), (20, 20), (21, 20), (1, 120), (40, 3), (133, 3), (134, 3),
+                         (462, 5), (250, 20), (63, 64), (64, 64)]:
+            linalg_mod._symmetric_eigenvalues(np.zeros((count, n, n)))
+        assert chosen == [False, True, True, False, False, False, True,
+                          True, True, False, True]
+
+
 class TestRotationRounds:
     def test_matches_the_loop_schedule(self):
         for n in [*range(1, 100), 256, 257, 720]:

@@ -1,11 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
 from subspec import linalg as linalg_mod
-from subspec.linalg import DenseMatrix, gather_submatrices, singular_values
+from subspec.linalg import (DenseMatrix, gather_submatrices, principal_block_solver,
+                            row_block_solver, singular_values)
 from subspec.oracle import exact_F
 from subspec import sampling as sampling_mod
 from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed,
@@ -322,8 +324,9 @@ class TestSolveSubsets:
         assert [size for _, size in stacks] == [12 * 12 * 8]
 
     def test_diagonal_stacks_read_only_the_diagonal(self, monkeypatch):
-        # a stack of a diagonal M's blocks holds STACK_BYTES of diagonal
-        # entries, k of them per row, and gathers no k x k block
+        # a stack of a diagonal M's blocks holds STACK_BYTES of what its
+        # rows hold while solved, 4 x k entries per row (index, value and
+        # two copies), and gathers no k x k block
         stacks = self.record_stacks(monkeypatch)
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", 1000)
         m = half_ones_diagonal(12)
@@ -331,12 +334,37 @@ class TestSolveSubsets:
         table = solve_subsets(m, subsets, "eigen")
         rows = [count for count, _ in stacks]
         assert sum(rows) == len(subsets)
-        assert max(rows) == 1000 // (8 * 3)
+        assert max(rows) == 1000 // (4 * 8 * 3)
         assert all(size == 0 for _, size in stacks)
         assert table.tobytes() == np.sort(m.data.diagonal()[subsets - 1], axis=1).tobytes()
         stacks.clear()
         solve_subsets(m, np.array([range(1, 13)]), "eigen")
         assert stacks == [[1, 0]]
+
+    @pytest.mark.parametrize("path, bound", [("symmetric", 8), ("hermitian", 16),
+                                             ("diagonal", 8), ("gram", 8)])
+    def test_memory_is_a_multiple_of_the_stack_budget(self, path, bound):
+        # beyond its output table, a chunk of many stacks needs at most 8 x
+        # STACK_BYTES, and 16 x on the complex path, whose embedding doubles
+        # the order of the blocks the solver rotates
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        m, k = {"symmetric": (rw_covariance(100), 20),
+                "hermitian": (DenseMatrix(x + x.conj().T), 12),
+                "diagonal": (half_ones_diagonal(1024), 256),
+                "gram": (DenseMatrix(rng.standard_normal((60, 60))), 8)}[path]
+        mode = "singular" if path == "gram" else "eigen"
+        blocks = row_block_solver(m) if path == "gram" else principal_block_solver(m)
+        assert blocks.path == path
+        step = sampling_mod.STACK_BYTES // blocks.row_bytes(k)
+        subsets = draw_subsets(m.rows, k, 16, 0, 3 * step + step // 2)
+        tracemalloc.start()
+        try:
+            table = solve_subsets(m, subsets, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table.nbytes < bound * sampling_mod.STACK_BYTES
 
     def test_stacks_tile_the_table(self, monkeypatch):
         # the per-stack form hands out consecutive row blocks of each chunk

@@ -10,6 +10,8 @@ from subspec.spectra import (KsResult, StepCdf, cdf_from_csv, cdf_to_csv,
                              esd, kolmogorov_q, ks_two_sample, quantile_grid,
                              step_cdf, sup_distance, sup_distances)
 
+import reference
+
 
 def esd_of(*values):
     return esd(Spectrum(np.array(sorted(values), dtype=float)))
@@ -336,6 +338,16 @@ class TestCsvRoundTrip:
             g = cdf_from_csv(cdf_to_csv(f))
             assert f.jumps.tolist() == g.jumps.tolist()
             assert f.cum.tolist() == g.cum.tolist()
+
+    def test_matches_per_line_writer(self):
+        # `cdf_to_csv` goes through the one CSV writer, `to_csv`; it must give
+        # the bytes of the per-line writer it replaced, also on -0.0, the
+        # smallest subnormal and 1/3
+        rng = np.random.default_rng(7)
+        cdfs = [StepCdf(np.array([-0.0, 5e-324, 1.0 / 3.0]), np.array([5e-324, 1.0 / 3.0, 1.0])),
+                *(random_esd(rng) for _ in range(20))]
+        for f in cdfs:
+            assert cdf_to_csv(f) == reference.cdf_csv(f)
 
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError, match="header"):
