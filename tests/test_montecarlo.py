@@ -160,7 +160,7 @@ class TestEstimateSupnorm:
         assert np.all(report.samples == 0.0)
         assert report.supnorm_quantiles[0.99] == 0.0
 
-    @pytest.mark.parametrize("budget", [1, 700, sampling_mod.STACK_BYTES])
+    @pytest.mark.parametrize("budget", [1, 700, 256 * 1024, sampling_mod.STACK_BYTES])
     def test_matches_per_draw_reference(self, budget, monkeypatch):
         # one distance per draw, in draw order, from the scalar streams; and
         # the same F_hat whether the counts come from one stack or many
@@ -278,9 +278,10 @@ class TestSolvedAsDrawn:
         return load_matrix(tmp_path / "h.txt"), 3, "eigen", 400, 0
 
     # one draw per chunk, chunks of a few, and the default; each against
-    # stacks of one, of a few, and the default budget
-    @pytest.mark.parametrize("lanes, budget", [(1, sampling_mod.STACK_BYTES), (3, 700),
-                                               (sampling_mod.DRAW_LANES, 1),
+    # stacks of one, of a few, a 256 KB budget, and the default budget
+    @pytest.mark.parametrize("lanes, budget", [(1, 256 * 1024), (1, sampling_mod.STACK_BYTES),
+                                               (3, 700), (sampling_mod.DRAW_LANES, 1),
+                                               (sampling_mod.DRAW_LANES, 256 * 1024),
                                                (sampling_mod.DRAW_LANES,
                                                 sampling_mod.STACK_BYTES)])
     @pytest.mark.parametrize("case", ["random-pm1", "split", "narrow-singular",

@@ -266,9 +266,9 @@ class TestSubsetSpectrum:
 
 
 class TestSolveSubsets:
-    @pytest.mark.parametrize("budget", [1, 700, sampling_mod.STACK_BYTES])
+    @pytest.mark.parametrize("budget", [1, 700, 256 * 1024, sampling_mod.STACK_BYTES])
     def test_rows_equal_subset_spectrum(self, budget, monkeypatch):
-        # one matrix per stack, stacks of a few, and the default budget
+        # one matrix per stack, stacks of a few, a 256 KB budget, and the default
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", budget)
         rng = np.random.default_rng(15)
         x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
