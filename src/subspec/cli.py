@@ -332,9 +332,8 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    for n in args.n:
-        if not 2 <= n <= 6:
-            raise UsageError("verify supports n between 2 and 6")
+    if len(set(args.n)) < len(args.n) or not all(2 <= n <= 6 for n in args.n):
+        raise UsageError("verify takes distinct n between 2 and 6")
     report = run_verification(args.n, corrupt=args.self_test_corrupt)
     _emit(_to_json(report) + "\n", args.out)
     return 0 if report["pass"] else 1

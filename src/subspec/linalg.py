@@ -43,7 +43,11 @@ by the rows they pass (`sampling.solve_stacks` keeps each stack within
 `sampling.STACK_BYTES`): beyond the output, many stacks peaked under
 tracemalloc at 6.8 times that on the symmetric path, 13.5 on the complex
 Hermitian one (whose embedding doubles the order), 2.2 on the singular
-and 1.3 on the diagonal one.
+and 1.3 on the diagonal one, shared by the processes that solve it.
+
+A stack with B * k^3 >= 2 * `_PART_MIN_WORK` is cut into row ranges, at most
+one per CPU, when the process runs one OS thread; each range but the first is
+solved in a forked worker, and the bytes do not depend on the cut.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -52,7 +56,7 @@ every multiplicity doubled; the halved multiset is returned.
 
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -67,6 +71,9 @@ _ADAPTIVE_MIN_ORDER = 257
 
 # B matrices of order n are solved batch last when B >= n and B * n >= this
 _BATCH_LAST_MIN_SIZE = 400
+
+# B * n^3 of B order-n matrices that pays for a process (crossover in README)
+_PART_MIN_WORK = 250_000
 
 
 @dataclass(frozen=True)
@@ -403,12 +410,11 @@ def _sweep_row_major(a: np.ndarray, threshold: np.ndarray) -> np.ndarray:
 
 
 def _rotate(a: np.ndarray, p: np.ndarray, q: np.ndarray, axis: int, c: np.ndarray,
-            s: np.ndarray, miss: np.ndarray | None, work: np.ndarray) -> None:
+            s: np.ndarray, miss: np.ndarray | None, work: tuple[np.ndarray, ...]) -> None:
     """Rotate the rows (axis 0) or columns (axis 1) p and q of an (n, n, B)
     stack in place, to c x_p - s x_q and s x_p + c x_q, except where `miss`
-    holds.  The five arrays this needs are views of `work`."""
-    shape = (len(p), *a.shape[1:]) if axis == 0 else (len(a), len(p), a.shape[2])
-    x_p, x_q, new_p, new_q, tmp = (w[:math.prod(shape)].reshape(shape) for w in work)
+    holds.  `work` holds five arrays of the shape of the rotated rows."""
+    x_p, x_q, new_p, new_q, tmp = work
     np.take(a, p, axis=axis, out=x_p, mode="wrap")  # "wrap" needs no copy; p is in range
     np.take(a, q, axis=axis, out=x_q, mode="wrap")
     np.multiply(c, x_p, out=new_p)
@@ -431,6 +437,7 @@ def _sweep_batch_last(a: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     # allocated once: freeing and allocating arrays of this size every
     # round can make the allocator hand their pages back and fault them in
     work = np.empty((5, n * (n // 2) * count))
+    views = {}  # pair count -> `_rotate`'s work arrays for columns and for rows
     for p, q in _rotation_rounds(n):
         apq = a[p, q]
         hit = np.abs(apq) > threshold
@@ -439,11 +446,15 @@ def _sweep_batch_last(a: np.ndarray, threshold: np.ndarray) -> np.ndarray:
             if not pairs.any():
                 continue
             p, q, apq, hit = p[pairs], q[pairs], apq[pairs], hit[pairs]
+        if len(p) not in views:
+            views[len(p)] = [tuple(w[:n * len(p) * count].reshape(shape) for w in work)
+                             for shape in ((n, len(p), count), (len(p), n, count))]
+        cols, rows = views[len(p)]
         c, s = _rotations(apq, a[p, p], a[q, q])
         miss = None if hit.all() else ~hit
-        _rotate(a, p, q, 1, c, s, miss, work)
+        _rotate(a, p, q, 1, c, s, miss, cols)
         miss = None if miss is None else miss[:, None]
-        _rotate(a, p, q, 0, c[:, None], s[:, None], miss, work)
+        _rotate(a, p, q, 0, c[:, None], s[:, None], miss, rows)
         a[p, q] = np.where(hit, 0.0, a[p, q])
         a[q, p] = np.where(hit, 0.0, a[q, p])
     return _off_norms(a.reshape(n * n, -1).T, n)
@@ -452,10 +463,59 @@ def _sweep_batch_last(a: np.ndarray, threshold: np.ndarray) -> np.ndarray:
 def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of every matrix of a (B, n, n) stack of real symmetric
     matrices by blocked cyclic Jacobi: a (B, n) array, rows ascending.  A
-    float64 `a` is overwritten: callers pass a stack they just built."""
+    float64 `a` is overwritten: callers pass a stack they just built.  A
+    worker's RuntimeError is raised here with its message."""
     a = np.asarray(a, dtype=np.float64)
     count, n = a.shape[:2]
-    return _jacobi(a, batch_last=count >= max(n, _BATCH_LAST_MIN_SIZE / n))
+    parts = min(count, count * n**3 // _PART_MIN_WORK)
+    parts = min(parts, _fork_cpus()) if parts >= 2 else 1
+    bounds = [count * i // parts for i in range(parts + 1)]
+    def solve(part: np.ndarray) -> np.ndarray:  # in the layout the part's size favours
+        return _jacobi(part, batch_last=len(part) >= max(n, _BATCH_LAST_MIN_SIZE / n))
+    out = np.empty((count, n))
+    pids, readers = [], []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            readers.append(open(read_fd, "rb", buffering=0))
+            with open(write_fd, "wb") as sink:
+                if (pid := os.fork()) == 0:
+                    # a worker: b"0" and rows or b"1" and error, then os._exit (no stdio flush)
+                    try:
+                        try:
+                            sink.write(b"0" + solve(a[start:stop]).tobytes())
+                        except RuntimeError as exc:
+                            sink.write(b"1" + str(exc).encode())
+                        sink.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)  # any other failure: the parent finds a short result
+            pids.append(pid)
+        out[:bounds[1]] = solve(a[:bounds[1]])
+        for reader, start, stop in zip(readers, bounds[1:-1], bounds[2:]):
+            # to EOF before reaping: a worker waits while its result fills the pipe
+            status, rows = (data := reader.read())[:1], data[1:]
+            if status != b"0" or len(rows) != out[start:stop].nbytes:
+                raise RuntimeError(rows.decode() if status == b"1" else
+                                   "eigensolver worker returned no result")
+            out[start:stop] = np.frombuffer(rows).reshape(-1, n)
+    finally:
+        for reader in readers:
+            reader.close()
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL (no `signal` import); a worker that sent its rows has exited
+            os.waitpid(pid, 0)
+    return out
+
+
+def _fork_cpus() -> int:
+    """The CPUs this process may use, or 1 if it must not fork: it has no
+    `os.fork` or runs a second OS thread, whose locks a child could inherit."""
+    try:
+        alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+        return len(os.sched_getaffinity(0)) if alone else 1
+    except (AttributeError, OSError):
+        return 1
 
 
 def _jacobi(a: np.ndarray, batch_last: bool) -> np.ndarray:

@@ -1,10 +1,21 @@
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from subspec.spectra import StepCdf, quantile_grid
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail any test that leaves a child process unreaped, such as an
+    eigensolver worker that was never waited for."""
+    yield
+    if hasattr(os, "waitpid"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def _average_cdfs(cdfs, weights):

@@ -325,6 +325,14 @@ class TestVerify:
     def test_rejects_large_n(self, tmp_path):
         assert run("verify", "--n", "7", "--out", str(tmp_path / "x.json")) == 2
 
+    @pytest.mark.parametrize("n_values", [["3", "3"], ["3", "4", "3"]])
+    def test_rejects_repeated_n(self, tmp_path, capsys, n_values):
+        # a repeated n would repeat its check names and its walk report
+        out = tmp_path / "x.json"
+        assert run("verify", "--n", *n_values, "--out", str(out)) == 2
+        assert "distinct n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solves_each_subset_once(self, tmp_path, monkeypatch):
         # one table per (n, matrix, k) with k < n, three matrices per n:
         # 3 * (6 + 14 + 30) = 150 distinct subset problems

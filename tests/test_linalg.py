@@ -1,17 +1,20 @@
 import itertools
 import math
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from subspec import linalg as linalg_mod
-from subspec.ensembles import load_matrix, random_symmetric, rw_covariance, save_matrix
+from subspec.ensembles import (ENSEMBLES, load_matrix, make_matrix, random_symmetric,
+                               rw_covariance, save_matrix)
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack, gather_submatrices, gram,
                             numerical_rank, numerical_rank_stack, principal_block_solver,
                             singular_values, singular_values_stack)
-from subspec.sampling import solve_subsets
+from subspec.sampling import draw_subsets, solve_subsets
 
 from reference import is_hermitian
 
@@ -557,14 +560,152 @@ class TestLayouts:
             linalg_mod._jacobi(stack, batch_last)
 
     def test_layout_rule(self, monkeypatch):
-        # batch last when B >= n and B * n >= 400, from B and n alone
+        # batch last when B >= n and B * n >= 400, from B and n alone; the
+        # split is off, so the stub runs in this process only
         chosen = []
-        monkeypatch.setattr(linalg_mod, "_jacobi", lambda a, batch_last: chosen.append(batch_last))
+        monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: 1)
+        monkeypatch.setattr(linalg_mod, "_jacobi", lambda a, batch_last: (
+            chosen.append(batch_last), np.zeros(a.shape[:2]))[1])
         for count, n in [(19, 20), (20, 20), (21, 20), (1, 120), (40, 3), (133, 3), (134, 3),
                          (462, 5), (250, 20), (63, 64), (64, 64)]:
             linalg_mod._symmetric_eigenvalues(np.zeros((count, n, n)))
         assert chosen == [False, True, True, False, False, False, True,
                           True, True, False, True]
+
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    @pytest.mark.parametrize("count, n, parts, expected", [
+        (59, 20, 3, [False, True, True]), (60, 20, 3, [True, True, True]),
+        (250, 20, 2, [True, True]), (64, 64, 2, [False, False])])
+    def test_layout_rule_per_part(self, monkeypatch, count, n, parts, expected):
+        # each part of a split stack takes the layout of its own B (rows
+        # 19, 20, 20 of 59); the stub answers with its choice in every row,
+        # which is how a worker's choice comes back
+        force_parts(monkeypatch, parts)
+        monkeypatch.setattr(linalg_mod, "_jacobi", lambda a, batch_last: np.full(
+            a.shape[:2], float(batch_last)))
+        got = linalg_mod._symmetric_eigenvalues(np.zeros((count, n, n)))
+        bounds = [count * i // parts for i in range(parts + 1)]
+        assert got.tolist() == [[float(layout)] * n for layout, start, stop
+                                in zip(expected, bounds, bounds[1:]) for _ in range(start, stop)]
+
+
+def force_parts(monkeypatch, parts):
+    """Cut every Jacobi stack into min(B, parts) row ranges, whatever its
+    size and however many threads this process runs."""
+    monkeypatch.setattr(linalg_mod, "_PART_MIN_WORK", 1)
+    monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: parts)
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one at each `os.fork` of this process."""
+    forks = []
+    real = os.fork
+
+    def counting():
+        forks.append(1)
+        return real()
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def split_cases():
+    """Blocks of the four ensembles, the edge stacks of `layout_cases`, and
+    a stack whose parts each send back more than a pipe holds: a third of
+    3600 order-8 rows is 1200 * 8 * 8 = 76800 bytes, a pipe 65536."""
+    cases = {name: np.array(stack) for name, stack in layout_cases().items()}
+    idx = draw_subsets(40, 12, 3, 0, 30).astype(np.intp) - 1
+    for name in ENSEMBLES:
+        cases[name] = gather_submatrices(make_matrix(name, 40, 7), idx, "eigen")
+    big = np.random.default_rng(45).standard_normal((3600, 8, 8))
+    cases["past-a-pipe"] = big + big.transpose(0, 2, 1)
+    return cases
+
+
+# pytest's process may run BLAS threads, which the split's own check would
+# refuse; these tests fork it anyway, as the stacks they solve use no BLAS
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+class TestSplit:
+    """A stack cut into row ranges, solved in this process and forked
+    workers, must give the bytes of its serial solve."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_split_equals_serial(self, monkeypatch, parts):
+        cases = split_cases()
+        monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: 1)
+        expected = {name: linalg_mod._symmetric_eigenvalues(stack.copy())
+                    for name, stack in cases.items()}
+        force_parts(monkeypatch, parts)
+        forks = count_forks(monkeypatch)
+        for name, stack in cases.items():
+            got = linalg_mod._symmetric_eigenvalues(stack.copy())
+            assert got.tobytes() == expected[name].tobytes(), name
+        assert len(forks) == sum(min(len(stack), parts) - 1 for stack in cases.values())
+
+    def test_every_path_splits(self, monkeypatch, tmp_path):
+        # the complex embedding and the Gram stacks reach the same solver
+        complex_stack = np.array(stack_cases(tmp_path)["complex-file"])
+        rng = np.random.default_rng(46)
+        rows = rng.standard_normal((12, 6, 9))
+        solves = [lambda: eigenvalues_hermitian_stack(complex_stack),
+                  lambda: singular_values_stack(rows), lambda: singular_values_stack(
+                      rows.transpose(0, 2, 1))]
+        monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: 1)
+        expected = [solve() for solve in solves]
+        force_parts(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        for solve, serial in zip(solves, expected):
+            assert solve().tobytes() == serial.tobytes()
+        assert len(forks) == 6
+
+    @pytest.mark.parametrize("failing", [0, 2, 5])
+    def test_no_convergence_surfaces_from_any_part(self, monkeypatch, failing):
+        # rows 0-1 are solved here, 2-3 and 4-5 in two workers
+        monkeypatch.setattr(linalg_mod, "JACOBI_MAX_SWEEPS", 1)
+        force_parts(monkeypatch, 3)
+        stack = np.array([np.diag([1.0, 2.0])] * 6)
+        stack[failing] = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(RuntimeError, match="^eigensolver did not converge$"):
+            linalg_mod._symmetric_eigenvalues(stack)
+
+    @pytest.mark.parametrize("fault", ["exit", "error"])
+    def test_worker_without_result(self, monkeypatch, fault):
+        # a worker that leaves without writing, or fails with anything but
+        # the solver's RuntimeError, is a RuntimeError here
+        parent, real = os.getpid(), linalg_mod._jacobi
+
+        def failing_in_workers(a, batch_last):
+            if os.getpid() != parent:
+                if fault == "exit":
+                    os._exit(0)
+                raise ValueError("worker fault")
+            return real(a, batch_last)
+        monkeypatch.setattr(linalg_mod, "_jacobi", failing_in_workers)
+        force_parts(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="worker returned no result"):
+            linalg_mod._symmetric_eigenvalues(np.array([np.eye(3)] * 4))
+
+    def test_second_thread_keeps_the_solve_serial(self, monkeypatch):
+        # a process that runs another OS thread never forks, however large
+        # the stack and however many CPUs it has
+        stack = split_cases()["random-gaussian"]
+        expected = linalg_mod._jacobi(stack.copy(), False)
+        monkeypatch.setattr(linalg_mod, "_PART_MIN_WORK", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+        def no_fork():
+            raise AssertionError("forked while a second thread runs")
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert linalg_mod._fork_cpus() == 1
+            got = linalg_mod._symmetric_eigenvalues(stack.copy())
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestRotationRounds:

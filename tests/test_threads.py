@@ -4,8 +4,9 @@
 numpy first loads OpenBLAS, so a CLI run starts no idle BLAS worker thread.
 `import subspec` loads neither numpy nor a submodule and leaves the
 variable alone, so library users keep their BLAS threads.  Output bytes must
-not depend on the BLAS thread count.  The test process itself imported
-numpy long ago, so the pin can only be seen from a new interpreter; the
+not depend on the BLAS thread count, nor on the number of processes that
+solve a Jacobi stack.  The test process itself imported numpy long ago, so
+the pin and the split can only be seen from a new interpreter; the
 import-order guards below read the source instead.
 """
 
@@ -84,6 +85,68 @@ def test_output_bytes_do_not_depend_on_blas_threads():
                                                   threads)).hexdigest()
                for threads in (1, 2)}
     assert digests[1] == digests[2]
+
+
+SPLIT_RUNS = {
+    "estimate-rw": ["estimate", "--ensemble", "rw-covariance", "--n", "100", "--k", "20",
+                    "--samples", "25", "--seed", "1"],
+    "random-gaussian-k64": ["estimate", "--ensemble", "random-gaussian", "--n", "100",
+                            "--k", "64", "--samples", "4", "--seed", "1"],
+}
+# the Jacobi split as the box gives it, off, and at three processes per stack
+SPLIT_SETTINGS = {
+    "default": "",
+    "off": "linalg._PART_MIN_WORK = 10**30",
+    "forced": "linalg._PART_MIN_WORK = 1\nos.sched_getaffinity = lambda pid: {0, 1, 2}",
+}
+
+
+def split_probe(setting, body):
+    """Python source that imports the CLI, applies one of SPLIT_SETTINGS,
+    counts this process's forks, runs `body`, and prints
+    [forks, whether a child process is left unreaped] last."""
+    return (f"import json, os, sys\nimport subspec.cli as cli\nfrom subspec import linalg\n"
+            f"{SPLIT_SETTINGS[setting]}\nforks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            f"{body}\n"
+            "try:\n    os.waitpid(-1, os.WNOHANG)\n    left = True\n"
+            "except ChildProcessError:\n    left = False\n"
+            "print(json.dumps([len(forks), left]))")
+
+
+@needs_proc
+@pytest.mark.parametrize("run", list(SPLIT_RUNS))
+def test_output_bytes_do_not_depend_on_the_worker_count(run, tmp_path):
+    digests, forks = set(), {}
+    for setting in SPLIT_SETTINGS:
+        out = tmp_path / f"{setting}.json"
+        body = f"assert cli.main({SPLIT_RUNS[run] + ['--out', str(out)]!r}) == 0"
+        forks[setting], left = json.loads(run_python(["-c", split_probe(setting, body)]))
+        assert not left
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
+    assert forks["off"] == 0 and forks["forced"] >= 2
+
+
+@needs_proc
+def test_cli_process_may_fork_one_worker_per_cpu():
+    code = split_probe("default", "print(linalg._fork_cpus(), len(os.sched_getaffinity(0)))")
+    cpus, affinity = run_python(["-c", code]).decode().splitlines()[0].split()
+    assert cpus == affinity
+
+
+@needs_proc
+def test_workers_flush_no_inherited_output():
+    # text that stdout buffers before the fork is written once, by this
+    # process; an interpreter that exits normally would flush its copy too
+    body = ("import numpy as np\n"
+            "sys.stdout = open(sys.stdout.fileno(), 'w', buffering=1 << 16, closefd=False)\n"
+            "print('before', end=' ')\n"
+            "linalg._symmetric_eigenvalues(np.array([np.eye(3)] * 6))\n"
+            "print('after')")
+    lines = run_python(["-c", split_probe("forced", body)]).decode().splitlines()
+    assert lines[0] == "before after"
+    assert json.loads(lines[1]) == [2, False]
 
 
 def _loads_numpy_or_package(node: ast.AST) -> bool:
