@@ -9,8 +9,9 @@ names that `--ensemble` and `gen` accept are the keys of
 `ensembles.ENSEMBLES`.
 
 Importing this module pins OpenBLAS to one thread before numpy loads, unless
-OPENBLAS_NUM_THREADS is set: the only BLAS calls are Gram products, small next
-to the Jacobi solves after them, so a worker thread would only spin.
+OPENBLAS_NUM_THREADS is set: the only BLAS calls are Gram products (gram(M)
+once per singular-mode solve, and verify's small rank-step ones), so a worker
+thread would mostly spin.
 """
 
 from __future__ import annotations

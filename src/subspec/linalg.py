@@ -23,8 +23,8 @@ solve of it alone in either layout.  Singular values and numerical ranks go
 through the same stacks, so the walk's one-step differences are ranked all
 at once (`numerical_rank_stack`).
 
-`gather_submatrices` is the one submatrix extraction of the package: it
-turns rows of 0-based indices into a (B, k, cols) stack with a single
+`gather_submatrices` is the one principal-block extraction of the package:
+it turns rows of 0-based indices into a (B, k, k) stack with a single
 `np.take`.  How a matrix's principal blocks are solved is decided once
 per matrix, by `principal_block_solver`:
 
@@ -37,13 +37,18 @@ per matrix, by `principal_block_solver`:
   symmetrized first.
 
 The `BlockSolver` it returns takes index rows and states the bytes one
-row holds while solved: its k x k (or k x cols) entries, or for a
-diagonal block 4k (index, value and two copies).  Callers bound memory
-by the rows they pass (`sampling.solve_stacks` keeps each stack within
+row holds while solved: its k x k entries, or for a diagonal block 4k
+(index, value and two copies).  Callers bound memory by the rows they
+pass (`sampling.solve_stacks` keeps each stack within
 `sampling.STACK_BYTES`): beyond the output, many stacks peaked under
 tracemalloc at 6.8 times that on the symmetric path, 13.5 on the complex
-Hermitian one (whose embedding doubles the order), 2.2 on the singular
-and 1.3 on the diagonal one, shared by the processes that solve it.
+Hermitian one (whose embedding doubles the order) and 1.3 on the diagonal
+one, shared by the processes that solve it.
+
+Singular mode reads the same blocks of one matrix: a row block A = M[S, :]
+has A A* = gram(M)[S, S], so `row_block_solver` forms gram(M) once and
+hands it to `principal_block_solver`, which picks the path for it; its
+blocks are budgeted like any others.
 
 A stack with B * k^3 >= 2 * `_PART_MIN_WORK` is cut into row ranges, at most
 one per CPU, when the process runs one OS thread; each range but the first is
@@ -56,6 +61,7 @@ every multiplicity doubled; the halved multiset is returned.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -160,16 +166,11 @@ def _require_hermitian_stack(stack: np.ndarray) -> None:
         raise ValueError("not Hermitian")
 
 
-def gather_submatrices(m: DenseMatrix, idx: np.ndarray, mode: str) -> np.ndarray:
-    """The submatrices of m at the 0-based index rows of a (B, k) array, as
-    a fresh (B, k, cols) stack: principal k x k blocks in eigen mode, k x n
-    row blocks in singular mode.  Rows keep the order of their indices."""
-    if mode == "eigen":
-        # one gather from the flat matrix, with no k x n intermediate
-        return np.take(m.data.reshape(-1), idx[:, :, None] * m.cols + idx[:, None, :])
-    if mode == "singular":
-        return np.take(m.data, idx, axis=0)
-    raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
+def gather_submatrices(m: DenseMatrix, idx: np.ndarray) -> np.ndarray:
+    """The principal k x k blocks of a square m at the 0-based index rows of
+    a (B, k) array, as a fresh (B, k, k) stack gathered from the flat matrix
+    in one `np.take`.  Rows and columns keep the order of their indices."""
+    return np.take(m.data.reshape(-1), idx[:, :, None] * m.cols + idx[:, None, :])
 
 
 class BlockSolver(NamedTuple):
@@ -205,16 +206,35 @@ def principal_block_solver(m: DenseMatrix) -> BlockSolver:
         _require_hermitian_stack(m.data[None])
     solve = _symmetric_eigenvalues if symmetric else eigenvalues_hermitian_stack
     return BlockSolver("symmetric" if symmetric else "hermitian",
-                       lambda idx: solve(gather_submatrices(m, idx, "eigen")),
+                       lambda idx: solve(gather_submatrices(m, idx)),
                        lambda k: k * k * m.data.itemsize)
 
 
+# a nonzero row of the rescaled M must reach this: below it, its Gram entries
+# (of the order of its square) near float64's underflow at 2^-1022
+_GRAM_ROW_MIN = 2.0**-480
+
+
 def row_block_solver(m: DenseMatrix) -> BlockSolver:
-    """The singular values of M's k x cols row blocks, from their Gram
-    spectra (`singular_values_stack`)."""
-    return BlockSolver(
-        "gram", lambda idx: singular_values_stack(gather_submatrices(m, idx, "singular")),
-        lambda k: k * m.cols * m.data.itemsize)
+    """The singular values of M's k x cols row blocks A = M[S, :]: as
+    A A* = gram(M)[S, S], the roots of the min(k, cols) largest eigenvalues
+    of gram(M)'s principal blocks.  An M whose largest entry lies outside
+    [1e-100, 1e100] is first divided by a power of two near it, which is
+    exact; one Gram matrix cannot hold rows far below that scale, so a
+    nonzero row still below _GRAM_ROW_MIN raises ValueError."""
+    rowmax = np.abs(m.data).max(axis=1)
+    amax = rowmax.max()
+    # 2^(e - 1) <= amax < 2^e; 2^e itself overflows for the largest floats
+    power = 2.0 ** (math.frexp(amax)[1] - 1) if _rescale_factors(amax) != 1.0 else 1.0
+    if np.any((rowmax > 0) & (rowmax / power < _GRAM_ROW_MIN)):
+        raise ValueError("a nonzero row is too small for singular mode: its largest entry "
+                         "is below 2^-480 after rescaling")
+    blocks = principal_block_solver(gram(DenseMatrix(m.data / power) if power != 1.0 else m))
+
+    def solve(idx: np.ndarray) -> np.ndarray:
+        vals = blocks.solve(idx)[:, max(0, idx.shape[1] - m.cols):]
+        return _gram_roots(vals, amax / power) * power
+    return blocks._replace(solve=solve)
 
 
 def _diagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
@@ -282,13 +302,11 @@ def eigenvalues_hermitian(m: DenseMatrix) -> Spectrum:
 
 def gram(a: DenseMatrix) -> DenseMatrix:
     """A times its conjugate transpose; Hermitian positive semidefinite."""
-    return DenseMatrix(_gram_stack(a.data[None])[0])
-
-
-def _gram_stack(stack: np.ndarray) -> np.ndarray:
-    g = stack @ stack.conj().transpose(0, 2, 1)
-    # enforce exact Hermitian symmetry against rounding in the product
-    return 0.5 * (g + g.conj().transpose(0, 2, 1))
+    g = a.data @ a.data.conj().T
+    g = g + g.conj().T  # exact Hermitian symmetry against rounding in the product
+    g *= 0.5  # in place, so that DenseMatrix adopts it uncopied
+    g.setflags(write=False)
+    return DenseMatrix(g)
 
 
 def singular_values_stack(stack: np.ndarray) -> np.ndarray:
@@ -311,13 +329,16 @@ def singular_values_stack(stack: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     # g is Hermitian up to rounding in the product: no guard, and the
     # solver's one symmetrization removes that rounding
-    vals = _guarded_eigenvalues(g)
-    scale = amax / rescale
-    clamp = 1e-9 * scale * scale
-    if np.any(vals < -clamp[:, None]):
+    return _gram_roots(_guarded_eigenvalues(g), (amax / rescale)[:, None]) * rescale[:, None]
+
+
+def _gram_roots(vals: np.ndarray, scale) -> np.ndarray:
+    """Roots of the Gram eigenvalues `vals` (overwritten) of matrices with
+    largest entries `scale`: negatives count as 0, below -1e-9 scale^2 raise."""
+    if np.any(vals < -1e-9 * scale * scale):
         raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
     vals[vals < 0] = 0.0
-    return np.sqrt(vals) * rescale[:, None]
+    return np.sqrt(vals)
 
 
 def singular_values(a: DenseMatrix) -> Spectrum:
@@ -523,8 +544,8 @@ def _jacobi(a: np.ndarray, batch_last: bool) -> np.ndarray:
     (n, n, B) transpose; a matrix leaves the stack at the sweep where it
     converges."""
     count, n = a.shape[:2]
-    if n == 1:
-        return a.reshape(count, 1)
+    if n == 1 or not count:
+        return a.reshape(count, n)
 
     rescale = _rescale_factors(np.abs(a).max(axis=(1, 2)))
     if np.any(rescale != 1.0):

@@ -23,14 +23,14 @@ lanes are tested against bit for bit.
 `solve_stacks` cuts each subset array of an iterable (a chunk, which may
 be drawn lazily) into stacks of index rows and hands their spectra out
 in row order.  It asks `linalg` how M's blocks are solved once, before
-it reads the first chunk: `principal_block_solver` in eigen mode (a
-diagonal, symmetric or Hermitian path), `row_block_solver` in singular
-mode.  A stack holds as many rows as fit in STACK_BYTES of what a row
-holds while solved: k x k entries per gathered principal block, k x cols
-per row block, and 4k per block of a real diagonal M (index, value and
-two copies).  `solve_subsets` solves one chunk into one table.  The
-one-matrix helpers (`principal_submatrix`, `row_submatrix`,
-`subset_spectrum`) are batches of one over the same functions.
+it reads the first chunk: `principal_block_solver` picks a diagonal,
+symmetric or Hermitian path for M in eigen mode, and for gram(M) in
+singular mode (`row_block_solver`).  A stack holds as many rows as fit in
+STACK_BYTES of what a row holds while solved: k x k entries per gathered
+principal block, and 4k per block of a real diagonal matrix (index, value
+and two copies).  `solve_subsets` solves one chunk into one table.  The
+one-matrix helpers `principal_submatrix` and `subset_spectrum` are
+batches of one over the same functions.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ PRNG_NAME = "splitmix64+xoshiro256++"
 
 # Byte budget of what the block solver holds for one stack of subsets (a
 # stack holds at least one).  `solve_subsets` works one stack at a time, so
-# beyond its output table it needs at most 8 times this much memory (16 for
-# complex Hermitian M), however many subsets it solves.
+# beyond its output table (and gram(M) in singular mode) it needs at most 8
+# times this much memory (16 for complex M), however many subsets it solves.
 STACK_BYTES = 1024 * 1024
 
 # Streams that `draw_subsets` runs in lockstep.  Its shuffle pool holds
@@ -233,19 +233,19 @@ def principal_submatrix(m: DenseMatrix, s: SubsetSample) -> DenseMatrix:
     """The submatrix keeping rows and columns s.indices, in order."""
     if not m.is_square() or m.rows != s.n:
         raise ValueError("matrix order does not match the sample's ambient order")
-    return DenseMatrix(gather_submatrices(m, s.zero_based()[None], "eigen")[0])
+    return DenseMatrix(gather_submatrices(m, s.zero_based()[None])[0])
 
 
 def row_submatrix(m: DenseMatrix, s: SubsetSample) -> DenseMatrix:
     """The k x n submatrix keeping rows s.indices and all columns."""
     if m.rows != s.n:
         raise ValueError("matrix row count does not match the sample's ambient order")
-    return DenseMatrix(gather_submatrices(m, s.zero_based()[None], "singular")[0])
+    return DenseMatrix(m.data[s.zero_based()])
 
 
 def subset_spectrum(m: DenseMatrix, s: SubsetSample, mode: str) -> Spectrum:
     """Spectrum of the sampled submatrix: eigenvalues of the principal k x k
-    block in eigen mode, singular values of the k x n row block otherwise."""
+    block in eigen mode, singular values of the k x cols row block otherwise."""
     if m.rows != s.n:
         raise ValueError("matrix order does not match the sample's ambient order")
     return Spectrum(solve_subsets(m, np.array([s.indices]), mode)[0])
@@ -261,8 +261,9 @@ def solve_stacks(m: DenseMatrix, chunks: Iterable[np.ndarray], mode: str
     Each stack holds as many rows as fit in STACK_BYTES of what the
     block solver reads for them (at least one).  width is k, or
     min(k, m.cols) in singular mode.  In eigen mode m must be square and
-    Hermitian (`linalg.principal_block_solver`), checked before the first
-    chunk.
+    Hermitian (`linalg.principal_block_solver`), and in singular mode each
+    nonzero row within the scale of `linalg.row_block_solver`, checked
+    before the first chunk.
     """
     if mode == "eigen":
         blocks = principal_block_solver(m)

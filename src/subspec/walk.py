@@ -280,8 +280,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     after = before.copy()
     after[steps, i] = before[steps, j]
     after[steps, j] = before[steps, i]
-    diff = (gather_submatrices(m, before[:, :k], "eigen")
-            - gather_submatrices(m, after[:, :k], "eigen"))
+    diff = gather_submatrices(m, before[:, :k]) - gather_submatrices(m, after[:, :k])
     ranks = numerical_rank_stack(diff, RANK_STEP_REL_TOL)
     a, b = (table[lookup[_bitmasks(perms[:, :k])]] for perms in (before, after))
     # both ESDs at every entry of either row, as the c/k floats sup_distance

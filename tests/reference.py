@@ -10,6 +10,8 @@ tuple-keyed dicts.  `is_hermitian`, `require_hermitian` and
 formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv`,
 `ks_csv` and `cdf_csv` are the former one-line-at-a-time CSV writers of
 `estimate`, `oracle`, `pair`, `ks` and `spectra.cdf_to_csv`.
+`row_block_singular_values` is the former singular-mode path of
+`sampling`, which gathered every row block and took its own Gram spectrum.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from subspec.linalg import DenseMatrix, _hermitian_gaps, _require_hermitian_stack
+from subspec.linalg import (DenseMatrix, _hermitian_gaps, _require_hermitian_stack,
+                            singular_values_stack)
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
 
 MAX_PERM_N = 8
@@ -111,6 +114,14 @@ def require_hermitian(m: DenseMatrix) -> None:
     """Raise ValueError("not Hermitian") unless M is Hermitian to within
     1e-10 times its largest entry (or 1e-10 for the zero matrix)."""
     _require_hermitian_stack(m.data[None])
+
+
+def row_block_singular_values(m: DenseMatrix, idx: np.ndarray) -> np.ndarray:
+    """The singular values of M's row blocks at the 0-based index rows of a
+    (B, k) array: each k x cols block gathered and handed to
+    `singular_values_stack`, which takes the Gram spectrum of its smaller
+    side at the block's own scale."""
+    return singular_values_stack(m.data[idx])
 
 
 def exact_pointwise_tail(m: DenseMatrix, k: int, x: float, r: float,

@@ -75,10 +75,13 @@ def test_output_bytes_unchanged(tmp_path, config):
 
 
 # entries solved in stacks of many blocks at the default stack budget, all
-# but `pair` (40 blocks of order 8) batch last
+# but `pair` (40 blocks of order 8) batch last; the singular `oracle` entry
+# solves the 126 blocks of gram(M) in one stack
 ONE_BLOCK_PER_STACK = [
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3",
     "oracle --ensemble rw-covariance --n 11 --k 5 --x 10 30",
+    "oracle --ensemble random-gaussian --n 9 --k 4 --matrix-seed 3 --mode singular "
+    "--x -1 0 1",
     "pair --ensemble rw-covariance --n 30 --k 8 --exclude-top 2 --pairs 20 --seed 6",
     "estimate --ensemble half-ones --n 12 --k 4 --samples 300 --seed 5 --mode singular",
 ]

@@ -13,10 +13,13 @@ from subspec.ensembles import (ENSEMBLES, load_matrix, make_matrix, random_symme
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack, gather_submatrices, gram,
                             numerical_rank, numerical_rank_stack, principal_block_solver,
-                            singular_values, singular_values_stack)
+                            row_block_solver, singular_values, singular_values_stack)
+from subspec.cli import main
+from subspec.montecarlo import estimate_F
+from subspec.oracle import subset_spectra
 from subspec.sampling import draw_subsets, solve_subsets
 
-from reference import is_hermitian
+from reference import is_hermitian, row_block_singular_values
 
 
 def dm(rows):
@@ -135,15 +138,16 @@ def per_matrix_singular_values(data):
 
 def two_pass_singular_values(stack):
     """The former `singular_values_stack`, which symmetrized every Gram
-    product twice: `_gram_stack` returned (G + G*) / 2, and the solver's
-    `_hermitized` averaged that with its adjoint again."""
+    product twice: it formed (G + G*) / 2, and the solver's `_hermitized`
+    averaged that with its adjoint again."""
     amax = np.abs(stack).max(axis=(1, 2))
     rescale = linalg_mod._rescale_factors(amax)
     work = stack if stack.shape[1] <= stack.shape[2] else \
         np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
     if np.any(rescale != 1.0):
         work = work / rescale[:, None, None]
-    vals = linalg_mod._guarded_eigenvalues(linalg_mod._gram_stack(work))
+    g = work @ work.conj().transpose(0, 2, 1)
+    vals = linalg_mod._guarded_eigenvalues(0.5 * (g + g.conj().transpose(0, 2, 1)))
     vals[vals < 0] = 0.0
     return np.sqrt(vals) * rescale[:, None]
 
@@ -615,7 +619,7 @@ def split_cases():
     cases = {name: np.array(stack) for name, stack in layout_cases().items()}
     idx = draw_subsets(40, 12, 3, 0, 30).astype(np.intp) - 1
     for name in ENSEMBLES:
-        cases[name] = gather_submatrices(make_matrix(name, 40, 7), idx, "eigen")
+        cases[name] = gather_submatrices(make_matrix(name, 40, 7), idx)
     big = np.random.default_rng(45).standard_normal((3600, 8, 8))
     cases["past-a-pipe"] = big + big.transpose(0, 2, 1)
     return cases
@@ -781,7 +785,7 @@ class TestPrincipalBlockSolver:
 def gathered_block_eigenvalues(m, idx):
     """The path the diagonal one replaces: the batched Jacobi solver over the
     gathered k x k blocks, kept as the oracle for it."""
-    return linalg_mod._symmetric_eigenvalues(gather_submatrices(m, idx, "eigen"))
+    return linalg_mod._symmetric_eigenvalues(gather_submatrices(m, idx))
 
 
 def diagonal_cases(tmp_path):
@@ -839,7 +843,7 @@ class TestDiagonalBlocks:
         _, m, idx = diagonal_cases(tmp_path)[2]
         bits = m.data.view(np.int64)
         assert not np.array_equal(bits, bits.T)
-        expected = eigenvalues_hermitian_stack(gather_submatrices(m, idx, "eigen"))
+        expected = eigenvalues_hermitian_stack(gather_submatrices(m, idx))
         assert principal_block_solver(m).solve(idx).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("case", ["one-off-diagonal", "symmetric-pair", "complex"])
@@ -861,7 +865,7 @@ class TestDiagonalBlocks:
         blocks = principal_block_solver(m)
         assert blocks.path == path
         assert blocks.row_bytes(3) == 3 * 3 * m.data.itemsize
-        expected = solve(gather_submatrices(m, idx, "eigen"))
+        expected = solve(gather_submatrices(m, idx))
         assert blocks.solve(idx).tobytes() == expected.tobytes()
 
 
@@ -882,6 +886,133 @@ class TestGram:
         rng = np.random.default_rng(8)
         a = DenseMatrix(rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
         assert is_hermitian(gram(a), 0.0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_the_stacked_product(self, field):
+        # the former (1, rows, cols) stack product and out-of-place halving
+        rng = np.random.default_rng(9)
+        for shape in ((3, 5), (40, 7), (100, 100), (64, 300)):
+            a = rng.standard_normal(shape)
+            if field == "complex":
+                a = a + 1j * rng.standard_normal(shape)
+            g = a[None] @ a[None].conj().transpose(0, 2, 1)
+            expected = 0.5 * (g + g.conj().transpose(0, 2, 1))
+            assert gram(DenseMatrix(a)).data.tobytes() == expected[0].tobytes()
+
+
+def row_block_cases():
+    """(name, M, k) for singular mode: square, wide, narrow (fewer columns
+    than k), complex and diagonal input, an order-200 Gaussian, and rows
+    scaled far up and down."""
+    rng = np.random.default_rng(71)
+    narrow = rng.standard_normal((10, 3))
+    cases = [("square", DenseMatrix(rng.standard_normal((30, 30))), 5),
+             ("wide", DenseMatrix(rng.standard_normal((20, 50))), 6),
+             ("narrow-k4", DenseMatrix(narrow), 4), ("narrow-k5", DenseMatrix(narrow), 5),
+             ("complex", DenseMatrix(rng.standard_normal((12, 15))
+                                     + 1j * rng.standard_normal((12, 15))), 5),
+             ("diagonal", DenseMatrix(np.diag(rng.standard_normal(20))), 5),
+             ("rw-covariance", rw_covariance(40), 8),
+             ("gaussian-200", DenseMatrix(rng.standard_normal((200, 200))), 20)]
+    for scale in (1e120, 1e-120):
+        data = rng.standard_normal((30, 40))
+        data[rng.permutation(30)[:10]] *= scale
+        cases.append((f"rows-{scale:g}", DenseMatrix(data), 6))
+    return cases
+
+
+class TestRowBlocks:
+    """Singular mode solves the principal blocks of gram(M)."""
+
+    @pytest.mark.parametrize("case", [name for name, _, _ in row_block_cases()])
+    def test_matches_the_former_row_block_path(self, case):
+        # within 1e-13 of each block's largest singular value
+        _, m, k = next(c for c in row_block_cases() if c[0] == case)
+        idx = draw_subsets(m.rows, k, 5, 0, 60).astype(np.intp) - 1
+        expected = row_block_singular_values(m, idx)
+        got = solve_subsets(m, idx + 1, "singular")
+        assert got.shape == expected.shape == (60, min(k, m.cols))
+        assert np.all(np.abs(got - expected) <= 1e-13 * expected[:, -1:])
+
+    @pytest.mark.parametrize("shape, k", [((9, 9), 4), ((8, 11), 3), ((12, 30), 5),
+                                          ((10, 3), 4)])
+    def test_table_is_the_roots_of_the_gram_table(self, shape, k):
+        # bit for bit, in the normal range; narrow input keeps the cols
+        # largest eigenvalues of each k x k block
+        m = DenseMatrix(np.random.default_rng(72).standard_normal(shape))
+        vals = subset_spectra(gram(m), k)[:, max(0, k - m.cols):]
+        roots = np.sqrt(np.where(vals < 0, 0.0, vals))
+        assert subset_spectra(m, k, "singular").tobytes() == roots.tobytes()
+
+    def test_gram_picks_the_block_path(self):
+        rng = np.random.default_rng(73)
+        assert row_block_solver(rw_covariance(6)).path == "symmetric"
+        assert row_block_solver(DenseMatrix(np.diag([3.0, -1.0, 0.0]))).path == "diagonal"
+        assert row_block_solver(DenseMatrix(rng.standard_normal((4, 2)) + 1j)).path == \
+            "hermitian"
+        # budgeted like eigen blocks: k x k entries, not k x cols
+        assert row_block_solver(DenseMatrix(rng.standard_normal((5, 40)))).row_bytes(3) == 72
+
+    @pytest.mark.parametrize("scale", [2.0**400, 2.0**-400])
+    def test_rescale_is_a_power_of_two(self, scale):
+        # M scaled out of range by two powers of two is rescaled to the same
+        # matrix, so the tables differ by exactly the ratio
+        m = random_symmetric(9, 2, "gaussian").data
+        idx = np.array(list(itertools.combinations(range(9), 4)))
+        one = row_block_solver(DenseMatrix(m * scale)).solve(idx)
+        two = row_block_solver(DenseMatrix(m * (scale * 2.0**60))).solve(idx)
+        assert (two * 2.0**-60).tobytes() == one.tobytes()
+        expected = row_block_singular_values(DenseMatrix(m * scale), idx)
+        assert np.all(np.abs(one - expected) <= 1e-13 * expected[:, -1:])
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e200])
+    def test_refuses_rows_below_the_gram_scale(self, scale, tmp_path, capsys, monkeypatch):
+        # one Gram matrix cannot hold rows 2^-480 below the largest: the
+        # library raises before any draw, and the CLI exits 1 with no output
+        data = np.random.default_rng(74).standard_normal((8, 6))
+        data[[1, 4]] *= scale
+        m = DenseMatrix(data)
+        draws = []
+        monkeypatch.setattr("subspec.montecarlo.draw_subsets",
+                            lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match="too small for singular mode"):
+            estimate_F(m, 3, "singular", 10, 1)
+        assert draws == []
+        with pytest.raises(ValueError, match="too small for singular mode"):
+            row_block_solver(m)
+        save_matrix(m, tmp_path / "m.txt")
+        for command in (["oracle"], ["estimate", "--samples", "10"],
+                        ["pair", "--pairs", "3", "--exclude-top", "0"]):
+            out = tmp_path / "out.json"
+            assert main([*command, "--matrix", str(tmp_path / "m.txt"), "--k", "3",
+                         "--mode", "singular", "--out", str(out)]) == 1
+            assert "too small for singular mode" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_zero_rows_and_matrix(self):
+        data = np.random.default_rng(75).standard_normal((6, 4))
+        data[2] = 0.0
+        idx = np.array([[0, 2, 3], [1, 2, 5]])
+        got = row_block_solver(DenseMatrix(data)).solve(idx)
+        expected = row_block_singular_values(DenseMatrix(data), idx)
+        assert np.all(np.abs(got - expected) <= 1e-13 * expected[:, -1:])
+        assert row_block_solver(DenseMatrix(np.zeros((4, 3)))).solve(idx[:, :2]).tolist() == \
+            [[0.0, 0.0], [0.0, 0.0]]
+
+
+class TestEmptyStacks:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_eigenvalues(self, dtype):
+        for n in (1, 2, 3):
+            out = eigenvalues_hermitian_stack(np.zeros((0, n, n), dtype=dtype))
+            assert out.shape == (0, n) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_gram_and_rank(self, dtype):
+        for shape in ((0, 2, 5), (0, 5, 2), (0, 3, 3)):
+            stack = np.zeros(shape, dtype=dtype)
+            assert singular_values_stack(stack).shape == (0, min(shape[1:]))
+            assert numerical_rank_stack(stack, 1e-9).shape == (0,)
 
 
 class TestSingularValues:

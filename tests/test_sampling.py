@@ -232,25 +232,23 @@ class TestSubmatrices:
 
 class TestGatherSubmatrices:
     def test_matches_ix_indexing(self):
-        # any index order, repeats included, on real, complex and rectangular input
+        # any index order, repeats included, on real and complex input
         rng = np.random.default_rng(16)
         x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-        for m in (rw_covariance(7), DenseMatrix(x + x.conj().T),
-                  DenseMatrix(rng.standard_normal((7, 4)))):
+        for m in (rw_covariance(7), DenseMatrix(x + x.conj().T)):
             idx = np.array([rng.permutation(7)[:3] for _ in range(5)] + [[6, 6, 0]])
-            rows = gather_submatrices(m, idx, "singular")
-            assert rows.shape == (6, 3, m.cols)
-            for block, sel in zip(rows, idx):
-                assert block.tobytes() == m.data[np.ix_(sel, np.arange(m.cols))].tobytes()
-            if m.is_square():
-                blocks = gather_submatrices(m, idx, "eigen")
-                assert blocks.shape == (6, 3, 3) and blocks.dtype == m.data.dtype
-                for block, sel in zip(blocks, idx):
-                    assert block.tobytes() == m.data[np.ix_(sel, sel)].tobytes()
+            blocks = gather_submatrices(m, idx)
+            assert blocks.shape == (6, 3, 3) and blocks.dtype == m.data.dtype
+            for block, sel in zip(blocks, idx):
+                assert block.tobytes() == m.data[np.ix_(sel, sel)].tobytes()
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            gather_submatrices(rw_covariance(4), np.array([[0, 1]]), "other")
+    def test_row_submatrix_keeps_the_rows_in_order(self):
+        rng = np.random.default_rng(17)
+        for data in (rng.standard_normal((7, 4)),
+                     rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))):
+            m = DenseMatrix(data)
+            s = SubsetSample((1, 3, 5), m.rows)
+            assert row_submatrix(m, s).data.tobytes() == data[[0, 2, 4]].tobytes()
 
 
 class TestSubsetSpectrum:
@@ -301,8 +299,8 @@ class TestSolveSubsets:
                 return blocks.solve(idx)
             return blocks._replace(solve=record)
 
-        def recording_gather(m, idx, mode):
-            stack = real_gather(m, idx, mode)
+        def recording_gather(m, idx):
+            stack = real_gather(m, idx)
             stacks[-1][1] += stack.nbytes
             return stack
 
@@ -341,21 +339,22 @@ class TestSolveSubsets:
         solve_subsets(m, np.array([range(1, 13)]), "eigen")
         assert stacks == [[1, 0]]
 
-    @pytest.mark.parametrize("path, bound", [("symmetric", 8), ("hermitian", 16),
+    @pytest.mark.parametrize("case, bound", [("symmetric", 8), ("hermitian", 16),
                                              ("diagonal", 8), ("gram", 8)])
-    def test_memory_is_a_multiple_of_the_stack_budget(self, path, bound):
+    def test_memory_is_a_multiple_of_the_stack_budget(self, case, bound):
         # beyond its output table, a chunk of many stacks needs at most 8 x
         # STACK_BYTES, and 16 x on the complex path, whose embedding doubles
-        # the order of the blocks the solver rotates
+        # the order of the blocks the solver rotates; singular mode solves
+        # the blocks of gram(M), within the same budget
         rng = np.random.default_rng(16)
         x = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         m, k = {"symmetric": (rw_covariance(100), 20),
                 "hermitian": (DenseMatrix(x + x.conj().T), 12),
                 "diagonal": (half_ones_diagonal(1024), 256),
-                "gram": (DenseMatrix(rng.standard_normal((60, 60))), 8)}[path]
-        mode = "singular" if path == "gram" else "eigen"
-        blocks = row_block_solver(m) if path == "gram" else principal_block_solver(m)
-        assert blocks.path == path
+                "gram": (DenseMatrix(rng.standard_normal((60, 60))), 8)}[case]
+        mode = "singular" if case == "gram" else "eigen"
+        blocks = row_block_solver(m) if case == "gram" else principal_block_solver(m)
+        assert blocks.path == ("symmetric" if case == "gram" else case)
         step = sampling_mod.STACK_BYTES // blocks.row_bytes(k)
         subsets = draw_subsets(m.rows, k, 16, 0, 3 * step + step // 2)
         tracemalloc.start()

@@ -26,8 +26,9 @@ SRC = Path(subspec.__file__).resolve().parent
 TASKS = Path("/proc/self/task")
 needs_proc = pytest.mark.skipif(not TASKS.is_dir(), reason="no per-thread /proc entries")
 
-# a singular-mode run whose 40 x 200 Gram products (k * k * n = 320000)
-# cross OpenBLAS's one-thread limit for gemm (262144 multiply-adds)
+# a singular-mode run whose one BLAS call, the 200 x 200 product gram(M)
+# (n * n * n = 8e6 multiply-adds), crosses OpenBLAS's one-thread limit for
+# gemm (262144)
 SINGULAR_RUN = ["estimate", "--ensemble", "random-gaussian", "--n", "200", "--k", "40",
                 "--samples", "5", "--seed", "1", "--mode", "singular"]
 
