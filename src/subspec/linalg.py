@@ -48,11 +48,15 @@ one, shared by the processes that solve it.
 Singular mode reads the same blocks of one matrix: a row block A = M[S, :]
 has A A* = gram(M)[S, S], so `row_block_solver` forms gram(M) once and
 hands it to `principal_block_solver`, which picks the path for it; its
-blocks are budgeted like any others.
+blocks are budgeted like any others.  The matrix keeps that solver
+(`DenseMatrix.row_blocks`), so a run that solves its row blocks in several
+passes forms gram(M) once.
 
 A stack with B * k^3 >= 2 * `_PART_MIN_WORK` is cut into row ranges, at most
-one per CPU, when the process runs one OS thread; each range but the first is
-solved in a forked worker, and the bytes do not depend on the cut.
+one per CPU, when the process runs one OS thread (`process_count`); each
+range but the first is solved in a forked worker, and the bytes do not
+depend on the cut.  `forked` is the package's one way of running work in
+another process: `walk.spectral_gaps` solves its large gaps through it too.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -63,9 +67,10 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, NamedTuple
+from functools import cached_property, lru_cache, partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +96,7 @@ class DenseMatrix:
     frozen, so values may be shared freely across threads.  An array that
     is already read-only, of that dtype, C-ordered and the owner of its data
     is adopted without a copy: whoever hands it over gives up writing to it.
+    The solver of its row blocks (`row_blocks`) is cached on it.
     """
 
     data: np.ndarray
@@ -126,6 +132,13 @@ class DenseMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @cached_property
+    def row_blocks(self) -> BlockSolver:
+        """`row_block_solver` of this matrix, formed at first use and kept
+        while the matrix lives, so that every singular-mode pass over its
+        blocks reads the one gram(M) it holds."""
+        return row_block_solver(self)
 
 
 @dataclass(frozen=True)
@@ -303,8 +316,14 @@ def eigenvalues_hermitian(m: DenseMatrix) -> Spectrum:
 def gram(a: DenseMatrix) -> DenseMatrix:
     """A times its conjugate transpose; Hermitian positive semidefinite."""
     g = a.data @ a.data.conj().T
-    g = g + g.conj().T  # exact Hermitian symmetry against rounding in the product
-    g *= 0.5  # in place, so that DenseMatrix adopts it uncopied
+    bits = g.view(np.int64)
+    # (g + g*) / 2 is exactly Hermitian against rounding in the product.  A
+    # real product equal to its transpose bit for bit (numpy hands a @ a.T to
+    # a symmetric kernel) is kept: the sum would be 2g, exactly g once halved,
+    # and forming it would take a second matrix of G's size
+    if a.is_complex or not np.array_equal(bits, bits.T):
+        g = g + g.conj().T
+        g *= 0.5  # in place, so that DenseMatrix adopts it uncopied
     g.setflags(write=False)
     return DenseMatrix(g)
 
@@ -488,23 +507,46 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     worker's RuntimeError is raised here with its message."""
     a = np.asarray(a, dtype=np.float64)
     count, n = a.shape[:2]
-    parts = min(count, count * n**3 // _PART_MIN_WORK)
-    parts = min(parts, _fork_cpus()) if parts >= 2 else 1
+    parts = process_count(count * n**3, count)
     bounds = [count * i // parts for i in range(parts + 1)]
     def solve(part: np.ndarray) -> np.ndarray:  # in the layout the part's size favours
         return _jacobi(part, batch_last=len(part) >= max(n, _BATCH_LAST_MIN_SIZE / n))
     out = np.empty((count, n))
+    with forked([(partial(solve, a[start:stop]), out[start:stop])
+                 for start, stop in zip(bounds[1:-1], bounds[2:])]) as join:
+        out[:bounds[1]] = solve(a[:bounds[1]])
+        join()
+    return out
+
+
+def process_count(work: int, most: int) -> int:
+    """How many processes share `work` multiply-adds that split at most
+    `most` ways: one per _PART_MIN_WORK of it, no more than this process may
+    use (`_fork_cpus`), and 1 when that is below 2."""
+    parts = min(most, work // _PART_MIN_WORK)
+    return min(parts, _fork_cpus()) if parts >= 2 else 1
+
+
+@contextmanager
+def forked(jobs: Sequence[tuple[Callable[[], np.ndarray], np.ndarray]]
+           ) -> Iterator[Callable[[], None]]:
+    """Run each job of the (job, out) pairs in its own forked worker while
+    the body of the `with` runs.  A worker sends b"0" and the bytes of its
+    float64 result through a pipe, or b"1" and the message of a RuntimeError
+    it raised.  The function this yields reads every worker's result into
+    its `out`, in place, and raises a worker's RuntimeError with its message.
+    On leaving, however the body exits, every worker is killed and reaped."""
     pids, readers = [], []
     try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
+        for job, _ in jobs:
             read_fd, write_fd = os.pipe()
             readers.append(open(read_fd, "rb", buffering=0))
             with open(write_fd, "wb") as sink:
                 if (pid := os.fork()) == 0:
-                    # a worker: b"0" and rows or b"1" and error, then os._exit (no stdio flush)
+                    # a worker ends in os._exit, which flushes no inherited stdio
                     try:
                         try:
-                            sink.write(b"0" + solve(a[start:stop]).tobytes())
+                            sink.write(b"0" + np.asarray(job(), dtype=np.float64).tobytes())
                         except RuntimeError as exc:
                             sink.write(b"1" + str(exc).encode())
                         sink.flush()
@@ -512,21 +554,22 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
                     finally:
                         os._exit(1)  # any other failure: the parent finds a short result
             pids.append(pid)
-        out[:bounds[1]] = solve(a[:bounds[1]])
-        for reader, start, stop in zip(readers, bounds[1:-1], bounds[2:]):
-            # to EOF before reaping: a worker waits while its result fills the pipe
-            status, rows = (data := reader.read())[:1], data[1:]
-            if status != b"0" or len(rows) != out[start:stop].nbytes:
-                raise RuntimeError(rows.decode() if status == b"1" else
-                                   "eigensolver worker returned no result")
-            out[start:stop] = np.frombuffer(rows).reshape(-1, n)
+
+        def join() -> None:
+            for reader, (_, out) in zip(readers, jobs):
+                # to EOF before reaping: a worker waits while its result fills the pipe
+                status, result = (data := reader.read())[:1], data[1:]
+                if status != b"0" or len(result) != out.nbytes:
+                    raise RuntimeError(result.decode() if status == b"1" else
+                                       "worker returned no result")
+                out[...] = np.frombuffer(result).reshape(out.shape)
+        yield join
     finally:
         for reader in readers:
             reader.close()
         for pid in pids:
-            os.kill(pid, 9)  # SIGKILL (no `signal` import); a worker that sent its rows has exited
+            os.kill(pid, 9)  # SIGKILL (no `signal` import); a worker that sent a result has exited
             os.waitpid(pid, 0)
-    return out
 
 
 def _fork_cpus() -> int:

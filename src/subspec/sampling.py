@@ -25,7 +25,8 @@ be drawn lazily) into stacks of index rows and hands their spectra out
 in row order.  It asks `linalg` how M's blocks are solved once, before
 it reads the first chunk: `principal_block_solver` picks a diagonal,
 symmetric or Hermitian path for M in eigen mode, and for gram(M) in
-singular mode (`row_block_solver`).  A stack holds as many rows as fit in
+singular mode (`row_block_solver`, which M keeps as `M.row_blocks`, so
+gram(M) is formed once per matrix).  A stack holds as many rows as fit in
 STACK_BYTES of what a row holds while solved: k x k entries per gathered
 principal block, and 4k per block of a real diagonal matrix (index, value
 and two copies).  `solve_subsets` solves one chunk into one table.  The
@@ -41,8 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .linalg import (DenseMatrix, Spectrum, gather_submatrices, principal_block_solver,
-                     row_block_solver)
+from .linalg import DenseMatrix, Spectrum, gather_submatrices, principal_block_solver
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -268,7 +268,7 @@ def solve_stacks(m: DenseMatrix, chunks: Iterable[np.ndarray], mode: str
     if mode == "eigen":
         blocks = principal_block_solver(m)
     elif mode == "singular":
-        blocks = row_block_solver(m)
+        blocks = m.row_blocks
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'eigen' or 'singular'")
     for subsets in chunks:

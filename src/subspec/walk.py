@@ -10,6 +10,9 @@ kernel is symmetric, so everything reversible-chain-shaped can be checked
 by direct matrix inspection: `kernel_errors` gives the row-sum,
 detailed-balance and invariance errors of a dense `kernel_matrix`, and
 `spectral_gap` its gap; the CLI's `verify` reports these per n.
+`spectral_gaps` solves the gaps whose solve pays for a second process
+(n = 5 and 6, given two CPUs) in a forked worker while its caller runs
+other checks.
 
 Every other table is derived from `permutations(n)` with array
 operations.  `neighbor_table` reads each row as a base-n numeral; these
@@ -40,14 +43,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .linalg import (DenseMatrix, eigenvalues_hermitian, gather_submatrices,
-                     numerical_rank_stack)
+from .linalg import (DenseMatrix, eigenvalues_hermitian, forked, gather_submatrices,
+                     numerical_rank_stack, process_count)
 from .oracle import pointwise_profile, subset_table
 
 _MAX_DENSE_N = 6
@@ -140,6 +144,27 @@ def spectral_gap(n: int) -> float:
     expensive one)."""
     spectrum = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n)))
     return 1.0 - float(spectrum.values[-2])
+
+
+@contextmanager
+def spectral_gaps(ns: Sequence[int]) -> Iterator[Callable[[], dict[int, float]]]:
+    """`spectral_gap` of every n in ns, solved while the body of the `with`
+    runs.  On entry, the n whose dense n! x n! solve pays for a second
+    process (`linalg.process_count`) start in one forked worker.  The
+    function this yields solves the other n here, waits for the worker and
+    returns {n: gap}, the same floats as `spectral_gap`; a worker's
+    RuntimeError is raised there.  The worker is reaped on leaving, however
+    the body exits."""
+    apart = [n for n in ns if process_count(math.factorial(n) ** 3, 2) == 2]
+    solved = np.empty(len(apart))
+    jobs = [(lambda: [spectral_gap(n) for n in apart], solved)] if apart else []
+    with forked(jobs) as join:
+        def gaps() -> dict[int, float]:
+            here = {n: spectral_gap(n) for n in ns if n not in apart}
+            join()
+            here.update(zip(apart, solved.tolist()))
+            return here
+        yield gaps
 
 
 def _neighbor_diffs(f: FunctionOnSn) -> np.ndarray:

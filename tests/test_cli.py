@@ -116,6 +116,20 @@ class TestEstimate:
                  "--samples", "20", "--seed", "5", "--out", str(tmp_path / "r.json"))
         assert rc == 0
 
+    @pytest.mark.parametrize("n, note", [(12, "reference=exact_F"),
+                                         (200, "reference=estimate_F(")])
+    def test_singular_mode_forms_gram_once(self, tmp_path, monkeypatch, n, note):
+        # the reference (exact below the cap, sampled above it) and the
+        # samples solve blocks of the one gram(M) the matrix keeps
+        import subspec.linalg
+        real, formed = subspec.linalg.gram, []
+        monkeypatch.setattr(subspec.linalg, "gram", lambda a: formed.append(a.rows) or real(a))
+        out = tmp_path / "est.json"
+        assert run("estimate", "--ensemble", "random-gaussian", "--n", str(n), "--k", "4",
+                   "--samples", "50", "--mode", "singular", "--out", str(out)) == 0
+        assert formed == [n]
+        assert note in json.loads(out.read_text())["report"]["metadata"]
+
     def test_k_out_of_range_is_usage_error(self, tmp_path):
         rc = run("estimate", "--ensemble", "half-ones", "--n", "4", "--k", "9",
                  "--out", str(tmp_path / "x.json"))

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import threading
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -898,6 +899,19 @@ class TestGram:
             g = a[None] @ a[None].conj().transpose(0, 2, 1)
             expected = 0.5 * (g + g.conj().transpose(0, 2, 1))
             assert gram(DenseMatrix(a)).data.tobytes() == expected[0].tobytes()
+
+    def test_real_product_needs_no_second_matrix(self):
+        # a real product that is bitwise symmetric is kept as it is: forming
+        # G peaks near its own size, not at twice it for the symmetrizing sum
+        a = DenseMatrix(np.random.default_rng(10).standard_normal((512, 64)))
+        tracemalloc.start()
+        try:
+            g = gram(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.data.tobytes() == (a.data @ a.data.T).tobytes()
+        assert peak < 1.25 * g.data.nbytes
 
 
 def row_block_cases():

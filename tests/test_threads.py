@@ -5,9 +5,11 @@ numpy first loads OpenBLAS, so a CLI run starts no idle BLAS worker thread.
 `import subspec` loads neither numpy nor a submodule and leaves the
 variable alone, so library users keep their BLAS threads.  Output bytes must
 not depend on the BLAS thread count, nor on the number of processes that
-solve a Jacobi stack.  The test process itself imported numpy long ago, so
-the pin and the split can only be seen from a new interpreter; the
-import-order guards below read the source instead.
+solve a Jacobi stack, nor on whether `verify` solves its walk gaps in a
+worker; no worker outlives the call that started it.  The test process
+itself imported numpy long ago, so the pin, the split and the worker can
+only be seen from a new interpreter; the import-order and fork guards
+below read the source instead.
 """
 
 import ast
@@ -103,11 +105,12 @@ SPLIT_SETTINGS = {
 
 
 def split_probe(setting, body):
-    """Python source that imports the CLI, applies one of SPLIT_SETTINGS,
-    counts this process's forks, runs `body`, and prints
-    [forks, whether a child process is left unreaped] last."""
+    """Python source that imports the CLI, applies `setting` (source text,
+    such as a value of SPLIT_SETTINGS), counts this process's forks, runs
+    `body`, and prints [forks, whether a child process is left unreaped]
+    last."""
     return (f"import json, os, sys\nimport subspec.cli as cli\nfrom subspec import linalg\n"
-            f"{SPLIT_SETTINGS[setting]}\nforks, fork = [], os.fork\n"
+            f"{setting}\nforks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(1) or fork()\n"
             f"{body}\n"
             "try:\n    os.waitpid(-1, os.WNOHANG)\n    left = True\n"
@@ -122,7 +125,8 @@ def test_output_bytes_do_not_depend_on_the_worker_count(run, tmp_path):
     for setting in SPLIT_SETTINGS:
         out = tmp_path / f"{setting}.json"
         body = f"assert cli.main({SPLIT_RUNS[run] + ['--out', str(out)]!r}) == 0"
-        forks[setting], left = json.loads(run_python(["-c", split_probe(setting, body)]))
+        forks[setting], left = json.loads(run_python(
+            ["-c", split_probe(SPLIT_SETTINGS[setting], body)]))
         assert not left
         digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
     assert len(digests) == 1
@@ -131,7 +135,7 @@ def test_output_bytes_do_not_depend_on_the_worker_count(run, tmp_path):
 
 @needs_proc
 def test_cli_process_may_fork_one_worker_per_cpu():
-    code = split_probe("default", "print(linalg._fork_cpus(), len(os.sched_getaffinity(0)))")
+    code = split_probe("", "print(linalg._fork_cpus(), len(os.sched_getaffinity(0)))")
     cpus, affinity = run_python(["-c", code]).decode().splitlines()[0].split()
     assert cpus == affinity
 
@@ -145,9 +149,109 @@ def test_workers_flush_no_inherited_output():
             "print('before', end=' ')\n"
             "linalg._symmetric_eigenvalues(np.array([np.eye(3)] * 6))\n"
             "print('after')")
-    lines = run_python(["-c", split_probe("forced", body)]).decode().splitlines()
+    lines = run_python(["-c", split_probe(SPLIT_SETTINGS["forced"], body)]).decode().splitlines()
     assert lines[0] == "before after"
     assert json.loads(lines[1]) == [2, False]
+
+
+VERIFY_RUNS = {"n345": (["verify", "--n", "3", "4", "5"], 0),
+               "corrupt": (["verify", "--n", "3", "4", "5", "--self-test-corrupt"], 1),
+               "n2": (["verify", "--n", "2"], 0)}
+# the gap worker as two CPUs start it (for n = 5 alone), off, and for every
+# n with every stack split three ways too
+GAP_SETTINGS = {"worker": "os.sched_getaffinity = lambda pid: {0, 1}",
+                "off": "linalg._fork_cpus = lambda: 1",
+                "forced": SPLIT_SETTINGS["forced"]}
+
+
+@needs_proc
+@pytest.mark.parametrize("run", list(VERIFY_RUNS))
+def test_verify_bytes_do_not_depend_on_the_gap_worker(run, tmp_path):
+    argv, exit_code = VERIFY_RUNS[run]
+    digests, forks = set(), {}
+    for setting, setup in GAP_SETTINGS.items():
+        out = tmp_path / f"{setting}.json"
+        body = f"assert cli.main({argv + ['--out', str(out)]!r}) == {exit_code}"
+        forks[setting], left = json.loads(run_python(["-c", split_probe(setup, body)]))
+        assert not left
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
+    assert forks["off"] == 0
+    assert forks["worker"] == (0 if run == "n2" else 1)
+    assert forks["forced"] >= 1
+
+
+@needs_proc
+@pytest.mark.parametrize("setting", ["worker", "forced"])
+def test_worker_gaps_are_the_bits_of_spectral_gap(setting):
+    body = ("from subspec import walk\n"
+            "with walk.spectral_gaps([2, 3, 4, 5]) as solve:\n    gaps = solve()\n"
+            "walk.spectral_gap.cache_clear()\n"
+            "print(json.dumps([[gaps[n].hex(), walk.spectral_gap(n).hex()] for n in gaps]))")
+    lines = run_python(["-c", split_probe(GAP_SETTINGS[setting], body)]).decode().splitlines()
+    pairs = json.loads(lines[0])
+    assert len(pairs) == 4 and all(worker == here for worker, here in pairs)
+    # n = 5 alone pays for a process; forced, every n goes to the one worker
+    assert json.loads(lines[1]) == [1, False]
+
+
+@needs_proc
+def test_verify_that_raises_midway_leaves_no_worker():
+    # the first rank step raises while the worker still solves the n = 5 gap
+    body = ("from subspec import walk\n"
+            "def broken(*args):\n    raise ValueError('broken check')\n"
+            "walk.rank_step_check = broken\n"
+            "try:\n    cli.run_verification([3, 4, 5])\n"
+            "except ValueError as exc:\n    print(exc)")
+    lines = run_python(["-c", split_probe(GAP_SETTINGS["worker"], body)]).decode().splitlines()
+    assert lines[0] == "broken check"
+    assert json.loads(lines[1]) == [1, False]
+
+
+@needs_proc
+def test_gap_worker_error_fails_the_run(tmp_path):
+    # the order-120 solve runs in the worker alone; its RuntimeError is
+    # raised in the CLI process with its message, which exits 1
+    out = tmp_path / "verify.json"
+    body = ("import contextlib, io\nreal = linalg._jacobi\n"
+            "def failing(a, batch_last):\n"
+            "    if a.shape[1] == 120:\n"
+            "        raise RuntimeError('order-120 solve did not converge')\n"
+            "    return real(a, batch_last)\n"
+            "linalg._jacobi = failing\nerr = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    rc = cli.main(['verify', '--n', '3', '4', '5', '--out', {str(out)!r}])\n"
+            "print(json.dumps([rc, err.getvalue()]))")
+    lines = run_python(["-c", split_probe(GAP_SETTINGS["worker"], body)]).decode().splitlines()
+    assert json.loads(lines[0]) == [1, "subspec: order-120 solve did not converge\n"]
+    assert json.loads(lines[1]) == [1, False]
+    assert not out.exists()
+
+
+def _forks(node: ast.AST) -> int:
+    """How many `os.fork...` attributes appear inside `node`."""
+    return sum(isinstance(sub, ast.Attribute) and ast.unparse(sub).startswith("os.fork")
+               for sub in ast.walk(node))
+
+
+def test_one_function_forks():
+    # one parallelism mechanism: one `os.fork` in the package, in one
+    # function, and no module imports another way to run work concurrently
+    forks, forking, others = 0, [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        forks += _forks(tree)
+        forking += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and _forks(func)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                others += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                others += [node.module] + [f"os.{alias.name}" for alias in node.names
+                                           if node.module == "os"]
+    assert (forks, forking) == (1, ["linalg.forked"])
+    assert [name for name in others if name.startswith("os.") or name.split(".")[0] in (
+        "threading", "_thread", "multiprocessing", "concurrent", "subprocess")] == []
 
 
 def _loads_numpy_or_package(node: ast.AST) -> bool:

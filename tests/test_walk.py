@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,11 +124,64 @@ class TestKernel:
             kernel_matrix(1)
 
 
+def partitions(n, largest=None):
+    """The integer partitions of n into parts of at most `largest`, each a
+    nonincreasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def conjugate(shape):
+    return tuple(sum(1 for part in shape if part > j) for j in range(shape[0]))
+
+
+def irrep_dimension(shape):
+    """d_lambda by the hook length formula: n! over the product of hooks."""
+    columns = conjugate(shape)
+    hooks = math.prod(shape[i] - j + columns[j] - i - 1
+                      for i in range(len(shape)) for j in range(shape[i]))
+    return math.factorial(sum(shape)) // hooks
+
+
+def closed_form_spectrum(n):
+    """The kernel's eigenvalues by Diaconis & Shahshahani (1981), ascending:
+    1/n + ((n - 1)/n) r(lambda) with multiplicity d_lambda^2 per lambda of n,
+    r(lambda) = sum_i [C(lambda_i, 2) - C(lambda'_i, 2)] / C(n, 2), each
+    value exact in rationals before it is rounded once."""
+    values = []
+    for shape in partitions(n):
+        r = Fraction(sum(math.comb(part, 2) for part in shape)
+                     - sum(math.comb(part, 2) for part in conjugate(shape)), math.comb(n, 2))
+        values += [float(Fraction(1, n) + Fraction(n - 1, n) * r)] * irrep_dimension(shape) ** 2
+    return np.sort(values)
+
+
 class TestSpectralGap:
     def test_small_n_equals_two_over_n(self):
         assert abs(spectral_gap(2) - 1.0) <= 1e-10
         assert abs(spectral_gap(3) - 2 / 3) <= 1e-8
         assert abs(spectral_gap(4) - 1 / 2) <= 1e-8
+
+    def test_closed_form_ingredients(self):
+        assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert conjugate((3, 1)) == (2, 1, 1)
+        assert [irrep_dimension(shape) for shape in partitions(5)] == [1, 4, 5, 6, 5, 4, 1]
+        for n in range(2, 7):
+            assert sum(irrep_dimension(shape) ** 2 for shape in partitions(n)) == \
+                math.factorial(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_eigenvalue_matches_the_closed_form(self, n):
+        # the n = 6 solve is left to the slow acceptance test: it takes seconds
+        got = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n))).values
+        expected = closed_form_spectrum(n)
+        assert got.shape == expected.shape == (math.factorial(n),)
+        assert np.abs(got - expected).max() <= 1e-10
+        assert abs(1.0 - expected[-2] - 2.0 / n) <= 1e-15
 
 
 class TestDirichletAndVariance:
