@@ -21,9 +21,8 @@ import json as _json
 import math
 import os
 import sys
-from functools import partial
 from statistics import median
-from typing import Callable, Sequence
+from typing import Sequence
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
 
@@ -237,125 +236,94 @@ def _spectrum_grid(full: StepCdf, points: int) -> np.ndarray:
 VERIFY_SEED = 20260808
 
 
-def _check(name: str, measured: float, required: float, ok: bool, **extra) -> dict:
-    return {"check": name, "measured": measured, "required": required, "pass": bool(ok),
-            **extra}
-
-
-def _gap_check(n: int, gap: float) -> dict:
-    gap_tol = 1e-7 if n >= 6 else 1e-8
-    return _check(f"spectral-gap-n{n}", abs(gap - 2.0 / n), gap_tol,
-                  abs(gap - 2.0 / n) <= gap_tol, gap=gap, gap_theory=2.0 / n)
-
-
-def _concentration_check(name: str, f: walk.FunctionOnSn, r_grid: np.ndarray,
-                         gap: float) -> dict:
-    ok = True
-    worst_excess = 0.0
-    for signed in (f, walk.FunctionOnSn(f.n, -f.values)):
-        for row in walk.verify_gap_concentration(signed, r_grid, gap):
-            worst_excess = max(worst_excess, row["measure"] - row["bound"])
-            ok = ok and row["pass"]
-    return _check(name, worst_excess, 0.0, ok)
-
-
 def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
     """The inequality suite: kernel sanity, spectral gap, one-step norm
     budget, gap concentration, rank steps, exact tails, chaining.
 
     Each n's walk report holds the clean kernel's errors and its gap; with
-    `corrupt`, the kernel-validity check alone sees the altered kernel.
-
-    The gaps are solved while the other checks run (`walk.spectral_gaps`,
-    which may fork a worker for them).  A check that needs n's gap holds its
-    place in the report until the gaps are known."""
+    `corrupt`, the kernel-validity check alone sees the altered kernel."""
     checks: list[dict] = []
     walk_reports: list[dict] = []
-    # (n, place in checks, its record from n's gap)
-    pending: list[tuple[int, dict, Callable[[float], dict]]] = []
 
     def record(name: str, measured: float, required: float, ok: bool, **extra) -> None:
-        checks.append(_check(name, measured, required, ok, **extra))
+        checks.append({"check": name, "measured": measured, "required": required,
+                       "pass": bool(ok), **extra})
 
-    def record_with_gap(n: int, make: Callable[[float], dict]) -> None:
-        checks.append({})
-        pending.append((n, checks[-1], make))
+    for n in n_values:
+        kernel = walk.kernel_matrix(n)
+        row_err, rev_err, inv_err = clean = walk.kernel_errors(kernel)
+        if corrupt:
+            kernel[0, 1] *= 1.5
+            row_err, rev_err, inv_err = walk.kernel_errors(kernel)
+        record(f"kernel-validity-n{n}", max(row_err, rev_err, inv_err), 1e-14,
+               max(row_err, rev_err, inv_err) <= 1e-14,
+               row_sum_error=row_err, reversibility_error=rev_err,
+               invariance_error=inv_err)
+        gap = walk.spectral_gap(n)
+        record(f"spectral-gap-n{n}", abs(gap - 2.0 / n), 1e-8,
+               abs(gap - 2.0 / n) <= 1e-8, gap=gap, gap_theory=2.0 / n)
+        walk_reports.append({"n": n, "row_sum_error": clean[0],
+                             "reversibility_error": clean[1], "invariance_error": clean[2],
+                             "gap": gap, "gap_theory": 2.0 / n})
 
-    with walk.spectral_gaps(n_values) as solve_gaps:
-        for n in n_values:
-            kernel = walk.kernel_matrix(n)
-            row_err, rev_err, inv_err = clean = walk.kernel_errors(kernel)
-            if corrupt:
-                kernel[0, 1] *= 1.5
-                row_err, rev_err, inv_err = walk.kernel_errors(kernel)
-            record(f"kernel-validity-n{n}", max(row_err, rev_err, inv_err), 1e-14,
-                   max(row_err, rev_err, inv_err) <= 1e-14,
-                   row_sum_error=row_err, reversibility_error=rev_err,
-                   invariance_error=inv_err)
-            record_with_gap(n, partial(_gap_check, n))
-            walk_reports.append({"n": n, "row_sum_error": clean[0],
-                                 "reversibility_error": clean[1], "invariance_error": clean[2],
-                                 "gap": None, "gap_theory": 2.0 / n})
+        matrices = {
+            "rw-covariance": rw_covariance(n),
+            "half-ones": half_ones_diagonal(n),
+            "random": random_symmetric(n, 101, "gaussian"),
+        }
+        r_grid = np.linspace(0.0, 5.0, 26)
+        rng = np.random.default_rng(VERIFY_SEED + n)
+        for label, matrix in matrices.items():
+            tables = {k: subset_spectra(matrix, k) for k in range(1, n)}
+            exact = {k: mean_cdf(table) for k, table in tables.items()}
+            for k in range(2, n):
+                xs = _spectrum_grid(exact[k], 20)
+                worst = walk.verify_triple_norm_bound(tables[k], n, xs)
+                record(f"one-step-norm-n{n}-k{k}-{label}", worst, 4.0,
+                       worst <= 4.0 + k * n * 1e-12)
+                mid = xs[len(xs) // 2]
+                f = walk.esd_observable(tables[k], n, float(mid))
+                ok = True
+                worst_excess = 0.0
+                for signed in (f, walk.FunctionOnSn(n, -f.values)):
+                    for row in walk.verify_gap_concentration(signed, r_grid, gap):
+                        worst_excess = max(worst_excess, row["measure"] - row["bound"])
+                        ok = ok and row["pass"]
+                record(f"gap-concentration-n{n}-k{k}-{label}", worst_excess, 0.0, ok)
 
-            matrices = {
-                "rw-covariance": rw_covariance(n),
-                "half-ones": half_ones_diagonal(n),
-                "random": random_symmetric(n, 101, "gaussian"),
-            }
-            r_grid = np.linspace(0.0, 5.0, 26)
-            rng = np.random.default_rng(VERIFY_SEED + n)
-            for label, matrix in matrices.items():
-                tables = {k: subset_spectra(matrix, k) for k in range(1, n)}
-                exact = {k: mean_cdf(table) for k, table in tables.items()}
-                for k in range(2, n):
-                    xs = _spectrum_grid(exact[k], 20)
-                    worst = walk.verify_triple_norm_bound(tables[k], n, xs)
-                    record(f"one-step-norm-n{n}-k{k}-{label}", worst, 4.0,
-                           worst <= 4.0 + k * n * 1e-12)
-                    mid = xs[len(xs) // 2]
-                    f = walk.esd_observable(tables[k], n, float(mid))
-                    record_with_gap(n, partial(_concentration_check,
-                                               f"gap-concentration-n{n}-k{k}-{label}", f, r_grid))
+                perms, taus = [], []
+                for _ in range(40):
+                    perms.append(rng.permutation(n))
+                    taus.append(rng.choice(n, size=2, replace=False))
+                ranks, gaps = walk.rank_step_check(matrix, tables[k], perms, taus)
+                violations = int(np.count_nonzero((ranks > 2) | (gaps > 2.0 / k + 1e-12)))
+                record(f"rank-step-n{n}-k{k}-{label}", violations, 0.0,
+                       violations == 0, worst_esd_gap=float(gaps.max()))
 
-                    perms, taus = [], []
-                    for _ in range(40):
-                        perms.append(rng.permutation(n))
-                        taus.append(rng.choice(n, size=2, replace=False))
-                    ranks, gaps = walk.rank_step_check(matrix, tables[k], perms, taus)
-                    violations = int(np.count_nonzero((ranks > 2) | (gaps > 2.0 / k + 1e-12)))
-                    record(f"rank-step-n{n}-k{k}-{label}", violations, 0.0,
-                           violations == 0, worst_esd_gap=float(gaps.max()))
+            for k in range(1, min(4, n - 1) + 1):
+                dist = supnorm_law(tables[k], exact[k])
+                tail_violations = sum(
+                    1 for r in r_grid
+                    if dist.tail_prob(1.0 / math.sqrt(k) + float(r)) >
+                    supnorm_tail_bound(k, float(r)))
+                mean_ok = dist.mean() <= supnorm_mean_bound(k)
+                record(f"exact-supnorm-tail-n{n}-k{k}-{label}", tail_violations, 0.0,
+                       tail_violations == 0 and mean_ok, mean=dist.mean(),
+                       mean_bound=supnorm_mean_bound(k))
+                xs = _spectrum_grid(exact[k], 8)
+                tails = pointwise_profile(tables[k], xs).tails(r_grid)
+                bounds = [pointwise_tail_bound(k, float(r)) for r in r_grid]
+                pw_violations = int(np.count_nonzero(tails > bounds))
+                record(f"exact-pointwise-tail-n{n}-k{k}-{label}", pw_violations, 0.0,
+                       pw_violations == 0)
 
-                for k in range(1, min(4, n - 1) + 1):
-                    dist = supnorm_law(tables[k], exact[k])
-                    tail_violations = sum(
-                        1 for r in r_grid
-                        if dist.tail_prob(1.0 / math.sqrt(k) + float(r)) >
-                        supnorm_tail_bound(k, float(r)))
-                    mean_ok = dist.mean() <= supnorm_mean_bound(k)
-                    record(f"exact-supnorm-tail-n{n}-k{k}-{label}", tail_violations, 0.0,
-                           tail_violations == 0 and mean_ok, mean=dist.mean(),
-                           mean_bound=supnorm_mean_bound(k))
-                    xs = _spectrum_grid(exact[k], 8)
-                    tails = pointwise_profile(tables[k], xs).tails(r_grid)
-                    bounds = [pointwise_tail_bound(k, float(r)) for r in r_grid]
-                    pw_violations = int(np.count_nonzero(tails > bounds))
-                    record(f"exact-pointwise-tail-n{n}-k{k}-{label}", pw_violations, 0.0,
-                           pw_violations == 0)
-
-        rng = np.random.default_rng(VERIFY_SEED)
-        chain_violations = 0
-        for _ in range(200):
-            f = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
-            g = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
-            chain_violations += int(np.count_nonzero(~chaining_checks(f, g, range(2, 13))))
-        record("chaining", chain_violations, 0.0, chain_violations == 0)
-        gap_of = solve_gaps()
-
-    for n, place, make in pending:
-        place.update(make(gap_of[n]))
-    for report in walk_reports:
-        report["gap"] = gap_of[report["n"]]
+    rng = np.random.default_rng(VERIFY_SEED)
+    chain_violations = 0
+    for _ in range(200):
+        f = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
+        g = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
+        chain_violations += int(np.count_nonzero(~chaining_checks(f, g, range(2, 13))))
+    record("chaining", chain_violations, 0.0, chain_violations == 0)
     return {"n_values": list(n_values), "corrupt": corrupt,
             "metadata": standard_metadata(),
             "walk_reports": walk_reports,

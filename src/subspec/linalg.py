@@ -53,10 +53,10 @@ blocks are budgeted like any others.  The matrix keeps that solver
 passes forms gram(M) once.
 
 A stack with B * k^3 >= 2 * `_PART_MIN_WORK` is cut into row ranges, at most
-one per CPU, when the process runs one OS thread (`process_count`); each
+one per CPU, when the process runs one OS thread (`_fork_cpus`); each
 range but the first is solved in a forked worker, and the bytes do not
 depend on the cut.  `forked` is the package's one way of running work in
-another process: `walk.spectral_gaps` solves its large gaps through it too.
+another process.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -507,7 +507,10 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     worker's RuntimeError is raised here with its message."""
     a = np.asarray(a, dtype=np.float64)
     count, n = a.shape[:2]
-    parts = process_count(count * n**3, count)
+    # one process per _PART_MIN_WORK of the stack's work, at most one per row
+    # and per CPU this process may use; 1 when the work pays for fewer than 2
+    parts = min(count, count * n**3 // _PART_MIN_WORK)
+    parts = min(parts, _fork_cpus()) if parts >= 2 else 1
     bounds = [count * i // parts for i in range(parts + 1)]
     def solve(part: np.ndarray) -> np.ndarray:  # in the layout the part's size favours
         return _jacobi(part, batch_last=len(part) >= max(n, _BATCH_LAST_MIN_SIZE / n))
@@ -517,14 +520,6 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
         out[:bounds[1]] = solve(a[:bounds[1]])
         join()
     return out
-
-
-def process_count(work: int, most: int) -> int:
-    """How many processes share `work` multiply-adds that split at most
-    `most` ways: one per _PART_MIN_WORK of it, no more than this process may
-    use (`_fork_cpus`), and 1 when that is below 2."""
-    parts = min(most, work // _PART_MIN_WORK)
-    return min(parts, _fork_cpus()) if parts >= 2 else 1
 
 
 @contextmanager

@@ -9,10 +9,7 @@ positions of the one-line word.  The uniform measure is invariant and the
 kernel is symmetric, so everything reversible-chain-shaped can be checked
 by direct matrix inspection: `kernel_errors` gives the row-sum,
 detailed-balance and invariance errors of a dense `kernel_matrix`, and
-`spectral_gap` its gap; the CLI's `verify` reports these per n.
-`spectral_gaps` solves the gaps whose solve pays for a second process
-(n = 5 and 6, given two CPUs) in a forked worker while its caller runs
-other checks.
+`spectral_gap` the kernel's gap; the CLI's `verify` reports these per n.
 
 Every other table is derived from `permutations(n)` with array
 operations.  `neighbor_table` reads each row as a base-n numeral; these
@@ -21,9 +18,9 @@ codes increase along the rows, so the row of a swapped word is found by
 entries, is a bitmask, and one 2^n lookup maps it to its row of
 `oracle.subset_table(n, k)`.
 
-Dense n! x n! work is capped at n = 6 (720^2 floats); the permutation
-array and the matrix-free neighbor sums (Dirichlet form, worst-case
-one-step increment) additionally work for n = 7 and 8.
+The dense kernel is capped at n = 6 (720^2 floats); the permutation
+array and the matrix-free neighbor sums (spectral gap, Dirichlet form,
+worst-case one-step increment) additionally work for n = 7 and 8.
 
 A permutation acts on the matrix only through the set of its first k
 entries, so the ESD observables and the one-step ESD gap read rows of the
@@ -43,19 +40,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import (DenseMatrix, eigenvalues_hermitian, forked, gather_submatrices,
-                     numerical_rank_stack, process_count)
+from .linalg import DenseMatrix, eigenvalues_hermitian, gather_submatrices, numerical_rank_stack
 from .oracle import pointwise_profile, subset_table
 
 _MAX_DENSE_N = 6
 _MAX_PERM_N = 8
+# `spectral_gap`'s Lanczos start vector, and the norm at or below which a
+# new Krylov direction counts as zero: kept directions have norms of 3e-2
+# and more up to n = 8, and the direction after the last one 1e-12 or less
+_LANCZOS_SEED = 1
+_LANCZOS_BREAKDOWN = 1e-8
 # the rel_tol at which `rank_step_check` ranks its one-step differences
 RANK_STEP_REL_TOL = 1e-7
 
@@ -139,32 +139,41 @@ def kernel_errors(kernel: np.ndarray) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=8)
 def spectral_gap(n: int) -> float:
-    """One minus the second-largest kernel eigenvalue, from the full
-    symmetric eigendecomposition.  Cached per n (the n = 6 solve is the
-    expensive one)."""
-    spectrum = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n)))
-    return 1.0 - float(spectrum.values[-2])
-
-
-@contextmanager
-def spectral_gaps(ns: Sequence[int]) -> Iterator[Callable[[], dict[int, float]]]:
-    """`spectral_gap` of every n in ns, solved while the body of the `with`
-    runs.  On entry, the n whose dense n! x n! solve pays for a second
-    process (`linalg.process_count`) start in one forked worker.  The
-    function this yields solves the other n here, waits for the worker and
-    returns {n: gap}, the same floats as `spectral_gap`; a worker's
-    RuntimeError is raised there.  The worker is reaped on leaving, however
-    the body exits."""
-    apart = [n for n in ns if process_count(math.factorial(n) ** 3, 2) == 2]
-    solved = np.empty(len(apart))
-    jobs = [(lambda: [spectral_gap(n) for n in apart], solved)] if apart else []
-    with forked(jobs) as join:
-        def gaps() -> dict[int, float]:
-            here = {n: spectral_gap(n) for n in ns if n not in apart}
-            join()
-            here.update(zip(apart, solved.tolist()))
-            return here
-        yield gaps
+    """One minus the second-largest kernel eigenvalue.  The kernel has one
+    distinct eigenvalue per value of 1/n + ((n - 1)/n) r(lambda) over the
+    partitions lambda of n (Diaconis & Shahshahani 1981), so Lanczos from a
+    seeded Gaussian start, reorthogonalized twice against the whole basis
+    at every step, finds a new direction of norm zero after exactly that
+    many steps; the tridiagonal matrix it has built then holds every
+    distinct eigenvalue.  The matvec gathers on `neighbor_table` and every
+    inner product is an `np.sum`, so no BLAS call touches the bytes.
+    r(lambda) is an integer over C(n, 2) in [-1, 1], so there are at most
+    n(n - 1) + 1 distinct eigenvalues (and at most n!); raises RuntimeError
+    if no direction vanishes within that many steps."""
+    table = neighbor_table(n)
+    size = table.shape[0]
+    steps = min(size, n * (n - 1) + 1)
+    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(size)
+    basis = [q / math.sqrt(np.sum(q * q))]
+    alphas: list[float] = []
+    betas: list[float] = []
+    while len(basis) <= steps:
+        q, qs = basis[-1], np.array(basis)
+        w = q / n + (2.0 / (n * n)) * np.sum(q[table], axis=1)
+        alpha = 0.0
+        for _ in range(2):
+            coeffs = np.sum(qs * w, axis=1)
+            w = w - np.sum(coeffs[:, None] * qs, axis=0)
+            alpha += float(coeffs[-1])
+        alphas.append(alpha)
+        beta = math.sqrt(np.sum(w * w))
+        if beta <= _LANCZOS_BREAKDOWN:
+            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            return 1.0 - float(eigenvalues_hermitian(DenseMatrix(tridiagonal)).values[-2])
+        betas.append(beta)
+        basis.append(w / beta)
+    raise RuntimeError(f"Lanczos on the n = {n} walk kernel found no breakdown "
+                       f"within {steps} steps")
 
 
 def _neighbor_diffs(f: FunctionOnSn) -> np.ndarray:

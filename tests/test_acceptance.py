@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The two tests marked `slow` own the 720 x 720 kernel eigensolve;
-deselect them with `-m "not slow"` for a quick pass.
+lines.  The two tests marked `slow` own the n = 6 gap and the exhaustive
+gap concentration over S_4 to S_6; deselect them with `-m "not slow"` for a
+quick pass.
 """
 
 import json

@@ -38,9 +38,9 @@ GOLDEN = {
     "verify --n 2":
         (0, "e389ff587fffd170c34151ad1ac5a0ac72089c060cf143a868ff646aeae9b0e1"),
     "verify --n 3 4 5":
-        (0, "035936a195b2b7a2c48cb28610811f539b5382bbec270c691981585fb55bfbcd"),
+        (0, "7a21f13c2987ba1648fe1af19863e564afe6329ed852676a8135e29d48e471c8"),
     "verify --n 3 4 5 --self-test-corrupt":
-        (1, "bec43013c01a69d794b9fec1e619b939dc115b3b6133a95d87d8fe5c1aa8d48b"),
+        (1, "86c0452a9891de1799aa8bceb6c7918625d4016861360f284d1707e5aebd82ff"),
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
         (0, "bd2655ecffba89d501554ff658230249c584ec2cf4049f5b9491bb894ab998a6"),
     "estimate --ensemble rw-covariance --n 40 --k 12 --samples 110 --seed 3":

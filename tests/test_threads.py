@@ -5,11 +5,10 @@ numpy first loads OpenBLAS, so a CLI run starts no idle BLAS worker thread.
 `import subspec` loads neither numpy nor a submodule and leaves the
 variable alone, so library users keep their BLAS threads.  Output bytes must
 not depend on the BLAS thread count, nor on the number of processes that
-solve a Jacobi stack, nor on whether `verify` solves its walk gaps in a
-worker; no worker outlives the call that started it.  The test process
-itself imported numpy long ago, so the pin, the split and the worker can
-only be seen from a new interpreter; the import-order and fork guards
-below read the source instead.
+solve a Jacobi stack; no worker outlives the call that started it, and
+`verify` starts none.  The test process itself imported numpy long ago, so
+the pin and the split can only be seen from a new interpreter; the
+import-order and fork guards below read the source instead.
 """
 
 import ast
@@ -84,10 +83,11 @@ def test_caller_setting_is_kept():
 
 
 def test_output_bytes_do_not_depend_on_blas_threads():
-    digests = {threads: hashlib.sha256(run_python(["-m", "subspec.cli", *SINGULAR_RUN],
-                                                  threads)).hexdigest()
-               for threads in (1, 2)}
-    assert digests[1] == digests[2]
+    for run in (SINGULAR_RUN, ["verify", "--n", "3", "4", "5"]):
+        digests = {threads: hashlib.sha256(run_python(["-m", "subspec.cli", *run],
+                                                      threads)).hexdigest()
+                   for threads in (1, 2)}
+        assert digests[1] == digests[2]
 
 
 SPLIT_RUNS = {
@@ -157,75 +157,26 @@ def test_workers_flush_no_inherited_output():
 VERIFY_RUNS = {"n345": (["verify", "--n", "3", "4", "5"], 0),
                "corrupt": (["verify", "--n", "3", "4", "5", "--self-test-corrupt"], 1),
                "n2": (["verify", "--n", "2"], 0)}
-# the gap worker as two CPUs start it (for n = 5 alone), off, and for every
-# n with every stack split three ways too
-GAP_SETTINGS = {"worker": "os.sched_getaffinity = lambda pid: {0, 1}",
-                "off": "linalg._fork_cpus = lambda: 1",
-                "forced": SPLIT_SETTINGS["forced"]}
+# the Jacobi split as two CPUs give it, and at three processes per stack
+VERIFY_SETTINGS = {"default": "os.sched_getaffinity = lambda pid: {0, 1}",
+                   "forced": SPLIT_SETTINGS["forced"]}
 
 
 @needs_proc
 @pytest.mark.parametrize("run", list(VERIFY_RUNS))
-def test_verify_bytes_do_not_depend_on_the_gap_worker(run, tmp_path):
+def test_verify_bytes_do_not_depend_on_the_jacobi_split(run, tmp_path):
     argv, exit_code = VERIFY_RUNS[run]
     digests, forks = set(), {}
-    for setting, setup in GAP_SETTINGS.items():
+    for setting, setup in VERIFY_SETTINGS.items():
         out = tmp_path / f"{setting}.json"
         body = f"assert cli.main({argv + ['--out', str(out)]!r}) == {exit_code}"
         forks[setting], left = json.loads(run_python(["-c", split_probe(setup, body)]))
         assert not left
         digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
     assert len(digests) == 1
-    assert forks["off"] == 0
-    assert forks["worker"] == (0 if run == "n2" else 1)
+    # no stack of verify's pays for a process; the walk's gap solves in-process
+    assert forks["default"] == 0
     assert forks["forced"] >= 1
-
-
-@needs_proc
-@pytest.mark.parametrize("setting", ["worker", "forced"])
-def test_worker_gaps_are_the_bits_of_spectral_gap(setting):
-    body = ("from subspec import walk\n"
-            "with walk.spectral_gaps([2, 3, 4, 5]) as solve:\n    gaps = solve()\n"
-            "walk.spectral_gap.cache_clear()\n"
-            "print(json.dumps([[gaps[n].hex(), walk.spectral_gap(n).hex()] for n in gaps]))")
-    lines = run_python(["-c", split_probe(GAP_SETTINGS[setting], body)]).decode().splitlines()
-    pairs = json.loads(lines[0])
-    assert len(pairs) == 4 and all(worker == here for worker, here in pairs)
-    # n = 5 alone pays for a process; forced, every n goes to the one worker
-    assert json.loads(lines[1]) == [1, False]
-
-
-@needs_proc
-def test_verify_that_raises_midway_leaves_no_worker():
-    # the first rank step raises while the worker still solves the n = 5 gap
-    body = ("from subspec import walk\n"
-            "def broken(*args):\n    raise ValueError('broken check')\n"
-            "walk.rank_step_check = broken\n"
-            "try:\n    cli.run_verification([3, 4, 5])\n"
-            "except ValueError as exc:\n    print(exc)")
-    lines = run_python(["-c", split_probe(GAP_SETTINGS["worker"], body)]).decode().splitlines()
-    assert lines[0] == "broken check"
-    assert json.loads(lines[1]) == [1, False]
-
-
-@needs_proc
-def test_gap_worker_error_fails_the_run(tmp_path):
-    # the order-120 solve runs in the worker alone; its RuntimeError is
-    # raised in the CLI process with its message, which exits 1
-    out = tmp_path / "verify.json"
-    body = ("import contextlib, io\nreal = linalg._jacobi\n"
-            "def failing(a, batch_last):\n"
-            "    if a.shape[1] == 120:\n"
-            "        raise RuntimeError('order-120 solve did not converge')\n"
-            "    return real(a, batch_last)\n"
-            "linalg._jacobi = failing\nerr = io.StringIO()\n"
-            "with contextlib.redirect_stderr(err):\n"
-            f"    rc = cli.main(['verify', '--n', '3', '4', '5', '--out', {str(out)!r}])\n"
-            "print(json.dumps([rc, err.getvalue()]))")
-    lines = run_python(["-c", split_probe(GAP_SETTINGS["worker"], body)]).decode().splitlines()
-    assert json.loads(lines[0]) == [1, "subspec: order-120 solve did not converge\n"]
-    assert json.loads(lines[1]) == [1, False]
-    assert not out.exists()
 
 
 def _forks(node: ast.AST) -> int:

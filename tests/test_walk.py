@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import subspec.walk as walk_mod
+from subspec.cli import main as cli_main
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
 from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, gram, numerical_rank
 from subspec.montecarlo import pointwise_tail_bound
@@ -147,24 +149,63 @@ def irrep_dimension(shape):
     return math.factorial(sum(shape)) // hooks
 
 
-def closed_form_spectrum(n):
-    """The kernel's eigenvalues by Diaconis & Shahshahani (1981), ascending:
-    1/n + ((n - 1)/n) r(lambda) with multiplicity d_lambda^2 per lambda of n,
-    r(lambda) = sum_i [C(lambda_i, 2) - C(lambda'_i, 2)] / C(n, 2), each
-    value exact in rationals before it is rounded once."""
-    values = []
+def closed_form_eigenvalues(n):
+    """The kernel's eigenvalues by Diaconis & Shahshahani (1981), exact in
+    rationals, as (value, multiplicity) per lambda of n: 1/n + ((n - 1)/n)
+    r(lambda) with multiplicity d_lambda^2, where r(lambda) =
+    sum_i [C(lambda_i, 2) - C(lambda'_i, 2)] / C(n, 2)."""
     for shape in partitions(n):
         r = Fraction(sum(math.comb(part, 2) for part in shape)
                      - sum(math.comb(part, 2) for part in conjugate(shape)), math.comb(n, 2))
-        values += [float(Fraction(1, n) + Fraction(n - 1, n) * r)] * irrep_dimension(shape) ** 2
-    return np.sort(values)
+        yield Fraction(1, n) + Fraction(n - 1, n) * r, irrep_dimension(shape) ** 2
+
+
+def closed_form_spectrum(n):
+    """`closed_form_eigenvalues` with multiplicity, each value rounded once,
+    ascending."""
+    return np.sort([float(value) for value, count in closed_form_eigenvalues(n)
+                    for _ in range(count)])
+
+
+@pytest.fixture
+def fresh_gaps():
+    """`spectral_gap` with its cache emptied before and after the test, for
+    tests that patch what it calls."""
+    spectral_gap.cache_clear()
+    yield spectral_gap
+    spectral_gap.cache_clear()
 
 
 class TestSpectralGap:
     def test_small_n_equals_two_over_n(self):
-        assert abs(spectral_gap(2) - 1.0) <= 1e-10
-        assert abs(spectral_gap(3) - 2 / 3) <= 1e-8
-        assert abs(spectral_gap(4) - 1 / 2) <= 1e-8
+        for n in range(2, 9):
+            assert abs(spectral_gap(n) - 2.0 / n) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_lanczos_steps_are_the_distinct_eigenvalues(self, n, monkeypatch, fresh_gaps):
+        # the tridiagonal matrix has one row per Lanczos step
+        orders = []
+        real = walk_mod.eigenvalues_hermitian
+        monkeypatch.setattr(walk_mod, "eigenvalues_hermitian",
+                            lambda m: orders.append(m.rows) or real(m))
+        fresh_gaps(n)
+        assert orders == [len({value for value, _ in closed_form_eigenvalues(n)})]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_lanczos_gap_matches_the_dense_solve(self, n):
+        dense = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n))).values
+        assert abs(spectral_gap(n) - (1.0 - dense[-2])) <= 1e-12
+
+    def test_no_breakdown_raises(self, monkeypatch, fresh_gaps, tmp_path):
+        monkeypatch.setattr(walk_mod, "_LANCZOS_BREAKDOWN", -1.0)
+        with pytest.raises(RuntimeError, match="no breakdown within 6 steps"):
+            fresh_gaps(3)
+        # n(n - 1) + 1 steps, not n!, bound the run and its basis
+        with pytest.raises(RuntimeError, match="no breakdown within 57 steps"):
+            fresh_gaps(8)
+        out = tmp_path / "verify.json"
+        assert cli_main(["verify", "--n", "3", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_closed_form_ingredients(self):
         assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
@@ -176,7 +217,7 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_eigenvalue_matches_the_closed_form(self, n):
-        # the n = 6 solve is left to the slow acceptance test: it takes seconds
+        # the dense n = 6 solve would take seconds; the gap tests reach n = 8
         got = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n))).values
         expected = closed_form_spectrum(n)
         assert got.shape == expected.shape == (math.factorial(n),)
