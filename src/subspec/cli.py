@@ -9,9 +9,8 @@ names that `--ensemble` and `gen` accept are the keys of
 `ensembles.ENSEMBLES`.
 
 Importing this module pins OpenBLAS to one thread before numpy loads, unless
-OPENBLAS_NUM_THREADS is set: the only BLAS calls are Gram products (gram(M)
-once per matrix in singular mode, and verify's small rank-step ones), so a
-worker thread would mostly spin.
+OPENBLAS_NUM_THREADS is set: the only BLAS call is the product gram(M), once
+per matrix in singular mode, so a worker thread would mostly spin.
 """
 
 from __future__ import annotations
@@ -331,8 +330,8 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if len(set(args.n)) < len(args.n) or not all(2 <= n <= 6 for n in args.n):
-        raise UsageError("verify takes distinct n between 2 and 6")
+    if len(set(args.n)) < len(args.n) or not all(2 <= n <= walk.MAX_DENSE_N for n in args.n):
+        raise UsageError(f"verify takes distinct n between 2 and {walk.MAX_DENSE_N}")
     report = run_verification(args.n, corrupt=args.self_test_corrupt)
     _emit(_to_json(report) + "\n", args.out)
     return 0 if report["pass"] else 1

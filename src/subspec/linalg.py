@@ -19,9 +19,7 @@ batch last took 0.70-0.73 of the row-major time at B = 240 for k = 5 and
 20, up to 1.3 times as long below B * k = 400 for k <= 5, and within 7% of it
 at B = k for k = 20 to 64.  Each matrix keeps its own rescale, tolerance,
 pivot mask and convergence test, so its eigenvalues are bit-identical to a
-solve of it alone in either layout.  Singular values and numerical ranks go
-through the same stacks, so the walk's one-step differences are ranked all
-at once (`numerical_rank_stack`).
+solve of it alone in either layout.
 
 `gather_submatrices` is the one principal-block extraction of the package:
 it turns rows of 0-based indices into a (B, k, k) stack with a single
@@ -50,7 +48,9 @@ has A A* = gram(M)[S, S], so `row_block_solver` forms gram(M) once and
 hands it to `principal_block_solver`, which picks the path for it; its
 blocks are budgeted like any others.  The matrix keeps that solver
 (`DenseMatrix.row_blocks`), so a run that solves its row blocks in several
-passes forms gram(M) once.
+passes forms gram(M) once.  `singular_values` and `numerical_rank` of one
+matrix are that solver on its one block of all rows, so `gram` is the
+package's one matrix product.
 
 A stack with B * k^3 >= 2 * `_PART_MIN_WORK` is cut into row ranges, at most
 one per CPU, when the process runs one OS thread (`_fork_cpus`); each
@@ -243,10 +243,16 @@ def row_block_solver(m: DenseMatrix) -> BlockSolver:
         raise ValueError("a nonzero row is too small for singular mode: its largest entry "
                          "is below 2^-480 after rescaling")
     blocks = principal_block_solver(gram(DenseMatrix(m.data / power) if power != 1.0 else m))
+    scale = amax / power
 
     def solve(idx: np.ndarray) -> np.ndarray:
+        # roots of the Gram eigenvalues: negatives count as 0, and below
+        # -1e-9 times the square of the rescaled largest entry they raise
         vals = blocks.solve(idx)[:, max(0, idx.shape[1] - m.cols):]
-        return _gram_roots(vals, amax / power) * power
+        if np.any(vals < -1e-9 * scale * scale):
+            raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
+        vals[vals < 0] = 0.0
+        return np.sqrt(vals) * power
     return blocks._replace(solve=solve)
 
 
@@ -287,11 +293,6 @@ def eigenvalues_hermitian_stack(stack: np.ndarray) -> np.ndarray:
     alone, whatever else the stack holds.  The stack is not modified.
     """
     _require_hermitian_stack(stack)
-    return _guarded_eigenvalues(stack)
-
-
-def _guarded_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """`eigenvalues_hermitian_stack` of a stack that needs no guard."""
     h = _hermitized(stack)
     if np.iscomplexobj(h):
         # the real part is exactly symmetric and the imaginary part exactly
@@ -328,57 +329,21 @@ def gram(a: DenseMatrix) -> DenseMatrix:
     return DenseMatrix(g)
 
 
-def singular_values_stack(stack: np.ndarray) -> np.ndarray:
-    """Singular values of every matrix of a (B, r, c) stack: a (B, min(r, c))
-    array with one ascending row per matrix, the square roots of the
-    spectrum of the smaller Gram matrix.
-
-    A matrix whose largest entry lies outside [1e-100, 1e100] is divided by
-    it first, as in the eigensolver, so that its Gram product neither
-    overflows nor underflows; its singular values are scaled back after.
-    """
-    amax = np.abs(stack).max(axis=(1, 2))
-    rescale = _rescale_factors(amax)
-    work = stack if stack.shape[1] <= stack.shape[2] else \
-        np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
-    if np.any(rescale != 1.0):
-        work = work / rescale[:, None, None]
-    g = work @ work.conj().transpose(0, 2, 1)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("matrix entries must be finite")
-    # g is Hermitian up to rounding in the product: no guard, and the
-    # solver's one symmetrization removes that rounding
-    return _gram_roots(_guarded_eigenvalues(g), (amax / rescale)[:, None]) * rescale[:, None]
-
-
-def _gram_roots(vals: np.ndarray, scale) -> np.ndarray:
-    """Roots of the Gram eigenvalues `vals` (overwritten) of matrices with
-    largest entries `scale`: negatives count as 0, below -1e-9 scale^2 raise."""
-    if np.any(vals < -1e-9 * scale * scale):
-        raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
-    vals[vals < 0] = 0.0
-    return np.sqrt(vals)
-
-
 def singular_values(a: DenseMatrix) -> Spectrum:
-    """Singular values of A, ascending: square roots of the Gram spectrum."""
-    return Spectrum(singular_values_stack(a.data[None])[0])
-
-
-def numerical_rank_stack(stack: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Numerical rank of every matrix of a (B, r, c) stack: the number of its
-    singular values above rel_tol * max(r, c) * sigma_max.  A zero matrix
-    has rank 0."""
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be nonnegative")
-    sv = singular_values_stack(stack)
-    threshold = rel_tol * max(stack.shape[1:]) * sv[:, -1]
-    return np.count_nonzero(sv > threshold[:, None], axis=1)
+    """Singular values of A, ascending: `row_block_solver` of A, or of A* if
+    that has fewer rows, on its one block of all rows.  A nonzero row of
+    that side too small for one Gram matrix raises ValueError."""
+    side = a if a.rows <= a.cols else DenseMatrix(a.data.conj().T)
+    return Spectrum(row_block_solver(side).solve(np.arange(side.rows)[None])[0])
 
 
 def numerical_rank(a: DenseMatrix, rel_tol: float) -> int:
-    """Number of singular values above rel_tol * max(rows, cols) * sigma_max."""
-    return int(numerical_rank_stack(a.data[None], rel_tol)[0])
+    """Number of singular values above rel_tol * max(rows, cols) * sigma_max.
+    A zero matrix has rank 0."""
+    if rel_tol < 0:
+        raise ValueError("rel_tol must be nonnegative")
+    sv = singular_values(a).values
+    return int(np.count_nonzero(sv > rel_tol * max(a.rows, a.cols) * sv[-1]))
 
 
 @lru_cache(maxsize=128)

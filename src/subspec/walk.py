@@ -28,7 +28,8 @@ entries, so the ESD observables and the one-step ESD gap read rows of the
 singular-mode observable of the k x n row block A reads the table of
 `gram(m)`, since A A* is the principal block (m m*)[S, S].  The rank
 steps gather the permuted-order blocks of all their steps into one stack
-and rank the differences in one batched solve.
+and rank the differences, which are Hermitian, by their eigenvalues from
+one batched solve.
 
 The exact-law checks are array passes over those rows: the observables
 take their values from one `oracle.pointwise_profile` per grid, and the
@@ -46,10 +47,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DenseMatrix, eigenvalues_hermitian, gather_submatrices, numerical_rank_stack
+from .linalg import (DenseMatrix, _hermitized, _require_hermitian_stack, eigenvalues_hermitian,
+                     eigenvalues_hermitian_stack, gather_submatrices)
 from .oracle import pointwise_profile, subset_table
 
-_MAX_DENSE_N = 6
+# the largest n of a dense kernel, and so of `verify --n`
+MAX_DENSE_N = 6
 _MAX_PERM_N = 8
 # `spectral_gap`'s Lanczos start vector, and the norm at or below which a
 # new Krylov direction counts as zero: kept directions have norms of 3e-2
@@ -115,8 +118,8 @@ def neighbor_table(n: int) -> np.ndarray:
 
 def kernel_matrix(n: int) -> np.ndarray:
     """Dense transition kernel: 1/n on the diagonal, 2/n^2 per transposition."""
-    if not 2 <= n <= _MAX_DENSE_N:
-        raise ValueError(f"n must lie in [2, {_MAX_DENSE_N}] for dense kernels")
+    if not 2 <= n <= MAX_DENSE_N:
+        raise ValueError(f"n must lie in [2, {MAX_DENSE_N}] for dense kernels")
     table = neighbor_table(n)
     size = table.shape[0]
     kernel = np.zeros((size, size), dtype=np.float64)
@@ -222,8 +225,8 @@ def _set_rows(n: int, k: int) -> np.ndarray:
 def _table_lookup(table: np.ndarray, n: int) -> np.ndarray:
     """`_set_rows` of a `subset_spectra` table of k = table.shape[1], after
     checking that it has one row per k-subset of an order-n matrix."""
-    if not 2 <= n <= _MAX_DENSE_N:
-        raise ValueError(f"matrix order must lie in [2, {_MAX_DENSE_N}]")
+    if not 2 <= n <= MAX_DENSE_N:
+        raise ValueError(f"matrix order must lie in [2, {MAX_DENSE_N}]")
     k = table.shape[1]
     if not 1 <= k <= n or table.shape[0] != math.comb(n, k):
         raise ValueError(f"table must have C(n, k) = C({n}, {k}) rows, one per subset")
@@ -282,16 +285,19 @@ def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
 def rank_step_check(m: DenseMatrix, table: np.ndarray,
                     sigmas: Sequence[Sequence[int]],
                     taus: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Walk steps sigma -> sigma tau seen through the submatrix, for
-    k = table.shape[1]: per step, the rank of A(sigma) - A(sigma tau) and
-    the sup-norm gap of the two ESDs, as (ranks, gaps) arrays.  Each sigma
-    is a permutation of 0..n-1 in one-line notation, such as a row of
-    `permutations(n)`.
+    """Walk steps sigma -> sigma tau seen through the principal submatrix
+    of a Hermitian M, for k = table.shape[1]: per step, the rank of
+    A(sigma) - A(sigma tau) and the sup-norm gap of the two ESDs, as
+    (ranks, gaps) arrays.  Each sigma is a permutation of 0..n-1 in
+    one-line notation, such as a row of `permutations(n)`.
 
     The submatrices keep the permutation's own row/column order; that is what
     confines the difference to one changed position (rank at most 2).  All
-    differences are gathered into one stack and ranked together, with
-    `numerical_rank_stack` at rel_tol `RANK_STEP_REL_TOL`.  The ESDs
+    differences are gathered into one stack, from M's Hermitian part as the
+    table's blocks are solved, and solved together by
+    `eigenvalues_hermitian_stack`; the rank is the count of absolute
+    eigenvalues above `RANK_STEP_REL_TOL` * k times the largest.  An M that
+    is not Hermitian raises ValueError("not Hermitian").  The ESDs
     are rows of `table`, `subset_spectra(m, k)`, so a step that keeps the
     selected set has gap exactly 0.  Each gap is the same float as
     `sup_distance(step_cdf(a), step_cdf(b))` of the step's two rows.
@@ -314,8 +320,14 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     after = before.copy()
     after[steps, i] = before[steps, j]
     after[steps, j] = before[steps, i]
-    diff = gather_submatrices(m, before[:, :k]) - gather_submatrices(m, after[:, :k])
-    ranks = numerical_rank_stack(diff, RANK_STEP_REL_TOL)
+    _require_hermitian_stack(m.data[None])
+    # bit for bit M when M is exactly Hermitian; otherwise a difference far
+    # below M's scale could fail the guard at its own
+    h = DenseMatrix(_hermitized(m.data[None])[0])
+    diff = gather_submatrices(h, before[:, :k]) - gather_submatrices(h, after[:, :k])
+    vals = np.abs(eigenvalues_hermitian_stack(diff))
+    ranks = np.count_nonzero(vals > RANK_STEP_REL_TOL * k * vals.max(axis=1, keepdims=True),
+                             axis=1)
     a, b = (table[lookup[_bitmasks(perms[:, :k])]] for perms in (before, after))
     # both ESDs at every entry of either row, as the c/k floats sup_distance
     # compares; on the union of the jumps every left limit is the value at

@@ -10,8 +10,10 @@ tuple-keyed dicts.  `is_hermitian`, `require_hermitian` and
 formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv`,
 `ks_csv` and `cdf_csv` are the former one-line-at-a-time CSV writers of
 `estimate`, `oracle`, `pair`, `ks` and `spectra.cdf_to_csv`.
-`row_block_singular_values` is the former singular-mode path of
-`sampling`, which gathered every row block and took its own Gram spectrum.
+`singular_values_stack` is the former batched Gram path of `linalg`, one
+BLAS product per stack of matrices, and `row_block_singular_values` the
+former singular-mode path of `sampling`, which gathered every row block and
+handed it to that path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from subspec.linalg import (DenseMatrix, _hermitian_gaps, _require_hermitian_stack,
-                            singular_values_stack)
+                            _rescale_factors, eigenvalues_hermitian_stack)
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
 
 MAX_PERM_N = 8
@@ -114,6 +116,32 @@ def require_hermitian(m: DenseMatrix) -> None:
     """Raise ValueError("not Hermitian") unless M is Hermitian to within
     1e-10 times its largest entry (or 1e-10 for the zero matrix)."""
     _require_hermitian_stack(m.data[None])
+
+
+def singular_values_stack(stack: np.ndarray) -> np.ndarray:
+    """Singular values of every matrix of a (B, r, c) stack: a (B, min(r, c))
+    array with one ascending row per matrix, the square roots of the
+    spectrum of the smaller Gram matrix, negatives counted as 0.
+
+    A matrix whose largest entry lies outside [1e-100, 1e100] is divided by
+    it first, as in the eigensolver, so that its Gram product neither
+    overflows nor underflows; its singular values are scaled back after.
+    """
+    amax = np.abs(stack).max(axis=(1, 2))
+    rescale = _rescale_factors(amax)
+    work = stack if stack.shape[1] <= stack.shape[2] else \
+        np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    if np.any(rescale != 1.0):
+        work = work / rescale[:, None, None]
+    g = work @ work.conj().transpose(0, 2, 1)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("matrix entries must be finite")
+    vals = eigenvalues_hermitian_stack(g)
+    scale = (amax / rescale)[:, None]
+    if np.any(vals < -1e-9 * scale * scale):
+        raise ValueError("Gram spectrum has a negative eigenvalue beyond tolerance")
+    vals[vals < 0] = 0.0
+    return np.sqrt(vals) * rescale[:, None]
 
 
 def row_block_singular_values(m: DenseMatrix, idx: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ from subspec.ensembles import (ENSEMBLES, load_matrix, make_matrix, random_symme
                                rw_covariance, save_matrix)
 from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack, gather_submatrices, gram,
-                            numerical_rank, numerical_rank_stack, principal_block_solver,
-                            row_block_solver, singular_values, singular_values_stack)
+                            numerical_rank, principal_block_solver, row_block_solver,
+                            singular_values)
 from subspec.cli import main
 from subspec.montecarlo import estimate_F
 from subspec.oracle import subset_spectra
@@ -126,31 +126,6 @@ def per_matrix_eigenvalues(data):
         doubled = _symmetric_eigenvalues(np.block([[h.real, -h.imag], [h.imag, h.real]]))
         return 0.5 * (doubled[0::2] + doubled[1::2])
     return _symmetric_eigenvalues(0.5 * (data + data.T))
-
-
-def per_matrix_singular_values(data):
-    """The former singular_values: Gram spectrum of the smaller side, clamped."""
-    work = data if data.shape[0] <= data.shape[1] else np.ascontiguousarray(data.conj().T)
-    g = work @ work.conj().T
-    ev = per_matrix_eigenvalues(0.5 * (g + g.conj().T))
-    ev[ev < 0] = 0.0
-    return np.sqrt(ev)
-
-
-def two_pass_singular_values(stack):
-    """The former `singular_values_stack`, which symmetrized every Gram
-    product twice: it formed (G + G*) / 2, and the solver's `_hermitized`
-    averaged that with its adjoint again."""
-    amax = np.abs(stack).max(axis=(1, 2))
-    rescale = linalg_mod._rescale_factors(amax)
-    work = stack if stack.shape[1] <= stack.shape[2] else \
-        np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
-    if np.any(rescale != 1.0):
-        work = work / rescale[:, None, None]
-    g = work @ work.conj().transpose(0, 2, 1)
-    vals = linalg_mod._guarded_eigenvalues(0.5 * (g + g.conj().transpose(0, 2, 1)))
-    vals[vals < 0] = 0.0
-    return np.sqrt(vals) * rescale[:, None]
 
 
 def principal_blocks(m, k, count, seed):
@@ -407,16 +382,6 @@ class TestBatchedSolver:
         for block, row in zip(blocks, batch):
             assert eigenvalues_hermitian(DenseMatrix(block)).values.tobytes() == row.tobytes()
 
-    def test_singular_stack_matches_per_matrix(self):
-        rng = np.random.default_rng(41)
-        for shape in ((3, 7), (7, 3), (4, 4), (1, 5)):
-            blocks = rng.standard_normal((15, *shape))
-            expected = np.array([per_matrix_singular_values(b) for b in blocks])
-            assert singular_values_stack(blocks).tobytes() == expected.tobytes()
-        blocks = rng.standard_normal((6, 3, 5)) + 1j * rng.standard_normal((6, 3, 5))
-        expected = np.array([per_matrix_singular_values(b) for b in blocks])
-        assert singular_values_stack(blocks).tobytes() == expected.tobytes()
-
     def test_sweep_cap_raises_for_any_matrix_of_a_stack(self, monkeypatch):
         # diagonal matrices converge at the first check; one that needs a
         # rotation runs out of sweeps and fails the whole stack
@@ -647,13 +612,15 @@ class TestSplit:
         assert len(forks) == sum(min(len(stack), parts) - 1 for stack in cases.values())
 
     def test_every_path_splits(self, monkeypatch, tmp_path):
-        # the complex embedding and the Gram stacks reach the same solver
+        # the complex embedding and the blocks of gram(M), wide or narrow,
+        # reach the same solver
         complex_stack = np.array(stack_cases(tmp_path)["complex-file"])
         rng = np.random.default_rng(46)
-        rows = rng.standard_normal((12, 6, 9))
+        idx = np.array([rng.permutation(12)[:6] for _ in range(12)])
+        wide, narrow = (row_block_solver(DenseMatrix(rng.standard_normal((12, cols))))
+                        for cols in (9, 4))
         solves = [lambda: eigenvalues_hermitian_stack(complex_stack),
-                  lambda: singular_values_stack(rows), lambda: singular_values_stack(
-                      rows.transpose(0, 2, 1))]
+                  lambda: wide.solve(idx), lambda: narrow.solve(idx)]
         monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: 1)
         expected = [solve() for solve in solves]
         force_parts(monkeypatch, 3)
@@ -1023,10 +990,10 @@ class TestEmptyStacks:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_gram_and_rank(self, dtype):
-        for shape in ((0, 2, 5), (0, 5, 2), (0, 3, 3)):
-            stack = np.zeros(shape, dtype=dtype)
-            assert singular_values_stack(stack).shape == (0, min(shape[1:]))
-            assert numerical_rank_stack(stack, 1e-9).shape == (0,)
+        # no index row on the singular path, for wide, narrow and square M
+        for k, cols in ((2, 5), (5, 2), (3, 3)):
+            solver = row_block_solver(DenseMatrix(np.ones((6, cols), dtype=dtype)))
+            assert solver.solve(np.zeros((0, k), dtype=np.intp)).shape == (0, min(k, cols))
 
 
 class TestSingularValues:
@@ -1084,31 +1051,14 @@ class TestSingularValues:
         wide = singular_values(dm(1e-250 * np.array([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0]])))
         np.testing.assert_allclose(wide.values, [2e-250, 5e-250], rtol=1e-12)
 
-    def test_rescaled_batch_mate_keeps_other_bits(self):
-        rng = np.random.default_rng(44)
-        blocks = rng.standard_normal((4, 3, 5))
-        blocks[1] *= 1e-300
-        blocks[2] *= 1e200
-        got = singular_values_stack(blocks)
-        for i in (0, 3):
-            assert got[i].tobytes() == per_matrix_singular_values(blocks[i]).tobytes()
-        for i, scale in ((1, 1e-300), (2, 1e200)):
-            expected = per_matrix_singular_values(blocks[i] / scale) * scale
-            np.testing.assert_allclose(got[i], expected, rtol=1e-12)
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_one_symmetrization_matches_two(self, field):
-        # the raw product G goes to the solver, whose one (G + G*) / 2 is
-        # the former symmetrized G: the same bits at every scale and shape
-        rng = np.random.default_rng(45 if field == "real" else 46)
-        for shape in ((3, 3, 3), (4, 2, 6), (4, 6, 2), (2, 5, 5)):
-            for scale in (1e-150, 1e-120, 1e-60, 1.0, 1e60, 1e120, 1e150):
-                stack = rng.standard_normal(shape)
-                if field == "complex":
-                    stack = stack + 1j * rng.standard_normal(shape)
-                stack = stack * scale
-                assert (singular_values_stack(stack).tobytes()
-                        == two_pass_singular_values(stack).tobytes())
+    def test_refuses_rows_below_the_gram_scale(self):
+        # singular mode's rule: one Gram matrix cannot hold a row 2^-480
+        # below the largest
+        a = dm([[1.0, 0.0], [0.0, 1e-200]])
+        with pytest.raises(ValueError, match="too small for singular mode"):
+            singular_values(a)
+        with pytest.raises(ValueError, match="too small for singular mode"):
+            numerical_rank(a, 1e-12)
 
 
 class TestNumericalRank:
@@ -1129,12 +1079,9 @@ class TestNumericalRank:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             numerical_rank(dm(np.eye(2)), -1.0)
-        with pytest.raises(ValueError):
-            numerical_rank_stack(np.eye(2)[None], -1.0)
 
-    def test_stack_matches_one_at_a_time(self):
-        # zero, full-rank, low-rank, rectangular and complex stacks, each rank
-        # the same as the matrix's own batch of one
+    def test_known_ranks(self):
+        # zero, full-rank, low-rank, rectangular and complex matrices
         rng = np.random.default_rng(19)
         u = rng.standard_normal((4, 2))
         square = [np.zeros((4, 4)), np.eye(4), u @ u.T, u @ rng.standard_normal((2, 4)),
@@ -1144,10 +1091,8 @@ class TestNumericalRank:
         z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         cplx = [z, np.outer(z[0], z[1].conj()), np.zeros((3, 3), dtype=complex)]
         for group, expected in ((square, [0, 4, 2, 2, 4, 4]), (wide, [3, 0, 1]),
-                                (cplx, [3, 1, 0])):
-            ranks = numerical_rank_stack(np.array(group), 1e-7)
-            assert ranks.tolist() == expected
-            assert ranks.tolist() == [numerical_rank(dm(a), 1e-7) for a in group]
+                                ([a.T for a in wide], [3, 0, 1]), (cplx, [3, 1, 0])):
+            assert [numerical_rank(dm(a), 1e-7) for a in group] == expected
 
 
 class TestSpectrum:

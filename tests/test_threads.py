@@ -8,7 +8,7 @@ not depend on the BLAS thread count, nor on the number of processes that
 solve a Jacobi stack; no worker outlives the call that started it, and
 `verify` starts none.  The test process itself imported numpy long ago, so
 the pin and the split can only be seen from a new interpreter; the
-import-order and fork guards below read the source instead.
+import-order, fork and matrix-product guards below read the source instead.
 """
 
 import ast
@@ -203,6 +203,31 @@ def test_one_function_forks():
     assert (forks, forking) == (1, ["linalg.forked"])
     assert [name for name in others if name.startswith("os.") or name.split(".")[0] in (
         "threading", "_thread", "multiprocessing", "concurrent", "subprocess")] == []
+
+
+# numpy's product calls, by attribute (np.dot, x.dot) or by imported name
+_PRODUCT_NAMES = ("matmul", "dot", "einsum")
+
+
+def _products(node: ast.AST) -> int:
+    """How many matrix products, `@` or `@=` or a numpy product call, appear
+    inside `node`."""
+    return sum(isinstance(sub, ast.MatMult)
+               or isinstance(sub, ast.Attribute) and sub.attr in _PRODUCT_NAMES
+               or isinstance(sub, ast.Name) and sub.id in _PRODUCT_NAMES
+               for sub in ast.walk(node))
+
+
+def test_one_function_multiplies_matrices():
+    # gram(M) is the package's one matrix product, and so its one BLAS call
+    products, multiplying = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        products += _products(tree)
+        multiplying += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and _products(func)]
+    assert (products, multiplying) == (1, ["linalg.gram"])
 
 
 def _loads_numpy_or_package(node: ast.AST) -> bool:

@@ -512,6 +512,42 @@ class TestRankStepCheck:
         assert ranks.tolist() == [r for r, _ in expected]
         assert gaps.tolist() == [g for _, g in expected]
 
+    def test_ranks_match_the_gram_path(self):
+        # every `verify` matrix: the ranks by absolute eigenvalues equal
+        # those by the singular values of the former batched Gram path
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 5, 6):
+            perms = permutations(n)
+            taus = [tuple(rng.choice(n, 2, replace=False)) for _ in perms]
+            after = perms.copy()
+            for row, (i, j) in zip(after, taus):
+                row[[i, j]] = row[[j, i]]
+            for m in (rw_covariance(n), half_ones_diagonal(n),
+                      random_symmetric(n, 101, "gaussian")):
+                for k in range(2, n):
+                    ranks, _ = rank_step_check(m, subset_spectra(m, k), perms, taus)
+                    diff = np.array([m.data[np.ix_(a[:k], a[:k])] - m.data[np.ix_(b[:k], b[:k])]
+                                     for a, b in zip(perms, after)])
+                    sv = reference.singular_values_stack(diff)
+                    expected = np.count_nonzero(sv > 1e-7 * k * sv[:, -1:], axis=1)
+                    assert ranks.tolist() == expected.tolist()
+
+    def test_rejects_a_non_hermitian_matrix(self):
+        m = DenseMatrix(np.random.default_rng(13).standard_normal((4, 4)))
+        table = subset_spectra(random_symmetric(4, 6, "gaussian"), 2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            rank_step_check(m, table, [(0, 1, 2, 3)], [(1, 2)])
+
+    def test_ranks_the_hermitian_part_of_an_inexact_matrix(self):
+        # M passes the guard, but its blocks' difference [[0, 5e-11], [0, 0]]
+        # would not at its own scale; that of M's Hermitian part has rank 2
+        data = np.full((4, 4), 0.5)
+        np.fill_diagonal(data, 1.0)
+        data[0, 1] += 5e-11
+        m = DenseMatrix(data)
+        ranks, _ = rank_step_check(m, subset_spectra(m, 2), [(0, 1, 2, 3)], [(1, 2)])
+        assert ranks.tolist() == [2]
+
     def test_accepts_permindex(self):
         m = random_symmetric(4, 6, "gaussian")
         ranks, _ = rank_step_check(m, subset_spectra(m, 2), [PermIndex(4, 7).permutation()],
