@@ -3,9 +3,9 @@
 Randomness is bit-exact and platform independent: a splitmix64 finalizer
 derives one 64-bit seed per sample index from the master seed
 (`derive_sample_seed`), and each sample runs its own xoshiro256++ stream
-seeded from four splitmix64 outputs of it (`Xoshiro256pp.from_seed`).
-Sample i therefore sees the same draws whatever samples are drawn with it
-and in whatever order.
+seeded from four splitmix64 outputs of it (`Xoshiro256pp.from_seed`), so
+it sees the same draws whatever samples are drawn with it and in whatever
+order.  `verify` and `walk.spectral_gap` draw from the same generator.
 
 Bounded integers use the multiply-shift reduction (x * bound) >> 64.  It
 consumes exactly one 64-bit draw per integer, which keeps the number of

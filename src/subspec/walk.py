@@ -50,13 +50,14 @@ import numpy as np
 from .linalg import (DenseMatrix, _hermitized, _require_hermitian_stack, eigenvalues_hermitian,
                      eigenvalues_hermitian_stack, gather_submatrices)
 from .oracle import pointwise_profile, subset_table
+from .sampling import Xoshiro256pp
 
 # the largest n of a dense kernel, and so of `verify --n`
 MAX_DENSE_N = 6
 _MAX_PERM_N = 8
-# `spectral_gap`'s Lanczos start vector, and the norm at or below which a
-# new Krylov direction counts as zero: kept directions have norms of 3e-2
-# and more up to n = 8, and the direction after the last one 1e-12 or less
+# the `Xoshiro256pp` seed of `spectral_gap`'s start vector, and the norm at
+# or below which a new Krylov direction counts as zero: up to n = 8, kept
+# directions have norms of 0.033 and more, the one after them 5.8e-13 or less
 _LANCZOS_SEED = 1
 _LANCZOS_BREAKDOWN = 1e-8
 # the rel_tol at which `rank_step_check` ranks its one-step differences
@@ -144,19 +145,20 @@ def kernel_errors(kernel: np.ndarray) -> tuple[float, float, float]:
 def spectral_gap(n: int) -> float:
     """One minus the second-largest kernel eigenvalue.  The kernel has one
     distinct eigenvalue per value of 1/n + ((n - 1)/n) r(lambda) over the
-    partitions lambda of n (Diaconis & Shahshahani 1981), so Lanczos from a
-    seeded Gaussian start, reorthogonalized twice against the whole basis
-    at every step, finds a new direction of norm zero after exactly that
-    many steps; the tridiagonal matrix it has built then holds every
-    distinct eigenvalue.  The matvec gathers on `neighbor_table` and every
-    inner product is an `np.sum`, so no BLAS call touches the bytes.
+    partitions lambda of n (Diaconis & Shahshahani 1981), so Lanczos from
+    a Gaussian start drawn from `Xoshiro256pp`, reorthogonalized twice
+    against the whole basis at every step, finds a new direction of norm
+    zero after exactly that many steps; the tridiagonal matrix then holds
+    every distinct eigenvalue.  The matvec gathers on `neighbor_table` and
+    every inner product is an `np.sum`, so no BLAS call touches the bytes.
     r(lambda) is an integer over C(n, 2) in [-1, 1], so there are at most
     n(n - 1) + 1 distinct eigenvalues (and at most n!); raises RuntimeError
     if no direction vanishes within that many steps."""
     table = neighbor_table(n)
     size = table.shape[0]
     steps = min(size, n * (n - 1) + 1)
-    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(size)
+    rng = Xoshiro256pp.from_seed(_LANCZOS_SEED)
+    q = np.fromiter((rng.next_gaussian() for _ in range(size)), dtype=np.float64, count=size)
     basis = [q / math.sqrt(np.sum(q * q))]
     alphas: list[float] = []
     betas: list[float] = []

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The one test marked `slow` owns the exhaustive gap concentration
-over S_4 to S_6; deselect it with `-m "not slow"` for a quick pass.
+lines.
 """
 
 import json
@@ -10,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from subspec import walk
 from subspec.cli import main as cli_main
@@ -97,7 +95,6 @@ def test_criterion_3_one_step_norm_budget():
            f"{cases} cases, worst kn*norm^2 = {worst:.6f} <= 4, {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_4_gap_concentration():
     r_grid = np.linspace(0.0, 5.0, 26)
     violations = 0

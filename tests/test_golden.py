@@ -38,9 +38,9 @@ GOLDEN = {
     "verify --n 2":
         (0, "e389ff587fffd170c34151ad1ac5a0ac72089c060cf143a868ff646aeae9b0e1"),
     "verify --n 3 4 5":
-        (0, "7a21f13c2987ba1648fe1af19863e564afe6329ed852676a8135e29d48e471c8"),
+        (0, "110fda577e8a271110477fd1f8fbccdfb2ebb90406adb0e2437bdc3c9f683c2e"),
     "verify --n 3 4 5 --self-test-corrupt":
-        (1, "86c0452a9891de1799aa8bceb6c7918625d4016861360f284d1707e5aebd82ff"),
+        (1, "295bfb536c537086cfe0c5e0a0f1fe7dc97ea687ebb578349e2a34718c272007"),
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
         (0, "bd2655ecffba89d501554ff658230249c584ec2cf4049f5b9491bb894ab998a6"),
     "estimate --ensemble rw-covariance --n 40 --k 12 --samples 110 --seed 3":

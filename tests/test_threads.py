@@ -6,9 +6,10 @@ numpy first loads OpenBLAS, so a CLI run starts no idle BLAS worker thread.
 variable alone, so library users keep their BLAS threads.  Output bytes must
 not depend on the BLAS thread count, nor on the number of processes that
 solve a Jacobi stack; no worker outlives the call that started it, and
-`verify` starts none.  The test process itself imported numpy long ago, so
-the pin and the split can only be seen from a new interpreter; the
-import-order, fork and matrix-product guards below read the source instead.
+`verify` starts none, and loads no `numpy.random`.  The test process itself
+imported numpy long ago, so the pin, the split and the loaded modules can
+only be seen from a new interpreter; the import-order, fork, PRNG and
+matrix-product guards below read the source instead.
 """
 
 import ast
@@ -203,6 +204,38 @@ def test_one_function_forks():
     assert (forks, forking) == (1, ["linalg.forked"])
     assert [name for name in others if name.startswith("os.") or name.split(".")[0] in (
         "threading", "_thread", "multiprocessing", "concurrent", "subprocess")] == []
+
+
+# generators other than the package's one, `sampling.Xoshiro256pp`
+_OTHER_PRNGS = ("random", "secrets", "numpy.random")
+
+
+def test_one_prng():
+    # no module imports another generator or reads numpy's `random`
+    # attribute, under any name numpy is imported as
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        numpy_names = {"numpy"} | {alias.asname for alias in imported if alias.name == "numpy"}
+        names = [alias.name for alias in imported]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names += [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                  and ast.unparse(node.value) in numpy_names):
+                found.append(f"{path.stem}: {ast.unparse(node)}")
+        found += [f"{path.stem}: import {name}" for name in names
+                  if any(name == prng or name.startswith(prng + ".") for prng in _OTHER_PRNGS)]
+    assert found == []
+
+
+def test_verify_loads_no_numpy_random(tmp_path):
+    code = ("import sys\nimport subspec.cli as cli\n"
+            f"assert cli.main(['verify', '--n', '3', '--out', {str(tmp_path / 'v.json')!r}]) == 0\n"
+            "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))")
+    assert run_python(["-c", code]).decode().strip() == "[]"
 
 
 # numpy's product calls, by attribute (np.dot, x.dot) or by imported name
