@@ -240,7 +240,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
     budget, gap concentration, rank steps, exact tails, chaining.
 
     Each n's walk report holds the clean kernel's errors and its gap; with
-    `corrupt`, the kernel-validity check alone sees the altered kernel."""
+    `corrupt`, the kernel-validity check alone sees row 0 step to itself."""
     checks: list[dict] = []
     walk_reports: list[dict] = []
 
@@ -249,11 +249,12 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
                        "pass": bool(ok), **extra})
 
     for n in n_values:
-        kernel = walk.kernel_matrix(n)
-        row_err, rev_err, inv_err = clean = walk.kernel_errors(kernel)
+        table = walk.neighbor_table(n)
+        row_err, rev_err, inv_err = clean = walk.kernel_errors(table, n)
         if corrupt:
-            kernel[0, 1] *= 1.5
-            row_err, rev_err, inv_err = walk.kernel_errors(kernel)
+            table = table.copy()
+            table[0, 0] = 0
+            row_err, rev_err, inv_err = walk.kernel_errors(table, n)
         record(f"kernel-validity-n{n}", max(row_err, rev_err, inv_err), 1e-14,
                max(row_err, rev_err, inv_err) <= 1e-14,
                row_sum_error=row_err, reversibility_error=rev_err,
@@ -328,8 +329,8 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if len(set(args.n)) < len(args.n) or not all(2 <= n <= walk.MAX_DENSE_N for n in args.n):
-        raise UsageError(f"verify takes distinct n between 2 and {walk.MAX_DENSE_N}")
+    if len(set(args.n)) < len(args.n) or not all(2 <= n <= walk.MAX_PERM_N for n in args.n):
+        raise UsageError(f"verify takes distinct n between 2 and {walk.MAX_PERM_N}")
     report = run_verification(args.n, corrupt=args.self_test_corrupt)
     _emit(_to_json(report) + "\n", args.out)
     return 0 if report["pass"] else 1

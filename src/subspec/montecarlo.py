@@ -133,8 +133,8 @@ def standard_metadata(extra: str = "") -> str:
 
 
 def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
-                     master_seed: int, stream_offset: int,
-                     reference: StepCdf | None) -> tuple[StepCdf, np.ndarray | None]:
+                     master_seed: int, reference: StepCdf | None
+                     ) -> tuple[StepCdf, np.ndarray | None]:
     """Equal-weight average of the per-sample ESDs and, given a reference,
     the per-sample sup-norm distances to it in sample order.  A stack of
     spectra leaves only its distinct values with their exact integer
@@ -144,8 +144,7 @@ def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     lanes = sampling.DRAW_LANES
-    chunks = (draw_subsets(m.rows, k, master_seed, stream_offset + start,
-                           min(lanes, n_samples - start))
+    chunks = (draw_subsets(m.rows, k, master_seed, start, min(lanes, n_samples - start))
               for start in range(0, n_samples, lanes))
     stacks = []
     for spectra in solve_stacks(m, chunks, mode):
@@ -158,14 +157,9 @@ def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
 
 
 def estimate_F(m: DenseMatrix, k: int, mode: str, n_samples: int,
-               master_seed: int, stream_offset: int = 0) -> StepCdf:
-    """Equal-weight average of the sampled submatrix ESDs.
-
-    `stream_offset` shifts the per-sample stream indices, so a run of
-    N1 + N2 samples splits exactly into runs over streams [0, N1) and
-    [N1, N1 + N2).
-    """
-    return _sampled_spectra(m, k, mode, n_samples, master_seed, stream_offset, None)[0]
+               master_seed: int) -> StepCdf:
+    """Equal-weight average of the sampled submatrix ESDs."""
+    return _sampled_spectra(m, k, mode, n_samples, master_seed, None)[0]
 
 
 def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
@@ -173,7 +167,7 @@ def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
                      metadata_note: str = "") -> EstimateReport:
     """Monte Carlo law of the sup-norm distance between sampled ESDs and a
     caller-supplied reference CDF, plus the averaged F_hat."""
-    f_hat, samples = _sampled_spectra(m, k, mode, n_samples, master_seed, 0, reference)
+    f_hat, samples = _sampled_spectra(m, k, mode, n_samples, master_seed, reference)
     mean = math.fsum(samples.tolist()) / n_samples
     ordered = np.sort(samples)
     quantiles = {p: float(ordered[max(0, math.ceil(p * n_samples) - 1)])

@@ -7,8 +7,8 @@ One step holds with probability 1/n or composes on the right with a
 uniformly random transposition (probability 2/n^2 each), i.e. swaps two
 positions of the one-line word.  The uniform measure is invariant and the
 kernel is symmetric, so everything reversible-chain-shaped can be checked
-by direct matrix inspection: `kernel_errors` gives the row-sum,
-detailed-balance and invariance errors of a dense `kernel_matrix`, and
+on `neighbor_table(n)`, which holds the whole kernel: `kernel_errors`
+gives its row-sum, detailed-balance and invariance errors, and
 `spectral_gap` the kernel's gap; the CLI's `verify` reports these per n.
 
 Every other table is derived from `permutations(n)` with array
@@ -18,9 +18,9 @@ codes increase along the rows, so the row of a swapped word is found by
 entries, is a bitmask, and one 2^n lookup maps it to its row of
 `oracle.subset_table(n, k)`.
 
-The dense kernel is capped at n = 6 (720^2 floats); the permutation
-array and the matrix-free neighbor sums (spectral gap, Dirichlet form,
-worst-case one-step increment) additionally work for n = 7 and 8.
+Every table, and so `verify`, stops at n = MAX_PERM_N = 8.  The dense
+`kernel_matrix`, which only the tests use as an oracle, stops at n = 6
+(720^2 floats).
 
 A permutation acts on the matrix only through the set of its first k
 entries, so the ESD observables and the one-step ESD gap read rows of the
@@ -52,9 +52,9 @@ from .linalg import (DenseMatrix, _hermitized, _require_hermitian_stack, eigenva
 from .oracle import pointwise_profile, subset_table
 from .sampling import Xoshiro256pp
 
-# the largest n of a dense kernel, and so of `verify --n`
-MAX_DENSE_N = 6
-_MAX_PERM_N = 8
+MAX_DENSE_N = 6  # the largest n of a dense kernel
+# the largest n of `permutations` and every table built on it, so of `verify --n`
+MAX_PERM_N = 8
 # the `Xoshiro256pp` seed of `spectral_gap`'s start vector, and the norm at
 # or below which a new Krylov direction counts as zero: up to n = 8, kept
 # directions have norms of 0.033 and more, the one after them 5.8e-13 or less
@@ -90,8 +90,8 @@ def transpositions(n: int) -> list[tuple[int, int]]:
 def permutations(n: int) -> np.ndarray:
     """Read-only (n!, n) array whose rows are the permutations of 0..n-1 in
     lexicographic order."""
-    if not 1 <= n <= _MAX_PERM_N:
-        raise ValueError(f"n must lie in [1, {_MAX_PERM_N}]")
+    if not 1 <= n <= MAX_PERM_N:
+        raise ValueError(f"n must lie in [1, {MAX_PERM_N}]")
     words = itertools.chain.from_iterable(itertools.permutations(range(n)))
     perms = np.fromiter(words, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
     perms.setflags(write=False)
@@ -103,8 +103,8 @@ def neighbor_table(n: int) -> np.ndarray:
     """neighbor_table(n)[r, t] is the row of `permutations(n)` that holds row
     r with the positions of transposition t swapped (one walk step via
     transposition t)."""
-    if not 2 <= n <= _MAX_PERM_N:
-        raise ValueError(f"n must lie in [2, {_MAX_PERM_N}]")
+    if not 2 <= n <= MAX_PERM_N:
+        raise ValueError(f"n must lie in [2, {MAX_PERM_N}]")
     perms = permutations(n)
     # row r as a base-n numeral: increasing in r, and below 8^8 for n <= 8
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -130,15 +130,21 @@ def kernel_matrix(n: int) -> np.ndarray:
     return kernel
 
 
-def kernel_errors(kernel: np.ndarray) -> tuple[float, float, float]:
-    """(row-sum, detailed-balance, invariance) errors of a kernel under the
-    uniform measure.  Uniformity turns detailed balance into plain symmetry
-    and invariance into column sums of 1/n! each."""
-    size = kernel.shape[0]
-    row_sum_error = float(np.max(np.abs(kernel.sum(axis=1) - 1.0)))
-    reversibility_error = float(np.max(np.abs(kernel - kernel.T)))
-    invariance_error = float(np.max(np.abs(kernel.sum(axis=0) / size - 1.0 / size)))
-    return row_sum_error, reversibility_error, invariance_error
+def kernel_errors(table: np.ndarray, n: int) -> tuple[float, float, float]:
+    """(row-sum, detailed-balance, invariance) errors, under the uniform
+    measure, of the kernel of a neighbour table of S_n: 1/n to stay, 2/n^2
+    per step.  A step to its own row or repeating another costs that row
+    2/n^2; one that its transposition does not undo breaks symmetry by
+    2/n^2; each step more or fewer than C(n, 2) into a state moves its
+    measure by 2/n^2 / n!.  So all three are 0 for `neighbor_table(n)`."""
+    size, steps = table.shape
+    rows, weight = np.arange(size)[:, None], 2.0 / (n * n)
+    ordered = np.sort(table, axis=1)
+    reached = ((np.diff(ordered, axis=1, prepend=-1) != 0) & (ordered != rows)).sum(axis=1)
+    counts = np.bincount(table.ravel(), minlength=size)
+    return (weight * float(steps - reached.min()),
+            weight * float(not np.all(table[table, np.arange(steps)] == rows)),
+            weight * float(np.abs(counts - steps).max()) / size)
 
 
 @lru_cache(maxsize=8)
@@ -227,8 +233,8 @@ def _set_rows(n: int, k: int) -> np.ndarray:
 def _table_lookup(table: np.ndarray, n: int) -> np.ndarray:
     """`_set_rows` of a `subset_spectra` table of k = table.shape[1], after
     checking that it has one row per k-subset of an order-n matrix."""
-    if not 2 <= n <= MAX_DENSE_N:
-        raise ValueError(f"matrix order must lie in [2, {MAX_DENSE_N}]")
+    if not 2 <= n <= MAX_PERM_N:
+        raise ValueError(f"matrix order must lie in [2, {MAX_PERM_N}]")
     k = table.shape[1]
     if not 1 <= k <= n or table.shape[0] != math.comb(n, k):
         raise ValueError(f"table must have C(n, k) = C({n}, {k}) rows, one per subset")
@@ -266,14 +272,12 @@ def gap_concentration_bound(gap: float, r: float) -> float:
 
 
 def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
-                             gap: float | None = None) -> list[dict]:
+                             gap: float) -> list[dict]:
     """Exact superlevel measures of f (rescaled to unit one-step norm when
-    nonconstant) against the spectral-gap concentration bound, per r."""
+    nonconstant) against the walk's spectral-gap concentration bound, per r."""
     tn = triple_norm(f)
     values = f.values / tn if tn > 0 else f.values
     mean = float(values.mean())
-    if gap is None:
-        gap = spectral_gap(f.n)
     size = values.size
     rows = []
     for r in r_grid:

@@ -4,7 +4,8 @@ kept as the oracles the array paths are compared with.
 `perm_rank`, `perm_unrank` and `PermIndex` address a permutation by its
 lexicographic rank one digit at a time; `neighbor_table` and `subset_rows`
 are the former `walk` tables built from them with Python loops and
-tuple-keyed dicts.  `is_hermitian`, `require_hermitian` and
+tuple-keyed dicts.  `kernel_errors` is the former `walk` check of a dense
+kernel, such as `walk.kernel_matrix(n)`, by its row and column sums.  `is_hermitian`, `require_hermitian` and
 `exact_pointwise_tail` are the former one-matrix and one-point wrappers of
 `linalg` and `oracle`.  `to_json` is the former one-call-per-value JSON
 formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv`,
@@ -105,6 +106,17 @@ def subset_rows(n: int, k: int) -> np.ndarray:
     perms, _ = perm_table(n)
     return np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))] for perm in perms],
                     dtype=np.intp)
+
+
+def kernel_errors(kernel: np.ndarray) -> tuple[float, float, float]:
+    """(row-sum, detailed-balance, invariance) errors of a dense kernel under
+    the uniform measure.  Uniformity turns detailed balance into plain
+    symmetry and invariance into column sums of 1/n! each."""
+    size = kernel.shape[0]
+    row_sum_error = float(np.max(np.abs(kernel.sum(axis=1) - 1.0)))
+    reversibility_error = float(np.max(np.abs(kernel - kernel.T)))
+    invariance_error = float(np.max(np.abs(kernel.sum(axis=0) / size - 1.0 / size)))
+    return row_sum_error, reversibility_error, invariance_error
 
 
 def is_hermitian(m: DenseMatrix, tol: float) -> bool:

@@ -69,10 +69,10 @@ def test_criterion_1_spectral_gap_fast():
 
 def test_criterion_2_kernel_validity():
     worst = 0.0
-    for n in range(2, 7):
-        errors = walk.kernel_errors(walk.kernel_matrix(n))
+    for n in range(2, walk.MAX_PERM_N + 1):
+        errors = walk.kernel_errors(walk.neighbor_table(n), n)
         worst = max(worst, *errors)
-    report("2-kernel-validity", worst <= 1e-14, f"max error = {worst:.2e} for n <= 6")
+    report("2-kernel-validity", worst == 0.0, f"max error = {worst:.2e} for n <= 8")
 
 
 def test_criterion_3_one_step_norm_budget():

@@ -15,7 +15,7 @@ from subspec.sampling import (SubsetSample, Xoshiro256pp, derive_sample_seed, ra
                               subset_spectrum)
 from subspec.spectra import KsResult, cdf_to_csv, esd, ks_two_sample
 from subspec.linalg import Spectrum
-from subspec.walk import kernel_errors, kernel_matrix
+from subspec import walk
 
 import reference
 
@@ -304,8 +304,8 @@ class TestVerify:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_walk_reports_match_checks(self, corrupt):
         # each n's walk report holds the numbers of its kernel-validity and
-        # spectral-gap checks; a corrupted kernel fails its check while the
-        # report keeps the clean kernel's errors
+        # spectral-gap checks; a corrupted neighbour table fails its check,
+        # by 2/n^2, while the report keeps the clean table's errors
         report = run_verification([3, 4], corrupt=corrupt)
         checks = {c["check"]: c for c in report["checks"]}
         keys = ["row_sum_error", "reversibility_error", "invariance_error"]
@@ -316,8 +316,8 @@ class TestVerify:
             kernel, gap = checks[f"kernel-validity-n{n}"], checks[f"spectral-gap-n{n}"]
             assert (entry["gap"], entry["gap_theory"]) == (gap["gap"], gap["gap_theory"])
             clean = [entry[key] for key in keys]
-            assert clean == list(kernel_errors(kernel_matrix(n)))
-            assert max(clean) <= 1e-14
+            assert clean == list(walk.kernel_errors(walk.neighbor_table(n), n)) == [0.0] * 3
+            assert kernel["measured"] == (2.0 / (n * n) if corrupt else 0.0)
             assert kernel["pass"] is not corrupt
             assert ([kernel[key] for key in keys] == clean) is not corrupt
 
@@ -337,7 +337,26 @@ class TestVerify:
         assert json.loads(out.read_text())["pass"] is False
 
     def test_rejects_large_n(self, tmp_path):
-        assert run("verify", "--n", "7", "--out", str(tmp_path / "x.json")) == 2
+        assert run("verify", "--n", "9", "--out", str(tmp_path / "x.json")) == 2
+        assert run("verify", "--n", "1", "--out", str(tmp_path / "x.json")) == 2
+
+    def test_builds_no_dense_kernel(self, tmp_path, monkeypatch):
+        # the neighbour table holds the whole kernel, so no n! x n! matrix
+        def dense(n):
+            raise AssertionError(f"dense kernel built for n = {n}")
+        monkeypatch.setattr(walk, "kernel_matrix", dense)
+        assert run("verify", "--n", "2", "3", "4", "5", "6",
+                   "--out", str(tmp_path / "v.json")) == 0
+
+    def test_largest_orders(self, tmp_path):
+        # n = 7 and 8, past the dense kernel's cap; a corrupted table fails
+        # the kernel-validity check alone
+        out = tmp_path / "v.json"
+        assert run("verify", "--n", "7", "8", "--out", str(out)) == 0
+        assert json.loads(out.read_text())["pass"] is True
+        assert run("verify", "--n", "7", "--self-test-corrupt", "--out", str(out)) == 1
+        doc = json.loads(out.read_text())
+        assert [c["check"] for c in doc["checks"] if not c["pass"]] == ["kernel-validity-n7"]
 
     @pytest.mark.parametrize("n_values", [["3", "3"], ["3", "4", "3"]])
     def test_rejects_repeated_n(self, tmp_path, capsys, n_values):

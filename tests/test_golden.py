@@ -38,9 +38,9 @@ GOLDEN = {
     "verify --n 2":
         (0, "e389ff587fffd170c34151ad1ac5a0ac72089c060cf143a868ff646aeae9b0e1"),
     "verify --n 3 4 5":
-        (0, "110fda577e8a271110477fd1f8fbccdfb2ebb90406adb0e2437bdc3c9f683c2e"),
+        (0, "7392d179bc930b704d586431f236f5e44ae862e612ac94fb15a9574fb5cba4b4"),
     "verify --n 3 4 5 --self-test-corrupt":
-        (1, "295bfb536c537086cfe0c5e0a0f1fe7dc97ea687ebb578349e2a34718c272007"),
+        (1, "ce5d0353f798d4806616d6ad0561954e6ab4fd21e1e82a533d6cd234c549ac6e"),
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
         (0, "bd2655ecffba89d501554ff658230249c584ec2cf4049f5b9491bb894ab998a6"),
     "estimate --ensemble rw-covariance --n 40 --k 12 --samples 110 --seed 3":

@@ -1,3 +1,4 @@
+import errno
 import itertools
 import math
 import os
@@ -655,6 +656,30 @@ class TestSplit:
         force_parts(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="worker returned no result"):
             linalg_mod._symmetric_eigenvalues(np.array([np.eye(3)] * 4))
+
+    def test_failed_fork_leaves_nothing_behind(self, monkeypatch, capsys):
+        # the second of a split's two workers cannot start: the error
+        # surfaces, no pipe stays open, and the first worker is reaped (the
+        # autouse fixture checks that); the CLI exits 1 with the message
+        force_parts(monkeypatch, 3)
+        real, calls = os.fork, []
+
+        def refusing_second():
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+        monkeypatch.setattr(os, "fork", refusing_second)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as failure:
+            linalg_mod._symmetric_eigenvalues(np.array([np.eye(3)] * 6))
+        assert failure.value.errno == errno.EAGAIN
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        calls.clear()
+        assert main(["estimate", "--ensemble", "random-gaussian", "--n", "8", "--k", "3",
+                     "--samples", "20"]) == 1
+        assert capsys.readouterr().err == f"subspec: {failure.value}\n"
+        assert len(calls) == 2
 
     def test_second_thread_keeps_the_solve_serial(self, monkeypatch):
         # a process that runs another OS thread never forks, however large

@@ -89,15 +89,6 @@ class TestEstimateF:
         sigma = math.sqrt((1.0 / 12.0) / n_samples)
         assert abs(f.eval(0.0) - 0.5) <= 3.0 * sigma
 
-    def test_split_run_additivity(self, average_cdfs):
-        m = random_symmetric(8, 3, "gaussian")
-        n1, n2 = 300, 500
-        part_a = estimate_F(m, 3, "eigen", n1, 42)
-        part_b = estimate_F(m, 3, "eigen", n2, 42, stream_offset=n1)
-        full = estimate_F(m, 3, "eigen", n1 + n2, 42)
-        mix = average_cdfs([part_a, part_b], [n1 / (n1 + n2), n2 / (n1 + n2)])
-        assert sup_distance(mix, full) <= 1e-12
-
     def test_non_hermitian_eigen_mode_rejected(self):
         m = DenseMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -245,12 +236,11 @@ class TestEstimateSupnorm:
         assert "jacobi" in report.metadata
 
 
-def deduplicated_sampled_spectra(m, k, mode, n_samples, master_seed, stream_offset,
-                                 reference):
+def deduplicated_sampled_spectra(m, k, mode, n_samples, master_seed, reference):
     """The former `montecarlo._sampled_spectra`, kept as the oracle: all
     draws at once, each distinct subset solved once, its values weighted by
     how often it was drawn and its distance shared by every draw of it."""
-    subsets = draw_subsets(m.rows, k, master_seed, stream_offset, n_samples)
+    subsets = draw_subsets(m.rows, k, master_seed, 0, n_samples)
     distinct, inverse, counts = np.unique(subsets, axis=0, return_inverse=True,
                                           return_counts=True)
     spectra = solve_subsets(m, distinct, mode)
@@ -264,18 +254,18 @@ class TestSolvedAsDrawn:
 
     @staticmethod
     def make_case(case, tmp_path):
-        """(m, k, mode, n_samples, stream_offset)"""
+        """(m, k, mode, n_samples); "split" is the Gaussian case"""
         if case == "random-pm1":
-            return random_symmetric(9, 0, "pm1"), 3, "eigen", 5000, 0
+            return random_symmetric(9, 0, "pm1"), 3, "eigen", 5000
         if case == "split":
-            return random_symmetric(8, 3, "gaussian"), 3, "eigen", 700, 300
+            return random_symmetric(8, 3, "gaussian"), 3, "eigen", 700
         if case == "narrow-singular":
             rng = np.random.default_rng(2)
-            return DenseMatrix(rng.standard_normal((6, 2))), 3, "singular", 400, 0
+            return DenseMatrix(rng.standard_normal((6, 2))), 3, "singular", 400
         rng = np.random.default_rng(5)
         x = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
         save_matrix(DenseMatrix((x + x.conj().T) / 2), tmp_path / "h.txt")
-        return load_matrix(tmp_path / "h.txt"), 3, "eigen", 400, 0
+        return load_matrix(tmp_path / "h.txt"), 3, "eigen", 400
 
     # one draw per chunk, chunks of a few, and the default; each against
     # stacks of one, of a few, a 256 KB budget, and the default budget
@@ -288,15 +278,13 @@ class TestSolvedAsDrawn:
                                       "complex-file"])
     def test_matches_deduplicated_reference(self, case, lanes, budget, tmp_path,
                                             monkeypatch):
-        m, k, mode, n_samples, offset = self.make_case(case, tmp_path)
+        m, k, mode, n_samples = self.make_case(case, tmp_path)
         ref = exact_F(m, k, mode)
-        f_expected, d_expected = deduplicated_sampled_spectra(m, k, mode, n_samples, 8,
-                                                              offset, ref)
-        assert len(np.unique(draw_subsets(m.rows, k, 8, offset, n_samples), axis=0)) < n_samples
+        f_expected, d_expected = deduplicated_sampled_spectra(m, k, mode, n_samples, 8, ref)
+        assert len(np.unique(draw_subsets(m.rows, k, 8, 0, n_samples), axis=0)) < n_samples
         monkeypatch.setattr(sampling_mod, "DRAW_LANES", lanes)
         monkeypatch.setattr(sampling_mod, "STACK_BYTES", budget)
-        f_hat, distances = montecarlo_mod._sampled_spectra(m, k, mode, n_samples, 8,
-                                                           offset, ref)
+        f_hat, distances = montecarlo_mod._sampled_spectra(m, k, mode, n_samples, 8, ref)
         assert f_hat.jumps.tobytes() == f_expected.jumps.tobytes()
         assert f_hat.cum.tobytes() == f_expected.cum.tobytes()
         assert distances.tobytes() == d_expected.tobytes()

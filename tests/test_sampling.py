@@ -132,8 +132,7 @@ class TestRandomKSubset:
 
 
 class TestDrawSubsets:
-    # (n, k, master seed, first stream, count); the 300-stream offset is the
-    # second half of test_split_run_additivity
+    # (n, k, master seed, first stream, count)
     CASES = [(1, 1, 0, 0, 4), (9, 1, -5, 0, 40), (6, 6, 2**64 - 1, 0, 9),
              (8, 3, 42, 300, 500), (30, 8, 2**70 + 3, 7, 60), (300, 40, 0, 0, 5),
              (9, 3, 4, 0, 50)]

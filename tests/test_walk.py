@@ -107,17 +107,41 @@ class TestKernel:
             kernel = kernel_matrix(n)
             np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-15)
 
-    def test_errors_tiny(self):
-        for n in (3, 5):
-            row, rev, inv = kernel_errors(kernel_matrix(n))
-            assert max(row, rev, inv) <= 1e-15
+    def test_table_errors_are_zero(self):
+        for n in range(2, 9):
+            assert kernel_errors(neighbor_table(n), n) == (0.0, 0.0, 0.0)
 
-    def test_corruption_detected(self):
-        kernel = kernel_matrix(3).copy()
-        kernel[0, 1] *= 2.0
-        row, rev, inv = kernel_errors(kernel)
-        assert rev > 0.0
-        assert row > 0.0
+    def test_errors_tiny(self):
+        # the dense oracle, by row and column sums of the n! x n! kernel
+        for n in range(2, 7):
+            assert max(reference.kernel_errors(kernel_matrix(n))) <= 1e-14
+
+    @staticmethod
+    def corrupted_tables(n):
+        """Row 0's first step, moved: onto its second step, onto row 0
+        itself, and onto a state that is no neighbour of row 0, so that
+        the transposition does not undo it."""
+        table = neighbor_table(n)
+        outside = next(r for r in range(table.shape[0])
+                       if r != 0 and r not in table[0])
+        for target in (table[0, 1], 0, outside):
+            corrupted = table.copy()
+            corrupted[0, 0] = target
+            yield corrupted
+
+    def test_corruption_detected(self, monkeypatch):
+        # each corrupted table fails the table check, and the dense kernel
+        # built from it fails the dense oracle
+        for n in (3, 4):
+            repeat, self_step, not_undone = self.corrupted_tables(n)
+            weight = 2.0 / (n * n)
+            assert kernel_errors(repeat, n)[:2] == (weight, weight)
+            assert kernel_errors(self_step, n)[:2] == (weight, weight)
+            assert kernel_errors(not_undone, n)[:2] == (0.0, weight)
+            for table in (repeat, self_step, not_undone):
+                assert kernel_errors(table, n)[2] > 0.0
+                monkeypatch.setattr(walk_mod, "neighbor_table", lambda _: table)
+                assert max(reference.kernel_errors(kernel_matrix(n))) > 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -323,7 +347,7 @@ class TestEsdObservable:
         with pytest.raises(ValueError):
             esd_observable(table[:-1], 5, 0.0)
         with pytest.raises(ValueError):
-            esd_observable(subset_spectra(rw_covariance(7), 2), 7, 0.0)
+            esd_observable(subset_spectra(rw_covariance(9), 2), 9, 0.0)
         with pytest.raises(ValueError):
             rank_step_check(rw_covariance(4), table, [(0, 1, 2, 3)], [(0, 1)])
 
@@ -350,7 +374,7 @@ class TestGapConcentration:
 
     def test_constant_function_passes(self):
         f = FunctionOnSn(3, np.full(6, 1.0))
-        rows = verify_gap_concentration(f, [0.0, 0.5, 1.0])
+        rows = verify_gap_concentration(f, [0.0, 0.5, 1.0], spectral_gap(3))
         assert all(row["pass"] for row in rows)
         assert rows[1]["measure"] == 0.0
 
@@ -358,7 +382,7 @@ class TestGapConcentration:
         f = esd_observable(subset_spectra(half_ones_diagonal(4), 2), 4, 0.0)
         r_grid = np.arange(0.0, 5.5, 0.5)
         for signed in (f, FunctionOnSn(4, -f.values)):
-            rows = verify_gap_concentration(signed, r_grid)
+            rows = verify_gap_concentration(signed, r_grid, spectral_gap(4))
             assert all(row["pass"] for row in rows)
 
     def test_pointwise_tail_reproduction(self):
