@@ -37,7 +37,8 @@ from .montecarlo import (choose_reference, compare_tail, empirical_tail, estimat
 from .oracle import (DEFAULT_ENUMERATION_CAP, chaining_checks, mean_cdf, pointwise_profile,
                      subset_spectra, supnorm_law)
 from .sampling import Xoshiro256pp, draw_subsets, solve_subsets
-from .spectra import StepCdf, cdf_from_csv, ks_two_sample, step_cdf, to_csv
+from .spectra import (StepCdf, cdf_from_csv, ks_result, ks_two_sample, pair_distances,
+                      step_cdf, to_csv)
 
 class UsageError(Exception):
     """Configuration problem; maps to exit code 2."""
@@ -175,7 +176,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_pair(args: argparse.Namespace) -> int:
     matrix, matrix_desc = _resolve_matrix(args)
-    n = matrix.rows
     # a singular-mode spectrum has min(k, cols) values, the width of the table
     width = min(args.k, matrix.cols) if args.mode == "singular" else args.k
     if not 0 <= args.exclude_top < width:
@@ -184,18 +184,14 @@ def cmd_pair(args: argparse.Namespace) -> int:
     if args.pairs < 1:
         raise UsageError("pairs must be positive")
     k_eff = width - args.exclude_top
-    subsets = draw_subsets(n, args.k, args.seed, 0, 2 * args.pairs)
-    table = solve_subsets(matrix, subsets, args.mode)
-    cdfs = [(step_cdf(table[2 * p, :k_eff]), step_cdf(table[2 * p + 1, :k_eff]))
-            for p in range(args.pairs)]
-    results = [ks_two_sample(cdf_a, cdf_b, k_eff, k_eff) for cdf_a, cdf_b in cdfs]
-    first_pair_cdfs = cdfs[0]
+    subsets = draw_subsets(matrix.rows, args.k, args.seed, 0, 2 * args.pairs)
+    table = solve_subsets(matrix, subsets, args.mode)[:, :k_eff]
+    results = [ks_result(d, k_eff, k_eff) for d in pair_distances(table[::2], table[1::2])]
     ds = sorted(r.statistic for r in results)
-    share = sum(1 for r in results if r.p_value >= 0.05) / args.pairs
     summary = {
         "pairs": args.pairs,
         "median_D": median(ds),
-        "frac_p_ge_0.05": share,
+        "frac_p_ge_0.05": sum(r.p_value >= 0.05 for r in results) / args.pairs,
         "D_quantiles": {str(q): ds[max(0, math.ceil(q * len(ds)) - 1)]
                         for q in (0.1, 0.25, 0.5, 0.75, 0.9)},
     }
@@ -213,10 +209,8 @@ def cmd_pair(args: argparse.Namespace) -> int:
         "summary": summary,
         "pairs": [r.to_dict() for r in results],
         "first_pair": {
-            "cdf_a": {"jumps": first_pair_cdfs[0].jumps.tolist(),
-                      "cum": first_pair_cdfs[0].cum.tolist()},
-            "cdf_b": {"jumps": first_pair_cdfs[1].jumps.tolist(),
-                      "cum": first_pair_cdfs[1].cum.tolist()},
+            **{name: {"jumps": cdf.jumps.tolist(), "cum": cdf.cum.tolist()}
+               for name, cdf in zip(("cdf_a", "cdf_b"), map(step_cdf, table[:2]))},
             "ks_sample_size": k_eff,
         },
     }

@@ -2,12 +2,11 @@
 
 A StepCdf is right-continuous: its value at x is the cumulative weight of
 all jumps at or below x.  Sup-norm distances between step functions are
-exact, not grid-sampled.  Between two jumps of F, F is constant and G is
-monotone, so |F - G| is largest at either end of that stretch: at F's jump
-(right values) or just below F's next jump (left limits).  Beyond F's last
-jump G still climbs to its own final value.  So the supremum needs only
-F's own jumps, where F is the function with fewer of them: a lookup in G
-for each, not a scan of the union of both jump sets.
+exact, not grid-sampled, one per input shape: `sup_distance` of two
+StepCdfs, `sup_distances` of each ascending row of a (R, k) table against
+one reference, and `pair_distances` of the row pairs of two such tables.
+Between two jumps of F, F is constant and G is monotone, so |F - G|, and
+its rounded value too, is largest at either end of that stretch.
 """
 
 from __future__ import annotations
@@ -152,6 +151,21 @@ def sup_distances(table: np.ndarray, reference: StepCdf) -> np.ndarray:
     return np.maximum(np.maximum(right, left).max(axis=1), abs(1.0 - reference.cum[-1]))
 
 
+def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`sup_distance(step_cdf(a[i]), step_cdf(b[i]))` of every row pair of two
+    (R, k) ascending tables, as the same floats: one stable sort merges each
+    pair, and both ESDs, count so far / k, are read at the last copy of every
+    merged value, where each left limit is the value at the one before."""
+    k = a.shape[1]
+    merged = np.concatenate((a, b), axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    merged = np.take_along_axis(merged, order, axis=1)
+    count_a = np.cumsum(order < k, axis=1)
+    gaps = np.abs(count_a / k - (np.arange(1, 2 * k + 1) - count_a) / k)
+    gaps[:, :-1][merged[:, 1:] == merged[:, :-1]] = 0.0
+    return gaps.max(axis=1)
+
+
 def kolmogorov_q(lam: float) -> float:
     """Tail function 2*sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lam^2), with Q(0) = 1.
 
@@ -174,14 +188,18 @@ def kolmogorov_q(lam: float) -> float:
     return min(1.0, max(0.0, total))
 
 
-def ks_two_sample(f: StepCdf, g: StepCdf, a: int, b: int) -> KsResult:
-    """Two-sample KS test between empirical CDFs with sample sizes a and b."""
+def ks_result(statistic: float, a: int, b: int) -> KsResult:
+    """Two-sample KS outcome of the sup distance of ESDs of sample sizes a and b."""
     if a < 1 or b < 1:
         raise ValueError("sample sizes must be at least 1")
-    statistic = sup_distance(f, g)
     lam = math.sqrt(a * b / (a + b)) * statistic
     p = 1.0 if statistic == 0.0 else kolmogorov_q(lam)
     return KsResult(statistic=statistic, lam=lam, p_value=p)
+
+
+def ks_two_sample(f: StepCdf, g: StepCdf, a: int, b: int) -> KsResult:
+    """Two-sample KS test between empirical CDFs with sample sizes a and b."""
+    return ks_result(sup_distance(f, g), a, b)
 
 
 def quantiles(f: StepCdf, qs: np.ndarray) -> np.ndarray:

@@ -33,8 +33,8 @@ one batched solve.
 
 The exact-law checks are array passes over those rows: the observables
 take their values from one `oracle.pointwise_profile` per grid, and the
-rank steps measure every step's ESD gap from comparison counts over the
-two stacks of rows, with no per-step CDF.
+rank steps take every step's ESD gap from one `spectra.pair_distances`
+of the two stacks of rows, with no per-step CDF.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .linalg import (DenseMatrix, _hermitized, _require_hermitian_stack, eigenva
                      eigenvalues_hermitian_stack, gather_submatrices)
 from .oracle import pointwise_profile, subset_table
 from .sampling import Xoshiro256pp
+from .spectra import pair_distances
 
 MAX_DENSE_N = 6  # the largest n of a dense kernel
 # the largest n of `permutations` and every table built on it, so of `verify --n`
@@ -303,10 +304,9 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     table's blocks are solved, and solved together by
     `eigenvalues_hermitian_stack`; the rank is the count of absolute
     eigenvalues above `RANK_STEP_REL_TOL` * k times the largest.  An M that
-    is not Hermitian raises ValueError("not Hermitian").  The ESDs
-    are rows of `table`, `subset_spectra(m, k)`, so a step that keeps the
-    selected set has gap exactly 0.  Each gap is the same float as
-    `sup_distance(step_cdf(a), step_cdf(b))` of the step's two rows.
+    is not Hermitian raises ValueError("not Hermitian").  The gaps are
+    `spectra.pair_distances` of rows of `table`, `subset_spectra(m, k)`, so
+    a step that keeps the selected set has gap exactly 0.
     """
     before = np.array(sigmas, dtype=np.intp)
     pairs = np.array(taus, dtype=np.intp)
@@ -335,11 +335,4 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     ranks = np.count_nonzero(vals > RANK_STEP_REL_TOL * k * vals.max(axis=1, keepdims=True),
                              axis=1)
     a, b = (table[lookup[_bitmasks(perms[:, :k])]] for perms in (before, after))
-    # both ESDs at every entry of either row, as the c/k floats sup_distance
-    # compares; on the union of the jumps every left limit is the value at
-    # the jump before, so the values alone give the supremum
-    points = np.concatenate((a, b), axis=1)[:, :, None]
-    diffs = (np.count_nonzero(a[:, None] <= points, axis=2) / k
-             - np.count_nonzero(b[:, None] <= points, axis=2) / k)
-    # a step that keeps the selected set compares a row with itself: gap 0
-    return ranks, np.abs(diffs).max(axis=1)
+    return ranks, pair_distances(a, b)

@@ -781,7 +781,7 @@ class TestCsv:
 
     def test_pair(self, tmp_path, monkeypatch):
         results = iter(self.RESULTS)
-        monkeypatch.setattr("subspec.cli.ks_two_sample", lambda *args: next(results))
+        monkeypatch.setattr("subspec.cli.ks_result", lambda *args: next(results))
         text = self.run_csv(tmp_path, "pair", "--ensemble", "rw-covariance", "--n", "8",
                             "--k", "3", "--exclude-top", "0", "--pairs", "12")
         assert len(text.splitlines()) == 13

@@ -55,6 +55,14 @@ GOLDEN = {
         (0, "ac99f173d6fb5d000a37a30b23a4ec858b495ae48d59789f744976b4da8e2f14"),
     "pair --ensemble rw-covariance --n 30 --k 8 --exclude-top 2 --pairs 20 --seed 6":
         (0, "91f9f0513a2329fc9a170223f2bf9f7a569aa47419dcfeb90c8dd46532814af9"),
+    # tied spectra: 61 of the half-ones pairs have D = 0
+    "pair --ensemble half-ones --n 40 --k 10 --exclude-top 0 --pairs 300 --seed 1":
+        (0, "3d3ad2000ef30d62e4da13ccb3987fe87a0dacb2291e42a8b4f1a94f3733914b"),
+    "pair --ensemble random-pm1 --n 30 --k 8 --exclude-top 1 --pairs 200 --seed 2":
+        (0, "faf6a47846d58f7c65512f02765e9b60af87ce283b177b156cc3b3d411b01f40"),
+    "pair --ensemble half-ones --n 12 --k 6 --mode singular --exclude-top 0 --pairs 50 "
+    "--seed 3":
+        (0, "80c7f7553176dda3cb35cb2712c81a9a595b47423050ab539747e3658d2f8092"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from subspec.ensembles import rw_covariance
 from subspec.linalg import DenseMatrix, Spectrum
 from subspec.sampling import solve_subsets
 from subspec.spectra import (KsResult, StepCdf, cdf_from_csv, cdf_to_csv,
-                             esd, kolmogorov_q, ks_two_sample, quantile_grid,
-                             step_cdf, sup_distance, sup_distances)
+                             esd, kolmogorov_q, ks_result, ks_two_sample, pair_distances,
+                             quantile_grid, step_cdf, sup_distance, sup_distances)
 
 import reference
 
@@ -260,6 +261,70 @@ class TestSupDistances:
             self.check(table, self.off_one(reference, rng))
 
 
+class TestPairDistances:
+    """The one-sort distances of row pairs against `sup_distance` of the
+    pair's two step CDFs, kept as the oracle; the same floats are required."""
+
+    @staticmethod
+    def check(a, b):
+        got = pair_distances(a, b)
+        expected = np.array([sup_distance(step_cdf(x), step_cdf(y)) for x, y in zip(a, b)],
+                            dtype=np.float64)
+        assert got.shape == (a.shape[0],)
+        assert got.tobytes() == expected.tobytes()
+        return got
+
+    def test_gaussian_rows(self):
+        rng = np.random.default_rng(31)
+        for k in (2, 3, 7, 20, 64):
+            a, b = (np.sort(rng.standard_normal((40, k)), axis=1) for _ in range(2))
+            self.check(a, b)
+
+    def test_small_integer_rows_with_ties(self):
+        # ties inside a row and across the pair
+        rng = np.random.default_rng(32)
+        for k in (2, 3, 5, 8, 13):
+            a, b = (np.sort(rng.integers(-2, 3, (60, k)).astype(float), axis=1)
+                    for _ in range(2))
+            assert np.any(a[:, 1:] == a[:, :-1]) and np.any(a == b)
+            self.check(a, b)
+
+    def test_identical_rows_are_exactly_zero(self):
+        rng = np.random.default_rng(33)
+        a = np.sort(rng.integers(-2, 3, (30, 6)).astype(float), axis=1)
+        b = np.sort(rng.standard_normal((30, 6)), axis=1)
+        for table in (a, b):
+            assert not self.check(table, table.copy()).any()
+
+    def test_single_column(self):
+        rng = np.random.default_rng(34)
+        a, b = (rng.integers(-2, 3, (50, 1)).astype(float) for _ in range(2))
+        got = self.check(a, b)
+        assert set(got) == {0.0, 1.0}
+
+    def test_signed_zeros_are_one_value(self):
+        a = np.array([[-0.0], [-1.0], [-0.0], [-0.0]])
+        b = np.array([[0.0], [0.0], [-0.0], [0.0]])
+        a2 = np.array([[-1.0, -0.0, 0.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, 0.0]])
+        b2 = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0]])
+        assert self.check(a, b).tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert self.check(a2, b2).tolist()[:2] == [0.0, 0.0]
+
+    def test_temporaries_are_a_multiple_of_the_input(self):
+        # a count of entries at or below each merged value would need two
+        # (R, 2k, k) boolean arrays, 26 MB here; the sort needs O(R k)
+        rng = np.random.default_rng(35)
+        a = np.sort(rng.standard_normal((200, 256)), axis=1)
+        b = np.sort(rng.integers(-3, 4, (200, 256)).astype(float), axis=1)
+        tracemalloc.start()
+        try:
+            pair_distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (a.nbytes + b.nbytes)
+
+
 class TestKolmogorovQ:
     def test_q_zero(self):
         assert kolmogorov_q(0.0) == 1.0
@@ -305,6 +370,17 @@ class TestKsTwoSample:
         f = esd_of(0.0)
         with pytest.raises(ValueError):
             ks_two_sample(f, f, 0, 4)
+        with pytest.raises(ValueError):
+            ks_result(0.5, 4, 0)
+
+    def test_result_of_the_statistic(self):
+        # `ks_two_sample` is `ks_result` of the sup distance, field for field
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            f, g = random_esd(rng), random_esd(rng)
+            a, b = (int(v) for v in rng.integers(1, 40, 2))
+            assert ks_two_sample(f, g, a, b) == ks_result(sup_distance(f, g), a, b)
+        assert ks_result(0.0, 3, 5) == KsResult(0.0, 0.0, 1.0)
 
 
 class TestQuantileGrid:
