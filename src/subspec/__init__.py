@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "linalg": ("DenseMatrix", "Spectrum", "eigenvalues_hermitian", "gram", "singular_values",
                "numerical_rank"),
-    "spectra": ("StepCdf", "KsResult", "esd", "sup_distance", "ks_two_sample", "quantile_grid",
-                "cdf_to_csv"),
+    "spectra": ("StepCdf", "KsResult", "esd", "sup_distance", "ks_two_sample", "cdf_to_csv"),
     "ensembles": ("make_matrix", "rw_covariance", "half_ones_diagonal", "random_symmetric",
                   "load_matrix", "save_matrix"),
     "sampling": ("SubsetSample", "Xoshiro256pp", "derive_sample_seed", "random_k_subset",
@@ -29,9 +28,9 @@ _EXPORTS = {
                    "pointwise_tail_bound"),
     "oracle": ("ExactDistribution", "exact_F", "exact_supnorm_distribution", "halfones_exact_mean",
                "chaining_check", "subset_spectra"),
-    "walk": ("FunctionOnSn", "kernel_matrix", "spectral_gap",
-             "dirichlet_form", "variance_mu", "triple_norm", "esd_observable",
-             "verify_triple_norm_bound", "verify_gap_concentration", "rank_step_check"),
+    "walk": ("FunctionOnSubsets", "kernel_matrix", "spectral_gap", "triple_norm",
+             "esd_observable", "verify_triple_norm_bound", "verify_gap_concentration",
+             "rank_step_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

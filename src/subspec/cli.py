@@ -280,7 +280,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
                 f = walk.esd_observable(tables[k], n, float(mid))
                 ok = True
                 worst_excess = 0.0
-                for signed in (f, walk.FunctionOnSn(n, -f.values)):
+                for signed in (f, walk.FunctionOnSubsets(n, k, -f.values)):
                     for row in walk.verify_gap_concentration(signed, r_grid, gap):
                         worst_excess = max(worst_excess, row["measure"] - row["bound"])
                         ok = ok and row["pass"]

@@ -208,13 +208,6 @@ def quantiles(f: StepCdf, qs: np.ndarray) -> np.ndarray:
     return f.jumps[np.minimum(idx, f.jumps.size - 1)]
 
 
-def quantile_grid(f: StepCdf, l: int) -> np.ndarray:
-    """Quantile points t_i = least jump with cumulative value >= i/l, i = 1..l-1."""
-    if l < 2:
-        raise ValueError("l must be at least 2")
-    return quantiles(f, np.arange(1, l) / l)
-
-
 def to_csv(header: str, *columns) -> str:
     """CSV text, the one format of every CSV output: the header line, then
     one line per row of the equal-length columns, every number with 17

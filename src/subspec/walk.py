@@ -1,8 +1,7 @@
 """The random-transpositions walk on the symmetric group, made concrete.
 
 States are permutations in one-line notation, the rows of the read-only
-(n!, n) array `permutations(n)`, which lists them in lexicographic order;
-a state is its row there, and a function on S_n is one value per row.
+(n!, n) array `permutations(n)`, which lists them in lexicographic order.
 One step holds with probability 1/n or composes on the right with a
 uniformly random transposition (probability 2/n^2 each), i.e. swaps two
 positions of the one-line word.  The uniform measure is invariant and the
@@ -10,26 +9,37 @@ kernel is symmetric, so everything reversible-chain-shaped can be checked
 on `neighbor_table(n)`, which holds the whole kernel: `kernel_errors`
 gives its row-sum, detailed-balance and invariance errors, and
 `spectral_gap` the kernel's gap; the CLI's `verify` reports these per n.
+`neighbor_table` reads each row of `permutations(n)` as a base-n numeral;
+these codes increase along the rows, so the row of a swapped word is found
+by `searchsorted` on them.
 
-Every other table is derived from `permutations(n)` with array
-operations.  `neighbor_table` reads each row as a base-n numeral; these
-codes increase along the rows, so the row of a swapped word is found by
-`searchsorted` on them.  The selected set of a permutation, its first k
-entries, is a bitmask, and one 2^n lookup maps it to its row of
-`oracle.subset_table(n, k)`.
+A permutation acts on the matrix only through its selected set, its first
+k entries, a bitmask that one 2^n lookup maps to its row of
+`oracle.subset_table(n, k)`.  So every observable is a `FunctionOnSubsets`,
+one value per such row, and the walk seen through it is the
+Bernoulli-Laplace chain (Diaconis & Shahshahani 1987): exactly k(n - k) of
+the C(n, 2) transpositions change the set, one per (member, non-member)
+swap, and `_swap_table(n, k)` holds those steps.  The measures are those
+on S_n: each k-subset is the set of k!(n - k)! permutations, so the
+uniform law on S_n pushes forward to the uniform law on the subsets and a
+superlevel measure count / C(n, k) is the same correctly rounded rational
+as count / n!.  A state's one-step sum of squares is its row sum over the
+swap table, S_n's terms less the zeros, so the one-step norm, and with it
+the float mean that a superlevel threshold starts from, can differ from
+S_n's by an ulp or two; a count moves only where a value ties the
+threshold in exact arithmetic.
 
 Every table, and so `verify`, stops at n = MAX_PERM_N = 8.  The dense
 `kernel_matrix`, which only the tests use as an oracle, stops at n = 6
 (720^2 floats).
 
-A permutation acts on the matrix only through the set of its first k
-entries, so the ESD observables and the one-step ESD gap read rows of the
+The ESD observables and the one-step ESD gap read rows of the
 `oracle.subset_spectra(m, k)` table and solve no subset themselves.  The
 singular-mode observable of the k x n row block A reads the table of
 `gram(m)`, since A A* is the principal block (m m*)[S, S].  The rank
-steps gather the permuted-order blocks of all their steps into one stack
-and rank the differences, which are Hermitian, by their eigenvalues from
-one batched solve.
+steps draw permutations and gather the permuted-order blocks of all their
+steps into one stack, and rank the differences, which are Hermitian, by
+their eigenvalues from one batched solve.
 
 The exact-law checks are array passes over those rows: the observables
 take their values from one `oracle.pointwise_profile` per grid, and the
@@ -54,7 +64,7 @@ from .sampling import Xoshiro256pp
 from .spectra import pair_distances
 
 MAX_DENSE_N = 6  # the largest n of a dense kernel
-# the largest n of `permutations` and every table built on it, so of `verify --n`
+# the largest n of `permutations`, of every table and so of `verify --n`
 MAX_PERM_N = 8
 # the `Xoshiro256pp` seed of `spectral_gap`'s start vector, and the norm at
 # or below which a new Krylov direction counts as zero: up to n = 8, kept
@@ -66,16 +76,17 @@ RANK_STEP_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class FunctionOnSn:
-    """Real function on S_n, one value per row of `permutations(n)`."""
+class FunctionOnSubsets:
+    """Real function on the k-subsets of {1..n}, one value per row of `subset_table(n, k)`."""
 
     n: int
+    k: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != math.factorial(self.n):
-            raise ValueError("values must have length n!")
+        if arr.ndim != 1 or arr.size != math.comb(self.n, self.k):
+            raise ValueError("values must have length C(n, k)")
         if not np.all(np.isfinite(arr)):
             raise ValueError("values must be finite")
         arr.setflags(write=False)
@@ -188,32 +199,6 @@ def spectral_gap(n: int) -> float:
                        f"within {steps} steps")
 
 
-def _neighbor_diffs(f: FunctionOnSn) -> np.ndarray:
-    table = neighbor_table(f.n)
-    return f.values[:, None] - f.values[table]
-
-
-def dirichlet_form(f: FunctionOnSn) -> float:
-    """Half the mu-weighted mean squared one-step increment of f."""
-    diffs = _neighbor_diffs(f)
-    size = f.values.size
-    return float(np.sum(diffs * diffs)) / (size * f.n * f.n)
-
-
-def variance_mu(f: FunctionOnSn) -> float:
-    """Variance of f under the uniform measure."""
-    centered = f.values - f.values.mean()
-    return float(np.mean(centered * centered))
-
-
-def triple_norm(f: FunctionOnSn) -> float:
-    """Worst-case one-step L2 increment: sqrt of half the max over states of
-    the expected squared step of f."""
-    diffs = _neighbor_diffs(f)
-    worst = float(np.max(np.sum(diffs * diffs, axis=1)))
-    return math.sqrt(worst / (f.n * f.n))
-
-
 def _bitmasks(sets: np.ndarray) -> np.ndarray:
     """The bitmask of each row of a (B, k) array of distinct 0-based indices."""
     return (1 << sets).sum(axis=1)
@@ -231,29 +216,52 @@ def _set_rows(n: int, k: int) -> np.ndarray:
     return lookup
 
 
-def _table_lookup(table: np.ndarray, n: int) -> np.ndarray:
-    """`_set_rows` of a `subset_spectra` table of k = table.shape[1], after
-    checking that it has one row per k-subset of an order-n matrix."""
+@lru_cache(maxsize=32)
+def _swap_table(n: int, k: int) -> np.ndarray:
+    """Read-only (C(n, k), k(n - k)) table of the Bernoulli-Laplace steps:
+    entry [r, a(n - k) + b] is the row of `subset_table(n, k)` that holds
+    row r with its a-th member swapped for its b-th non-member, both
+    counted in ascending order."""
+    sets = subset_table(n, k).astype(np.intp) - 1
+    masks = _bitmasks(sets)
+    outside = np.nonzero(((masks[:, None] >> np.arange(n)) & 1) == 0)[1].reshape(masks.size, -1)
+    swapped = masks[:, None, None] - (1 << sets)[:, :, None] + (1 << outside)[:, None, :]
+    table = _set_rows(n, k)[swapped.reshape(masks.size, -1)]
+    table.setflags(write=False)
+    return table
+
+
+def triple_norm(f: FunctionOnSubsets) -> float:
+    """Worst-case one-step L2 increment: sqrt of half the max over states of
+    the expected squared step of f, which only the swaps of `_swap_table` move."""
+    diffs = f.values[:, None] - f.values[_swap_table(f.n, f.k)]
+    worst = float(np.max(np.sum(diffs * diffs, axis=1)))
+    return math.sqrt(worst / (f.n * f.n))
+
+
+def _table_k(table: np.ndarray, n: int) -> int:
+    """k = table.shape[1] of a `subset_spectra` table, after checking that
+    it has one row per k-subset of an order-n matrix."""
     if not 2 <= n <= MAX_PERM_N:
         raise ValueError(f"matrix order must lie in [2, {MAX_PERM_N}]")
     k = table.shape[1]
     if not 1 <= k <= n or table.shape[0] != math.comb(n, k):
         raise ValueError(f"table must have C(n, k) = C({n}, {k}) rows, one per subset")
-    return _set_rows(n, k)
+    return k
 
 
-def esd_observable(table: np.ndarray, n: int, x: float) -> FunctionOnSn:
-    """f(pi) = value at x of the ESD of the submatrix selected by pi's first
-    k entries, read from `table` = `subset_spectra(m, k)` of an order-n m
-    (k = table.shape[1]); depends only on the selected set by construction."""
+def esd_observable(table: np.ndarray, n: int, x: float) -> FunctionOnSubsets:
+    """f(S) = value at x of the ESD of the principal submatrix on S, read from
+    `table` = `subset_spectra(m, k)` of an order-n m (k = table.shape[1])."""
     return esd_observable_grid(table, n, [x])[0]
 
 
-def esd_observable_grid(table: np.ndarray, n: int, xs: Sequence[float]) -> list[FunctionOnSn]:
+def esd_observable_grid(table: np.ndarray, n: int,
+                        xs: Sequence[float]) -> list[FunctionOnSubsets]:
     """esd_observable for every x in xs."""
-    rows = _table_lookup(table, n)[_bitmasks(permutations(n)[:, :table.shape[1]])]
+    k = _table_k(table, n)
     per_subset = pointwise_profile(table, xs).fa
-    return [FunctionOnSn(n, per_subset[rows, j]) for j in range(len(xs))]
+    return [FunctionOnSubsets(n, k, per_subset[:, j]) for j in range(len(xs))]
 
 
 def verify_triple_norm_bound(table: np.ndarray, n: int, x_grid: Sequence[float]) -> float:
@@ -272,7 +280,7 @@ def gap_concentration_bound(gap: float, r: float) -> float:
     return 3.0 * math.exp(-r * math.sqrt(gap) / 2.0)
 
 
-def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
+def verify_gap_concentration(f: FunctionOnSubsets, r_grid: Sequence[float],
                              gap: float) -> list[dict]:
     """Exact superlevel measures of f (rescaled to unit one-step norm when
     nonconstant) against the walk's spectral-gap concentration bound, per r."""
@@ -317,8 +325,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
         raise ValueError("matrix order must match the permutation length")
     if np.any(np.sort(before, axis=1) != np.arange(n)):
         raise ValueError("each sigma must be a permutation of 0..n-1")
-    lookup = _table_lookup(table, n)
-    k = table.shape[1]
+    k = _table_k(table, n)
     i, j = pairs[:, 0], pairs[:, 1]
     if np.any(i == j) or pairs.min() < 0 or pairs.max() >= n:
         raise ValueError("tau must be two distinct positions in [0, n)")
@@ -334,5 +341,5 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     vals = np.abs(eigenvalues_hermitian_stack(diff))
     ranks = np.count_nonzero(vals > RANK_STEP_REL_TOL * k * vals.max(axis=1, keepdims=True),
                              axis=1)
-    a, b = (table[lookup[_bitmasks(perms[:, :k])]] for perms in (before, after))
+    a, b = (table[_set_rows(n, k)[_bitmasks(perms[:, :k])]] for perms in (before, after))
     return ranks, pair_distances(a, b)

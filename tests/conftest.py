@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from subspec.spectra import StepCdf, quantile_grid
+from subspec.spectra import StepCdf
+
+from reference import quantile_grid
 
 
 @pytest.fixture(autouse=True)

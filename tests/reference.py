@@ -4,7 +4,13 @@ kept as the oracles the array paths are compared with.
 `perm_rank`, `perm_unrank` and `PermIndex` address a permutation by its
 lexicographic rank one digit at a time; `neighbor_table` and `subset_rows`
 are the former `walk` tables built from them with Python loops and
-tuple-keyed dicts.  `kernel_errors` is the former `walk` check of a dense
+tuple-keyed dicts, and `swap_rows` is `walk._swap_table` built the same
+way.  `FunctionOnSn`, `triple_norm`, `dirichlet_form`, `variance_mu` and
+`verify_gap_concentration` are the former `walk` functions on S_n, one
+value per row of `walk.permutations(n)`, and `lift` carries a
+`walk.FunctionOnSubsets` there through each permutation's selected set.
+`quantile_grid` is the former one-level quantile grid of `spectra`.
+`kernel_errors` is the former `walk` check of a dense
 kernel, such as `walk.kernel_matrix(n)`, by its row and column sums.  `is_hermitian`, `require_hermitian` and
 `exact_pointwise_tail` are the former one-matrix and one-point wrappers of
 `linalg` and `oracle`.  `to_json` is the former one-call-per-value JSON
@@ -30,6 +36,9 @@ import numpy as np
 from subspec.linalg import (DenseMatrix, _hermitian_gaps, _require_hermitian_stack,
                             _rescale_factors, eigenvalues_hermitian_stack)
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
+from subspec.spectra import StepCdf, quantiles
+from subspec.walk import (FunctionOnSubsets, _bitmasks, _set_rows, gap_concentration_bound,
+                          neighbor_table as walk_neighbor_table, permutations)
 
 MAX_PERM_N = 8
 
@@ -106,6 +115,86 @@ def subset_rows(n: int, k: int) -> np.ndarray:
     perms, _ = perm_table(n)
     return np.array([row_of[tuple(sorted(p + 1 for p in perm[:k]))] for perm in perms],
                     dtype=np.intp)
+
+
+def swap_rows(n: int, k: int) -> np.ndarray:
+    """[r, a(n - k) + b] is the lexicographic row among the k-subsets of
+    {1..n} of subset r with its a-th member swapped for its b-th
+    non-member, both in ascending order, found in a tuple-keyed dict."""
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    row_of = {s: i for i, s in enumerate(subsets)}
+    table = np.empty((len(subsets), k * (n - k)), dtype=np.intp)
+    for r, s in enumerate(subsets):
+        others = [v for v in range(1, n + 1) if v not in s]
+        for c, (out, into) in enumerate(itertools.product(s, others)):
+            table[r, c] = row_of[tuple(sorted(set(s) - {out} | {into}))]
+    return table
+
+
+@dataclass(frozen=True)
+class FunctionOnSn:
+    """Real function on S_n, one value per row of `walk.permutations(n)`."""
+
+    n: int
+    values: np.ndarray
+
+
+def lift(f: FunctionOnSubsets) -> FunctionOnSn:
+    """f as a function on S_n: each permutation takes the value of the set
+    of its first k entries."""
+    rows = _set_rows(f.n, f.k)[_bitmasks(permutations(f.n)[:, :f.k])]
+    return FunctionOnSn(f.n, f.values[rows])
+
+
+def _neighbor_diffs(f: FunctionOnSn) -> np.ndarray:
+    table = walk_neighbor_table(f.n)
+    return f.values[:, None] - f.values[table]
+
+
+def dirichlet_form(f: FunctionOnSn) -> float:
+    """Half the mu-weighted mean squared one-step increment of f."""
+    diffs = _neighbor_diffs(f)
+    size = f.values.size
+    return float(np.sum(diffs * diffs)) / (size * f.n * f.n)
+
+
+def variance_mu(f: FunctionOnSn) -> float:
+    """Variance of f under the uniform measure."""
+    centered = f.values - f.values.mean()
+    return float(np.mean(centered * centered))
+
+
+def triple_norm(f: FunctionOnSn) -> float:
+    """Worst-case one-step L2 increment: sqrt of half the max over states of
+    the expected squared step of f, over all C(n, 2) transpositions."""
+    diffs = _neighbor_diffs(f)
+    worst = float(np.max(np.sum(diffs * diffs, axis=1)))
+    return math.sqrt(worst / (f.n * f.n))
+
+
+def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
+                             gap: float) -> list[dict]:
+    """Exact superlevel measures of f (rescaled to unit one-step norm when
+    nonconstant) against the walk's spectral-gap concentration bound, per r,
+    each measure a count over the n! permutations."""
+    tn = triple_norm(f)
+    values = f.values / tn if tn > 0 else f.values
+    mean = float(values.mean())
+    size = values.size
+    rows = []
+    for r in r_grid:
+        measure = float(np.count_nonzero(values >= mean + r)) / size
+        bound = gap_concentration_bound(gap, float(r))
+        rows.append({"r": float(r), "measure": measure, "bound": bound,
+                     "pass": measure <= bound})
+    return rows
+
+
+def quantile_grid(f: StepCdf, l: int) -> np.ndarray:
+    """Quantile points t_i = least jump with cumulative value >= i/l, i = 1..l-1."""
+    if l < 2:
+        raise ValueError("l must be at least 2")
+    return quantiles(f, np.arange(1, l) / l)
 
 
 def kernel_errors(kernel: np.ndarray) -> tuple[float, float, float]:

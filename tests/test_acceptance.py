@@ -105,7 +105,7 @@ def test_criterion_4_gap_concentration():
             xs = eigen_range_grid(matrix, 20)
             for k in range(2, n):
                 for f in walk.esd_observable_grid(subset_spectra(matrix, k), n, xs):
-                    for signed in (f, walk.FunctionOnSn(n, -f.values)):
+                    for signed in (f, walk.FunctionOnSubsets(n, k, -f.values)):
                         functions += 1
                         rows = walk.verify_gap_concentration(signed, r_grid, gap)
                         violations += sum(1 for row in rows if not row["pass"])

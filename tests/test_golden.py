@@ -38,9 +38,11 @@ GOLDEN = {
     "verify --n 2":
         (0, "e389ff587fffd170c34151ad1ac5a0ac72089c060cf143a868ff646aeae9b0e1"),
     "verify --n 3 4 5":
-        (0, "7392d179bc930b704d586431f236f5e44ae862e612ac94fb15a9574fb5cba4b4"),
+        (0, "dafc2358b3637b0153e33e19434ded24110b1c7080c3ac2a0ac1c01c42de4e7b"),
     "verify --n 3 4 5 --self-test-corrupt":
-        (1, "ce5d0353f798d4806616d6ad0561954e6ab4fd21e1e82a533d6cd234c549ac6e"),
+        (1, "d6538e61ac69c277710030aba1af6edd79f3de9f882e6bd3ac0ab910322faf51"),
+    "verify --n 7 8":
+        (0, "0edba20ddd903dbe2bf19743d980b3df7d89899da9f4f24ca7a7b9e562a32e83"),
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
         (0, "bd2655ecffba89d501554ff658230249c584ec2cf4049f5b9491bb894ab998a6"),
     "estimate --ensemble rw-covariance --n 40 --k 12 --samples 110 --seed 3":

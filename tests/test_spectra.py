@@ -9,9 +9,10 @@ from subspec.linalg import DenseMatrix, Spectrum
 from subspec.sampling import solve_subsets
 from subspec.spectra import (KsResult, StepCdf, cdf_from_csv, cdf_to_csv,
                              esd, kolmogorov_q, ks_result, ks_two_sample, pair_distances,
-                             quantile_grid, step_cdf, sup_distance, sup_distances)
+                             step_cdf, sup_distance, sup_distances)
 
 import reference
+from reference import quantile_grid
 
 
 def esd_of(*values):
@@ -384,6 +385,9 @@ class TestKsTwoSample:
 
 
 class TestQuantileGrid:
+    """The quantile grid of the chaining oracle in `conftest`, kept in
+    `tests/reference.py`."""
+
     def test_two_atoms(self):
         assert quantile_grid(esd_of(0.0, 1.0), 2).tolist() == [0.0]
 

@@ -11,17 +11,18 @@ from subspec.cli import main as cli_main
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
 from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, gram, numerical_rank
 from subspec.montecarlo import pointwise_tail_bound
-from subspec.oracle import subset_spectra
+from subspec.oracle import subset_spectra, subset_table
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
 from subspec.spectra import esd, step_cdf, sup_distance
-from subspec.walk import (FunctionOnSn, _bitmasks, _set_rows, dirichlet_form,
+from subspec.walk import (FunctionOnSubsets, _bitmasks, _set_rows, _swap_table,
                           esd_observable, esd_observable_grid, gap_concentration_bound,
                           kernel_errors, kernel_matrix, neighbor_table, permutations,
                           rank_step_check, spectral_gap, transpositions, triple_norm,
-                          variance_mu, verify_gap_concentration, verify_triple_norm_bound)
+                          verify_gap_concentration, verify_triple_norm_bound)
 
 import reference
-from reference import PermIndex, perm_rank, perm_unrank
+from reference import (FunctionOnSn, PermIndex, dirichlet_form, lift, perm_rank, perm_unrank,
+                       variance_mu)
 
 
 class TestPermIndex:
@@ -87,6 +88,40 @@ class TestPermutationArrays:
                 rows = _set_rows(n, k)[_bitmasks(perms[:, :k])]
                 assert np.array_equal(rows, reference.subset_rows(n, k))
                 assert np.count_nonzero(_set_rows(n, k) >= 0) == math.comb(n, k)
+
+
+class TestSwapTable:
+    """`_swap_table`, the walk's steps seen through the selected set, against
+    the dict-and-loop `reference.swap_rows` and the facts of the
+    Bernoulli-Laplace chain."""
+
+    def test_matches_dict(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                table = _swap_table(n, k)
+                assert table.dtype == np.intp and not table.flags.writeable
+                assert table.tobytes() == reference.swap_rows(n, k).tobytes()
+
+    def test_bernoulli_laplace_steps(self):
+        for n in range(2, 9):
+            for k in range(1, n):
+                table = _swap_table(n, k)
+                sets = [set(row) for row in subset_table(n, k).tolist()]
+                steps = k * (n - k)
+                assert table.shape == (math.comb(n, k), steps)
+                # every row is reached exactly k(n - k) times
+                assert np.bincount(table.ravel(), minlength=len(sets)).tolist() == \
+                    [steps] * len(sets)
+                for r, row in enumerate(table.tolist()):
+                    # the k(n - k) targets are distinct
+                    assert len(set(row)) == steps
+                    for target in row:
+                        # one element out and one in
+                        (out,), (into,) = sets[r] - sets[target], sets[target] - sets[r]
+                        # the reverse swap returns to the start
+                        others = sorted(set(range(1, n + 1)) - sets[target])
+                        back = sorted(sets[target]).index(into) * (n - k) + others.index(out)
+                        assert table[target, back] == r
 
 
 class TestKernel:
@@ -250,6 +285,9 @@ class TestSpectralGap:
 
 
 class TestDirichletAndVariance:
+    """The S_n oracle of `tests/reference.py`: the Poincare inequality
+    gap * Var <= Dirichlet form on the walk's own state space."""
+
     def test_constant_function(self):
         f = FunctionOnSn(3, np.full(6, 2.5))
         assert dirichlet_form(f) == 0.0
@@ -259,7 +297,7 @@ class TestDirichletAndVariance:
         f = FunctionOnSn(2, np.array([0.0, 1.0]))
         assert variance_mu(f) == 0.25
         assert dirichlet_form(f) == 0.25
-        assert triple_norm(f) == 0.5
+        assert reference.triple_norm(f) == 0.5
 
     def test_poincare_inequality_random(self):
         rng = np.random.default_rng(42)
@@ -279,20 +317,93 @@ class TestDirichletAndVariance:
             assert abs(gap * variance_mu(f) - dirichlet_form(f)) <= 1e-6
 
 
+def verify_observables(n):
+    """(k, observable) for every observable `verify` could check at n: its
+    three matrices, k = 2..n-1 and a 20-point grid over each table's range."""
+    for m in (rw_covariance(n), half_ones_diagonal(n), random_symmetric(n, 101, "gaussian")):
+        for k in range(2, n):
+            table = subset_spectra(m, k)
+            for f in esd_observable_grid(table, n, np.linspace(table.min(), table.max(), 20)):
+                yield k, f
+
+
 class TestTripleNorm:
     def test_constant_zero(self):
-        assert triple_norm(FunctionOnSn(3, np.zeros(6))) == 0.0
+        assert triple_norm(FunctionOnSubsets(3, 1, np.zeros(3))) == 0.0
 
     def test_homogeneity(self):
         rng = np.random.default_rng(7)
-        f = FunctionOnSn(4, rng.standard_normal(24))
-        scaled = FunctionOnSn(4, -3.5 * f.values)
+        f = FunctionOnSubsets(6, 3, rng.standard_normal(20))
+        scaled = FunctionOnSubsets(6, 3, -3.5 * f.values)
         assert abs(triple_norm(scaled) - 3.5 * triple_norm(f)) <= 1e-12
 
     def test_matrix_free_n7(self):
         rng = np.random.default_rng(8)
-        f = FunctionOnSn(7, rng.standard_normal(math.factorial(7)))
+        f = FunctionOnSubsets(7, 3, rng.standard_normal(35))
         assert triple_norm(f) > 0.0
+
+    def test_hand_computation(self):
+        # the indicator of the set {1} at n = 3, k = 1: two swaps move it by 1
+        f = FunctionOnSubsets(3, 1, np.array([1.0, 0.0, 0.0]))
+        assert triple_norm(f) == math.sqrt(2.0 / 9.0)
+        assert reference.triple_norm(lift(f)) == math.sqrt(2.0 / 9.0)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_the_sn_oracle(self, n):
+        # each observable lifted to S_n: the same one-step norm within 4 ulps
+        # (the swap table sums S_n's terms less the zeros) and the same
+        # gap-concentration rows for both signs, but at exact ties
+        r_grid, gap = np.linspace(0.0, 5.0, 26), spectral_gap(n)
+        ties = total = 0
+        for k, f in verify_observables(n):
+            quotient, full = triple_norm(f), reference.triple_norm(lift(f))
+            assert abs(quotient - full) <= 4 * np.spacing(full)
+            for signed in (f, FunctionOnSubsets(n, k, -f.values)):
+                rows = verify_gap_concentration(signed, r_grid, gap)
+                expected = reference.verify_gap_concentration(lift(signed), r_grid, gap)
+                ties += self.agree_but_at_ties(signed, quotient, rows, expected)
+                total += len(rows)
+        # ties are a few percent of the rows (1 to 2.1% for n = 3..8)
+        assert ties < 0.05 * total
+
+    @staticmethod
+    def agree_but_at_ties(f, norm, rows, expected):
+        """Assert that the rows are equal at every r but those where a value
+        of the rescaled f is mean + r in exact arithmetic.  There the means
+        over C(n, k) and over n! values, rounded apart, may put the tied
+        values on either side, so each measure need only lie between the
+        counts without and with them.  Returns the number of such r."""
+        values = f.values / norm if norm > 0 else f.values
+        ties = 0
+        for row, other in zip(rows, expected):
+            threshold = values.mean() + row["r"]
+            tol = 1e-9 * max(1.0, abs(threshold))
+            if np.all(np.abs(values - threshold) > tol):
+                assert row == other
+                continue
+            ties += 1
+            low = np.count_nonzero(values > threshold + tol) / values.size
+            high = np.count_nonzero(values >= threshold - tol) / values.size
+            assert row["bound"] == other["bound"]
+            assert low <= row["measure"] <= high and low <= other["measure"] <= high
+        return ties
+
+    def test_observables_build_no_sn_table(self, monkeypatch):
+        # at n = 8 no observable gathers a row per permutation: the subset
+        # tables and the swap table carry them
+        def sn_table(n):
+            raise AssertionError(f"an n! = {math.factorial(n)}-row table was built")
+
+        gap = spectral_gap(8)
+        monkeypatch.setattr(walk_mod, "permutations", sn_table)
+        monkeypatch.setattr(walk_mod, "neighbor_table", sn_table)
+        m = random_symmetric(8, 101, "gaussian")
+        for k in range(2, 8):
+            table, xs = subset_spectra(m, k), np.linspace(-3.0, 3.0, 20)
+            assert verify_triple_norm_bound(table, 8, xs) <= 4.0
+            for f in esd_observable_grid(table, 8, xs):
+                assert f.values.shape == (math.comb(8, k),)
+                assert all(row["pass"] for row in verify_gap_concentration(f, [0.0, 1.0], gap))
 
     def test_neighbor_table_is_involution(self):
         table = neighbor_table(4)
@@ -308,18 +419,19 @@ class TestEsdObservable:
 
     def test_half_ones_counts_selected_ones(self):
         f = esd_observable(subset_spectra(half_ones_diagonal(4), 2), 4, 0.0)
-        for r in range(24):
-            perm = perm_unrank(4, r)
-            ones_selected = sum(1 for p in perm[:2] if p < 2)
-            assert f.values[r] == (2 - ones_selected) / 2
+        for value, subset in zip(f.values, subset_table(4, 2).tolist()):
+            ones_selected = sum(1 for p in subset if p <= 2)
+            assert value == (2 - ones_selected) / 2
 
     def test_depends_only_on_selected_set(self):
+        # lifted to S_n, the observable is the subset's value at every
+        # permutation that selects it
         f = esd_observable(subset_spectra(random_symmetric(5, 3, "gaussian"), 3), 5, 0.3)
-        groups = {}
+        row_of = {tuple(s): i for i, s in enumerate(subset_table(5, 3).tolist())}
+        lifted = lift(f).values
         for r in range(120):
-            key = tuple(sorted(perm_unrank(5, r)[:3]))
-            groups.setdefault(key, set()).add(f.values[r])
-        assert all(len(v) == 1 for v in groups.values())
+            key = sorted(p + 1 for p in perm_unrank(5, r)[:3])
+            assert lifted[r] == f.values[row_of[tuple(key)]]
 
     def test_singular_mode_uses_gram_spectrum(self):
         # the row block A of S has A A* = gram(m)[S, S], so the singular-mode
@@ -328,10 +440,9 @@ class TestEsdObservable:
         m = DenseMatrix(rng.standard_normal((4, 4)))
         f = esd_observable(subset_spectra(gram(m), 2), 4, 0.5)
         assert np.all((f.values >= 0) & (f.values <= 1))
-        for r in range(24):
-            s = SubsetSample(tuple(sorted(p + 1 for p in perm_unrank(4, r)[:2])), 4)
-            direct = esd(eigenvalues_hermitian(gram(row_submatrix(m, s))))
-            assert f.values[r] == direct.eval(0.5)
+        for value, subset in zip(f.values, subset_table(4, 2).tolist()):
+            direct = esd(eigenvalues_hermitian(gram(row_submatrix(m, SubsetSample(subset, 4)))))
+            assert value == direct.eval(0.5)
 
     def test_grid_matches_single(self):
         table = subset_spectra(rw_covariance(4), 2)
@@ -373,7 +484,7 @@ class TestGapConcentration:
         assert abs(gap_concentration_bound(0.25, 2.0) - 3.0 * math.exp(-0.5)) <= 1e-15
 
     def test_constant_function_passes(self):
-        f = FunctionOnSn(3, np.full(6, 1.0))
+        f = FunctionOnSubsets(3, 2, np.full(3, 1.0))
         rows = verify_gap_concentration(f, [0.0, 0.5, 1.0], spectral_gap(3))
         assert all(row["pass"] for row in rows)
         assert rows[1]["measure"] == 0.0
@@ -381,7 +492,7 @@ class TestGapConcentration:
     def test_observable_both_signs(self):
         f = esd_observable(subset_spectra(half_ones_diagonal(4), 2), 4, 0.0)
         r_grid = np.arange(0.0, 5.5, 0.5)
-        for signed in (f, FunctionOnSn(4, -f.values)):
+        for signed in (f, FunctionOnSubsets(4, 2, -f.values)):
             rows = verify_gap_concentration(signed, r_grid, spectral_gap(4))
             assert all(row["pass"] for row in rows)
 
@@ -592,8 +703,10 @@ class TestRankStepCheck:
 class TestFunctionValidation:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            FunctionOnSn(3, np.zeros(5))
+            FunctionOnSubsets(4, 2, np.zeros(5))
+        with pytest.raises(ValueError):
+            FunctionOnSubsets(3, 1, np.zeros(6))  # n! values, not C(n, k)
 
     def test_non_finite(self):
         with pytest.raises(ValueError):
-            FunctionOnSn(2, np.array([0.0, np.inf]))
+            FunctionOnSubsets(2, 1, np.array([0.0, np.inf]))
