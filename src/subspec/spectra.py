@@ -202,12 +202,6 @@ def ks_two_sample(f: StepCdf, g: StepCdf, a: int, b: int) -> KsResult:
     return ks_result(sup_distance(f, g), a, b)
 
 
-def quantiles(f: StepCdf, qs: np.ndarray) -> np.ndarray:
-    """Least jump with cumulative value >= q, per q (the last jump past 1)."""
-    idx = np.searchsorted(f.cum, qs, side="left")
-    return f.jumps[np.minimum(idx, f.jumps.size - 1)]
-
-
 def to_csv(header: str, *columns) -> str:
     """CSV text, the one format of every CSV output: the header line, then
     one line per row of the equal-length columns, every number with 17

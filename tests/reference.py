@@ -9,7 +9,12 @@ way.  `FunctionOnSn`, `triple_norm`, `dirichlet_form`, `variance_mu` and
 `verify_gap_concentration` are the former `walk` functions on S_n, one
 value per row of `walk.permutations(n)`, and `lift` carries a
 `walk.FunctionOnSubsets` there through each permutation's selected set.
-`quantile_grid` is the former one-level quantile grid of `spectra`.
+`quantile_grid` is the former one-level quantile grid of `spectra`, on
+the former `spectra.quantiles`, and `pair_chaining_checks` the former
+one-pair `oracle.chaining_checks`, which measured every level of two
+StepCdfs on those quantiles and compared them with `sup_distance`;
+`verify_chaining_rows` is the former draw of `verify`'s chaining stage,
+one row at a time.
 `kernel_errors` is the former `walk` check of a dense
 kernel, such as `walk.kernel_matrix(n)`, by its row and column sums.  `is_hermitian`, `require_hermitian` and
 `exact_pointwise_tail` are the former one-matrix and one-point wrappers of
@@ -36,7 +41,8 @@ import numpy as np
 from subspec.linalg import (DenseMatrix, _hermitian_gaps, _require_hermitian_stack,
                             _rescale_factors, eigenvalues_hermitian_stack)
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
-from subspec.spectra import StepCdf, quantiles
+from subspec.sampling import Xoshiro256pp
+from subspec.spectra import StepCdf, sup_distance
 from subspec.walk import (FunctionOnSubsets, _bitmasks, _set_rows, gap_concentration_bound,
                           neighbor_table as walk_neighbor_table, permutations)
 
@@ -188,6 +194,40 @@ def verify_gap_concentration(f: FunctionOnSn, r_grid: Sequence[float],
         rows.append({"r": float(r), "measure": measure, "bound": bound,
                      "pass": measure <= bound})
     return rows
+
+
+def quantiles(f: StepCdf, qs: np.ndarray) -> np.ndarray:
+    """Least jump with cumulative value >= q, per q (the last jump past 1)."""
+    idx = np.searchsorted(f.cum, qs, side="left")
+    return f.jumps[np.minimum(idx, f.jumps.size - 1)]
+
+
+def pair_chaining_checks(f: StepCdf, g: StepCdf, ls: Sequence[int]) -> np.ndarray:
+    """Discretization bound per level l in ls: sup|G - F| <= 1/l + Delta,
+    with Delta measured on the l-quantile grid of F (right values and left
+    limits).  All grids are looked up together and reduced per level, and
+    sup|G - F| is measured once."""
+    levels = np.array(ls, dtype=np.intp)
+    if levels.ndim != 1 or levels.size == 0 or levels.min() < 2:
+        raise ValueError("need at least one level, each at least 2")
+    # level l contributes the l - 1 quantiles i/l, i = 1..l-1
+    starts = np.concatenate(([0], np.cumsum(levels - 1)[:-1]))
+    denominators = np.repeat(levels, levels - 1)
+    numerators = np.arange(denominators.size) - np.repeat(starts, levels - 1) + 1
+    ts = quantiles(f, numerators / denominators)
+    delta = np.maximum(
+        np.abs(g.eval_many(ts) - f.eval_many(ts)),
+        np.abs(g.eval_many(ts, left=True) - f.eval_many(ts, left=True)))
+    return sup_distance(g, f) <= 1.0 / levels + np.maximum.reduceat(delta, starts) + 1e-12
+
+
+def verify_chaining_rows(seed: int) -> list[np.ndarray]:
+    """The 400 sorted value rows of `verify`'s chaining stage, each drawn as
+    `verify` drew it for one `step_cdf`: a size in 1..8, then that many
+    standard normals, from `Xoshiro256pp.from_seed(seed)`."""
+    rng = Xoshiro256pp.from_seed(seed)
+    return [np.sort([rng.next_gaussian() for _ in range(1 + rng.next_below(8))])
+            for _ in range(400)]
 
 
 def quantile_grid(f: StepCdf, l: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from subspec.linalg import (DenseMatrix, Spectrum, eigenvalues_hermitian,
                             eigenvalues_hermitian_stack)
 from subspec.montecarlo import (estimate_supnorm, pointwise_tail_bound,
                                 supnorm_mean_bound, supnorm_tail_bound)
-from subspec.oracle import (chaining_check, exact_F, exact_pointwise_profile,
+from subspec.oracle import (chaining_checks, exact_F, exact_pointwise_profile,
                             exact_supnorm_distribution, halfones_exact_mean,
                             hypergeometric_pmf, subset_spectra)
 from subspec.spectra import StepCdf, esd, sup_distance
@@ -261,14 +261,18 @@ def test_criterion_10_pair_regime(tmp_path):
 
 
 def test_criterion_11_chaining():
+    # every pair and level in one table call, the form `verify` uses
     rng = np.random.default_rng(54)
-    violations = 0
-    for _ in range(1000):
-        f = esd(Spectrum(np.sort(rng.standard_normal(int(rng.integers(1, 11))))))
-        g = esd(Spectrum(np.sort(rng.standard_normal(int(rng.integers(1, 11))))))
-        for l in range(2, 41):
-            if not chaining_check(f, g, l):
-                violations += 1
+    cdfs = [esd(Spectrum(np.sort(rng.standard_normal(int(rng.integers(1, 11))))))
+            for _ in range(2000)]
+    jumps, cum = np.zeros((2, 2000, 10))
+    for i, h in enumerate(cdfs):
+        jumps[i, :h.jumps.size], cum[i, :h.cum.size] = h.jumps, h.cum
+    sizes = np.array([h.jumps.size for h in cdfs])
+    verdicts = chaining_checks((jumps[0::2], cum[0::2], sizes[0::2]),
+                               (jumps[1::2], cum[1::2], sizes[1::2]), range(2, 41))
+    assert verdicts.shape == (1000, 39)
+    violations = int(np.count_nonzero(~verdicts))
     report("11-chaining", violations == 0,
            f"1000 pairs x l in 2..40, {violations} violations")
 

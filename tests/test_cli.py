@@ -415,43 +415,52 @@ class TestVerify:
                     total += expected
         assert total > 0
 
-    def test_chaining_counts_one_call_per_pair(self, monkeypatch, former_loops):
-        # every pair's eleven levels in one call; an inflated distance makes
-        # some levels fail, and the count must match the former per-level loop
+    def test_chaining_counts_in_one_call(self, monkeypatch, former_loops):
+        # all 200 pairs' eleven levels in one call; an inflated distance
+        # makes some levels fail, and the count must match the former
+        # per-level loop
         import subspec.cli as cli
         import subspec.oracle
-        from subspec.spectra import sup_distance
+        from subspec.spectra import step_cdf, sup_distance
 
-        def inflated(g, f):
-            return sup_distance(g, f) + 0.25
-
+        real_sup = subspec.oracle.stack_sup_distances
+        monkeypatch.setattr(subspec.oracle, "stack_sup_distances",
+                            lambda f, g: real_sup(f, g) + 0.25)
         calls = []
         real = cli.chaining_checks
 
         def counting(f, g, ls):
-            calls.append(list(ls))
+            calls.append((len(f[2]), len(g[2]), list(ls)))
             return real(f, g, ls)
 
-        monkeypatch.setattr(subspec.oracle, "sup_distance", inflated)
         monkeypatch.setattr(cli, "chaining_checks", counting)
         check = next(c for c in cli.run_verification([3])["checks"] if c["check"] == "chaining")
-        assert calls == [list(range(2, 13))] * 200
+        assert calls == [(200, 200, list(range(2, 13)))]
 
-        rng = Xoshiro256pp.from_seed(20260808)
-
-        def draw_esd():
-            # a size in 1..8, then that many standard normals
-            size = rng.next_below(8) + 1
-            return esd(Spectrum(np.sort([rng.next_gaussian() for _ in range(size)])))
-
+        rows = reference.verify_chaining_rows(cli.VERIFY_SEED)
         expected = 0
-        for _ in range(200):
-            f = draw_esd()
-            g = draw_esd()
+        for a, b in zip(rows[0::2], rows[1::2]):
+            f, g = step_cdf(a), step_cdf(b)
+            inflated = sup_distance(g, f) + 0.25
             expected += sum(1 for l in range(2, 13)
-                            if not inflated(g, f) <= former_loops.chaining_bound(f, g, l))
+                            if not inflated <= former_loops.chaining_bound(f, g, l))
         assert 0 < check["measured"] == expected < 200 * 11
         assert check["pass"] is False
+
+    def test_chaining_builds_no_step_cdf_per_draw(self, monkeypatch):
+        # the 27 exact mean CDFs of n = 3, 4, 5 are the only StepCdfs; the
+        # 400 chaining draws go into one table
+        from subspec.spectra import StepCdf
+        real = StepCdf.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(self.jumps.size)
+            real(self)
+
+        monkeypatch.setattr(StepCdf, "__post_init__", counting)
+        assert run_verification([3, 4, 5])["pass"]
+        assert 0 < len(built) <= 27
 
 
 class TestOracle:

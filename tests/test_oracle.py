@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from subspec.cli import main as cli_main
+from subspec.cli import VERIFY_SEED, main as cli_main
 from subspec.ensembles import (half_ones_diagonal, load_matrix, random_symmetric,
                                rw_covariance, save_matrix)
 from subspec.linalg import DenseMatrix, Spectrum
@@ -16,6 +16,7 @@ from subspec.oracle import (ExactDistribution, chaining_check, chaining_checks, 
 from subspec.sampling import SubsetSample, subset_spectrum
 from subspec.spectra import StepCdf, esd, step_cdf, sup_distance
 
+import reference
 from reference import exact_pointwise_tail
 
 
@@ -315,6 +316,26 @@ def lattice_table(rng, rows, k):
     return np.sort(values, axis=1)
 
 
+def cdf_stack(cdfs, pad=np.nan):
+    """`oracle.chaining_checks`' (jumps, cum, sizes) table of StepCdfs, one
+    row each, as wide as the largest and filled with `pad` past each size."""
+    width = max(f.jumps.size for f in cdfs)
+    jumps, cum = np.full((2, len(cdfs), width), pad)
+    for i, f in enumerate(cdfs):
+        jumps[i, :f.jumps.size], cum[i, :f.cum.size] = f.jumps, f.cum
+    return jumps, cum, [f.jumps.size for f in cdfs]
+
+
+def esd_stack(rows):
+    """The same table of the ESDs of ascending value rows, as `verify` builds
+    it: every copy of a value is a jump, with cum (j + 1) / size."""
+    sizes = np.array([row.size for row in rows])
+    jumps = np.full((len(rows), sizes.max()), np.nan)
+    for i, row in enumerate(rows):
+        jumps[i, :row.size] = row
+    return jumps, np.arange(1, sizes.max() + 1) / sizes[:, None], sizes
+
+
 def array_pass_tables():
     rng = np.random.default_rng(31)
     wide = random_symmetric(5, 8, "gaussian").data[:, :2]
@@ -379,44 +400,121 @@ class TestArrayPasses:
         assert seen > 0
 
     @staticmethod
-    def chaining_pairs():
+    def chaining_rows():
+        """Pairs of ascending value rows: Gaussian rows, lattice rows with
+        ties, size-1 rows and (0.0) against (-0.0, 0.0, 1.0)."""
         rng = np.random.default_rng(12)
-        pairs = []
-        for _ in range(60):
-            pairs.append(tuple(step_cdf(rng.standard_normal(rng.integers(1, 9)))
-                               for _ in range(2)))
-        for _ in range(60):
-            pairs.append(tuple(step_cdf(lattice_table(rng, 1, int(rng.integers(1, 7)))[0])
-                               for _ in range(2)))
-        pairs.append((step_cdf(np.array([0.0])), step_cdf(np.array([-0.0, 0.0, 1.0]))))
-        return pairs
+        rows = [tuple(np.sort(rng.standard_normal(rng.integers(1, 9))) for _ in range(2))
+                for _ in range(60)]
+        rows += [tuple(lattice_table(rng, 1, int(rng.integers(1, 7)))[0] for _ in range(2))
+                 for _ in range(60)]
+        rows.append((np.array([0.0]), np.array([-0.0, 0.0, 1.0])))
+        return rows
 
-    def test_chaining_levels_match_per_level_check(self, former_loops):
+    @classmethod
+    def chaining_pairs(cls):
+        return [(step_cdf(a), step_cdf(b)) for a, b in cls.chaining_rows()]
+
+    @classmethod
+    def all_chaining_rows(cls):
+        """`chaining_rows` and then `verify`'s own 200 pairs."""
+        drawn = reference.verify_chaining_rows(VERIFY_SEED)
+        return cls.chaining_rows() + list(zip(drawn[0::2], drawn[1::2]))
+
+    def test_chaining_levels_match_per_level_check(self, former_loops, monkeypatch):
+        # one call on all pairs, as StepCdf tables and as ESD value tables,
+        # against the former per-pair path and the per-level bound
+        import subspec.oracle
+        real = subspec.oracle.stack_sup_distances
+        seen = []
+        monkeypatch.setattr(subspec.oracle, "stack_sup_distances",
+                            lambda f, g: seen.append(real(f, g)) or seen[-1])
         levels = [*range(2, 13), 40, 7, 2]
-        for f, g in self.chaining_pairs():
-            expected = [sup_distance(g, f) <= former_loops.chaining_bound(f, g, l)
-                        for l in levels]
+        rows = self.all_chaining_rows()
+        pairs = [(step_cdf(a), step_cdf(b)) for a, b in rows]
+        sups = [sup_distance(g, f) for f, g in pairs]
+        expected = [[s <= former_loops.chaining_bound(f, g, l) for l in levels]
+                    for s, (f, g) in zip(sups, pairs)]
+        assert [reference.pair_chaining_checks(f, g, levels).tolist()
+                for f, g in pairs] == expected
+        f_rows, g_rows = zip(*rows)
+        f_cdfs, g_cdfs = zip(*pairs)
+        for f, g in ((cdf_stack(f_cdfs), cdf_stack(g_cdfs)),
+                     (esd_stack(f_rows), esd_stack(g_rows))):
             assert chaining_checks(f, g, levels).tolist() == expected
-            assert [chaining_check(f, g, l) for l in levels] == expected
+        assert len(seen) == 2
+        assert [s.tolist() for s in seen] == [sups, sups]
+        for (f, g), verdicts in zip(self.chaining_pairs(), expected):
+            assert [chaining_check(f, g, l) for l in levels] == verdicts
+
+    def test_chaining_rows_of_other_sizes_do_not_leak(self, former_loops, monkeypatch):
+        # a size-1 row next to a size-8 row, both padded with entries that
+        # would change every answer, or fail the ascending check, if read
+        rng = np.random.default_rng(13)
+        one, eight = np.array([0.3]), np.sort(rng.standard_normal(8))
+        f_cdfs, g_cdfs = (step_cdf(one), step_cdf(eight)), (step_cdf(eight), step_cdf(one))
+        levels = list(range(2, 13))
+        f, g = cdf_stack(f_cdfs, pad=-5.0), cdf_stack(g_cdfs, pad=-5.0)
+        assert f[0][0, 1:].tolist() == [-5.0] * 7
+        verdicts = chaining_checks(f, g, levels)
+        for i in range(2):
+            expected = reference.pair_chaining_checks(f_cdfs[i], g_cdfs[i], levels)
+            assert verdicts[i].tolist() == expected.tolist()
+            alone = chaining_checks(cdf_stack(f_cdfs[i:i + 1]), cdf_stack(g_cdfs[i:i + 1]),
+                                    levels)
+            assert alone[0].tolist() == expected.tolist()
+        # the injected distance shows each row's own bounds
+        import subspec.oracle
+        bounds = np.array([[former_loops.chaining_bound(a, b, l) for l in levels]
+                           for a, b in zip(f_cdfs, g_cdfs)])
+        for j in range(len(levels)):
+            s = bounds[:, j]
+            monkeypatch.setattr(subspec.oracle, "stack_sup_distances", lambda f, g, s=s: s)
+            assert chaining_checks(f, g, levels).tolist() == (s[:, None] <= bounds).tolist()
 
     def test_chaining_levels_under_an_injected_distance(self, former_loops, monkeypatch):
         # the bound holds on every valid pair, so the verdicts above are all
-        # true: a distance set to each level's bound, and one ulp past it,
-        # pins every level's 1/l + Delta bit for bit
+        # true: a distance set to a level's bound, and one ulp past it, on
+        # every pair at once pins that level's 1/l + Delta bit for bit
         import subspec.oracle
         levels = list(range(2, 13))
+        rows = self.all_chaining_rows()
+        pairs = [(step_cdf(a), step_cdf(b)) for a, b in rows]
+        bounds = np.array([[former_loops.chaining_bound(f, g, l) for l in levels]
+                           for f, g in pairs])
+        f_rows, g_rows = zip(*rows)
+        f, g = esd_stack(f_rows), esd_stack(g_rows)
         failures = 0
-        for f, g in self.chaining_pairs()[::7]:
-            bounds = [former_loops.chaining_bound(f, g, l) for l in levels]
-            for s in (*bounds, *np.nextafter(bounds, np.inf)):
-                monkeypatch.setattr(subspec.oracle, "sup_distance", lambda g, f, s=s: s)
-                verdicts = chaining_checks(f, g, levels).tolist()
-                assert verdicts == [s <= b for b in bounds]
-                failures += verdicts.count(False)
+        for j in range(len(levels)):
+            at = bounds[:, j]
+            for s, holds in ((at, True), (np.nextafter(at, np.inf), False)):
+                monkeypatch.setattr(subspec.oracle, "stack_sup_distances", lambda f, g, s=s: s)
+                verdicts = chaining_checks(f, g, levels)
+                assert verdicts.tolist() == (s[:, None] <= bounds).tolist()
+                assert verdicts[:, j].tolist() == [holds] * len(rows)
+                failures += int(np.count_nonzero(~verdicts))
         assert failures > 0
 
     def test_chaining_rejects_bad_levels(self):
         f = step_cdf(np.array([0.0, 1.0]))
+        one = cdf_stack([f])
         for levels in ([], [1], [3, 1], [[2, 3]]):
             with pytest.raises(ValueError):
-                chaining_checks(f, f, levels)
+                chaining_checks(one, one, levels)
+        jumps, cum, _ = one
+        bad = [
+            cdf_stack([f, f]),                      # a second pair count
+            (jumps, cum, [0]),                      # a size below 1
+            (jumps, cum, [3]),                      # a size past the width
+            (jumps, cum, [2, 2]),                   # a size per missing row
+            (jumps, cum, [2.0]),                    # a size that is no integer
+            (jumps[:, ::-1], cum, [2]),             # descending jumps
+            (jumps, cum[:, ::-1], [2]),             # descending cum
+            (jumps[0], cum[0], [2]),                # a 1-D table
+            (jumps, cum[:, :1], [1]),               # cum narrower than jumps
+        ]
+        for table in bad:
+            for a, b in ((table, one), (one, table)):
+                with pytest.raises(ValueError):
+                    chaining_checks(a, b, [2])
+        assert chaining_checks(one, one, [2]).tolist() == [[True]]
