@@ -310,15 +310,12 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
                 record(f"exact-pointwise-tail-n{n}-k{k}-{label}", pw_violations, 0.0,
                        pw_violations == 0)
 
-    # 400 ESDs of 1..8 normals, paired off: each sorted row is its jumps,
-    # with cum (j + 1) / size, and the inf padding sorts past every value
+    # 400 ESDs of 1..8 normals, paired off, as sorted rows padded with +inf
     rng = Xoshiro256pp.from_seed(VERIFY_SEED)
     draws = [[rng.next_gaussian() for _ in range(1 + rng.next_below(8))] for _ in range(400)]
-    sizes = np.array([len(d) for d in draws])
     values = np.sort([d + [np.inf] * (8 - len(d)) for d in draws], axis=1)
-    esds = (values, np.arange(1, 9) / sizes[:, None], sizes)
     chain_violations = int(np.count_nonzero(~chaining_checks(
-        [t[0::2] for t in esds], [t[1::2] for t in esds], range(2, 13))))
+        values[0::2], values[1::2], range(2, 13))))
     record("chaining", chain_violations, 0.0, chain_violations == 0)
     return {"n_values": list(n_values), "corrupt": corrupt,
             "metadata": standard_metadata(),

@@ -17,11 +17,11 @@ caller that needs several of them solves each subset once.
 The reductions are array passes over the table, not loops over its rows:
 `pointwise_profile` compares the whole table with one x at a time,
 `PointwiseProfile.tails` counts every (x, r) tail from sorted deviation
-columns, and `chaining_checks` measures every quantile level of a stack
-of CDF pairs, padded (jumps, cum) tables with a size per row, in one
-broadcast pass of O(pairs * levels' grid points * width) memory.  Each
-gives the same floats as the per-row, per-level or per-pair loop it
-replaced.
+columns, and `chaining_checks` measures every quantile level of the ESD
+pairs of two tables of sample rows, padded with +inf, in one broadcast
+pass of O(pairs * levels' grid points * width) memory, with each pair's
+sup distance from `spectra.pair_distances`.  Each gives the same floats
+as the per-row, per-level or per-pair loop it replaced.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .linalg import DenseMatrix
 from .sampling import index_dtype, solve_subsets
-from .spectra import StepCdf, step_cdf, sup_distances
+from .spectra import StepCdf, pair_distances, step_cdf, sup_distances
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
@@ -203,62 +203,33 @@ def halfones_exact_mean(n: int, k: int) -> float:
     return math.fsum((probs * deviations).tolist())
 
 
-def _stack(jumps, cum, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (P, W + 1) copies of a stack of P step CDFs: a (-inf, 0)
-    column first, then each row's last real entry repeated past its size."""
-    jumps, cum, sizes = np.asarray(jumps, float), np.asarray(cum, float), np.asarray(sizes)
-    if (jumps.ndim != 2 or cum.shape != jumps.shape or sizes.shape != jumps.shape[:1]
-            or sizes.dtype.kind not in "iu" or np.any(sizes < 1) or np.any(sizes > cum.shape[1])):
-        raise ValueError("need (P, W) jumps and cum tables and P integer row sizes in 1..W")
-    rows = np.arange(sizes.size)[:, None]
-    edge = np.minimum(np.arange(cum.shape[1] + 1), sizes[:, None])
-    jumps, cum = (np.concatenate((np.full((sizes.size, 1), v), t), axis=1)[rows, edge]
-                  for t, v in ((jumps, -np.inf), (cum, 0.0)))
-    if not (np.all(np.diff(jumps) >= 0) and np.all(np.diff(cum) >= 0)):
-        raise ValueError("each row's jumps and cum must be ascending")
-    return jumps, cum
-
-
-def _gaps(f: tuple, g: tuple, ts: np.ndarray) -> np.ndarray:
-    """|G - F| at each row's points ts, the larger of the right values' and
-    left limits' gaps: each is the cum of the last jump at (below) a point."""
-    def at(h, left):
-        below = h[0][:, None, :] < ts[..., None] if left else h[0][:, None, :] <= ts[..., None]
-        return h[1][np.arange(ts.shape[0])[:, None], below.sum(axis=2) - 1]
-    return np.maximum(np.abs(at(g, False) - at(f, False)), np.abs(at(g, True) - at(f, True)))
-
-
-def stack_sup_distances(f: tuple, g: tuple) -> np.ndarray:
-    """sup|G - F| of each row pair of two `_stack`s, the floats of
-    `sup_distance`: the gaps at the union of the two rows' jumps."""
-    return _gaps(f, g, np.concatenate((f[0][:, 1:], g[0][:, 1:]), axis=1)).max(axis=1)
-
-
-def chaining_checks(f: tuple, g: tuple, ls: Sequence[int]) -> np.ndarray:
+def chaining_checks(a: np.ndarray, b: np.ndarray, ls: Sequence[int]) -> np.ndarray:
     """(P, L) verdicts sup|G - F| <= 1/l + Delta per pair and level l in ls,
-    Delta measured on F's l-quantile grid (right values and left limits),
-    in one pass of O(P * sum(l - 1) * W) memory.  f and g each stack P step
-    CDFs as (jumps, cum, sizes): row i holds sizes[i] ascending jumps and
-    the CDF's value at each, or sorted samples with cum (j + 1) / size."""
+    F and G the ESDs of row i of the (P, W) sample tables a and b, whose
+    ascending rows are padded past their sizes with +inf, and Delta measured
+    on F's l-quantile grid (right values and left limits), in one pass of
+    O(P * sum(l - 1) * W) memory."""
     levels = np.array(ls, dtype=np.intp)
     if levels.ndim != 1 or levels.size == 0 or levels.min() < 2:
         raise ValueError("need at least one level, each at least 2")
-    f, g = _stack(*f), _stack(*g)
-    if f[0].shape[0] != g[0].shape[0]:
-        raise ValueError("f and g must hold equally many rows")
-    # level l contributes the l - 1 quantiles i/l, i = 1..l-1: the least
-    # jump whose cum reaches each (the last jump past 1)
+    for t in (a, b):
+        if (t.ndim != 2 or t.shape[0] != a.shape[0] or t.shape[1] == 0
+                or not np.all(np.isfinite(t[:, 0])) or not np.all(t[:, 1:] >= t[:, :-1])):
+            raise ValueError("need two (P, W) tables of ascending finite rows padded with +inf")
+    # level l contributes the quantiles i/l, i = 1..l-1: of a row of s
+    # samples, the least whose ESD reaches i/l, at index ceil(i s / l) - 1
+    numerators, denominators = np.array([(i, l) for l in levels for i in range(1, l)]).T
+    sizes = [np.count_nonzero(t < np.inf, axis=1)[:, None] for t in (a, b)]
+    ts = np.take_along_axis(a, (numerators * sizes[0] - 1) // denominators, axis=1)
+    # each ESD's right values and left limits at ts: counts at or below, below
+    counts = [[np.count_nonzero(below(t[:, None], ts[..., None]), axis=2) / s
+               for below in (np.less_equal, np.less)] for t, s in zip((a, b), sizes)]
+    delta = np.maximum(*np.abs(np.subtract(*counts)))
     starts = np.concatenate(([0], np.cumsum(levels - 1)[:-1]))
-    denominators = np.repeat(levels, levels - 1)
-    qs = (np.arange(denominators.size) - np.repeat(starts, levels - 1) + 1) / denominators
-    reached = (f[1][:, None, :] < qs[:, None]).sum(axis=2)
-    delta = _gaps(f, g, f[0][np.arange(reached.shape[0])[:, None],
-                             np.minimum(reached, f[0].shape[1] - 1)])
     bounds = 1.0 / levels + np.maximum.reduceat(delta, starts, axis=1) + 1e-12
-    return stack_sup_distances(f, g)[:, None] <= bounds
+    return pair_distances(a, b)[:, None] <= bounds
 
 
-def chaining_check(f: StepCdf, g: StepCdf, l: int) -> bool:
-    """`chaining_checks` of the one pair f, g at the one level l."""
-    one = [(h.jumps[None], h.cum[None], [h.jumps.size]) for h in (f, g)]
-    return bool(chaining_checks(*one, [l])[0, 0])
+def chaining_check(a: np.ndarray, b: np.ndarray, l: int) -> bool:
+    """`chaining_checks` of one pair of ascending 1-D sample arrays at one level l."""
+    return bool(chaining_checks(np.asarray(a)[None], np.asarray(b)[None], [l])[0, 0])

@@ -4,7 +4,8 @@ A StepCdf is right-continuous: its value at x is the cumulative weight of
 all jumps at or below x.  Sup-norm distances between step functions are
 exact, not grid-sampled, one per input shape: `sup_distance` of two
 StepCdfs, `sup_distances` of each ascending row of a (R, k) table against
-one reference, and `pair_distances` of the row pairs of two such tables.
+one reference, and `pair_distances` of the row pairs of two such tables,
+whose rows may end in +inf padding.
 Between two jumps of F, F is constant and G is monotone, so |F - G|, and
 its rounded value too, is largest at either end of that stretch.
 """
@@ -153,16 +154,18 @@ def sup_distances(table: np.ndarray, reference: StepCdf) -> np.ndarray:
 
 def pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`sup_distance(step_cdf(a[i]), step_cdf(b[i]))` of every row pair of two
-    (R, k) ascending tables, as the same floats: one stable sort merges each
-    pair, and both ESDs, count so far / k, are read at the last copy of every
-    merged value, where each left limit is the value at the one before."""
-    k = a.shape[1]
+    ascending tables, as the same floats; a row may end in +inf padding, and
+    its size is its count of finite entries.  One stable sort merges each
+    pair, and both ESDs, count so far / size, are read at the last copy of
+    every merged finite value, where each left limit is the one before's."""
+    sizes_a, sizes_b = (np.count_nonzero(t < np.inf, axis=1)[:, None] for t in (a, b))
     merged = np.concatenate((a, b), axis=1)
     order = np.argsort(merged, axis=1, kind="stable")
     merged = np.take_along_axis(merged, order, axis=1)
-    count_a = np.cumsum(order < k, axis=1)
-    gaps = np.abs(count_a / k - (np.arange(1, 2 * k + 1) - count_a) / k)
+    count_a = np.cumsum(order < a.shape[1], axis=1)
+    gaps = np.abs(count_a / sizes_a - (np.arange(1, merged.shape[1] + 1) - count_a) / sizes_b)
     gaps[:, :-1][merged[:, 1:] == merged[:, :-1]] = 0.0
+    gaps[merged == np.inf] = 0.0
     return gaps.max(axis=1)
 
 
@@ -173,7 +176,9 @@ def kolmogorov_q(lam: float) -> float:
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if lam == 0.0:
+    # the series needs about 3.8 / lam terms; below 0.1, 1 - Q(lam) <=
+    # (sqrt(2 pi) / lam) exp(-pi^2 / (8 lam^2)) < 1e-50, so Q is 1.0
+    if lam < 0.1:
         return 1.0
     total = 0.0
     sign = 1.0

@@ -84,6 +84,8 @@ class FunctionOnSubsets:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (2 <= self.n <= MAX_PERM_N and 1 <= self.k <= self.n):
+            raise ValueError(f"need 2 <= n <= {MAX_PERM_N} and 1 <= k <= n")
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size != math.comb(self.n, self.k):
             raise ValueError("values must have length C(n, k)")

@@ -263,14 +263,11 @@ def test_criterion_10_pair_regime(tmp_path):
 def test_criterion_11_chaining():
     # every pair and level in one table call, the form `verify` uses
     rng = np.random.default_rng(54)
-    cdfs = [esd(Spectrum(np.sort(rng.standard_normal(int(rng.integers(1, 11))))))
-            for _ in range(2000)]
-    jumps, cum = np.zeros((2, 2000, 10))
-    for i, h in enumerate(cdfs):
-        jumps[i, :h.jumps.size], cum[i, :h.cum.size] = h.jumps, h.cum
-    sizes = np.array([h.jumps.size for h in cdfs])
-    verdicts = chaining_checks((jumps[0::2], cum[0::2], sizes[0::2]),
-                               (jumps[1::2], cum[1::2], sizes[1::2]), range(2, 41))
+    values = np.full((2000, 10), np.inf)
+    for row in values:
+        size = int(rng.integers(1, 11))
+        row[:size] = np.sort(rng.standard_normal(size))
+    verdicts = chaining_checks(values[0::2], values[1::2], range(2, 41))
     assert verdicts.shape == (1000, 39)
     violations = int(np.count_nonzero(~verdicts))
     report("11-chaining", violations == 0,

@@ -423,15 +423,15 @@ class TestVerify:
         import subspec.oracle
         from subspec.spectra import step_cdf, sup_distance
 
-        real_sup = subspec.oracle.stack_sup_distances
-        monkeypatch.setattr(subspec.oracle, "stack_sup_distances",
-                            lambda f, g: real_sup(f, g) + 0.25)
+        real_sup = subspec.oracle.pair_distances
+        monkeypatch.setattr(subspec.oracle, "pair_distances",
+                            lambda a, b: real_sup(a, b) + 0.25)
         calls = []
         real = cli.chaining_checks
 
-        def counting(f, g, ls):
-            calls.append((len(f[2]), len(g[2]), list(ls)))
-            return real(f, g, ls)
+        def counting(a, b, ls):
+            calls.append((len(a), len(b), list(ls)))
+            return real(a, b, ls)
 
         monkeypatch.setattr(cli, "chaining_checks", counting)
         check = next(c for c in cli.run_verification([3])["checks"] if c["check"] == "chaining")
@@ -569,6 +569,17 @@ class TestKs:
         expected = ks_two_sample(f, g, 4, 4)
         assert doc["result"]["statistic"] == expected.statistic
         assert doc["result"]["p_value"] == expected.p_value
+
+    def test_tiny_statistic_gives_p_one(self, tmp_path):
+        # statistic 1e-10 at sizes 1 and 1: lambda is about 7e-11
+        fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
+        fa.write_text("x,F\n0,0.5\n1,1\n")
+        fb.write_text("x,F\n0,0.5000000001\n1,1\n")
+        out = tmp_path / "ks.json"
+        assert run("ks", str(fa), str(fb), "--na", "1", "--nb", "1", "--out", str(out)) == 0
+        result = json.loads(out.read_text())["result"]
+        assert 0.0 < result["statistic"] < 1e-9
+        assert result["p_value"] == 1.0
 
     def test_nonpositive_sample_size_is_usage_error(self, tmp_path):
         fa = tmp_path / "a.csv"

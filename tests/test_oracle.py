@@ -254,16 +254,16 @@ class TestHalfonesExactMean:
 
 class TestChaining:
     def test_equal_cdfs(self):
-        f = esd(Spectrum(np.array([0.0, 1.0, 2.0])))
-        assert chaining_check(f, f, 4)
+        a = np.array([0.0, 1.0, 2.0])
+        assert chaining_check(a, a, 4)
 
     def test_random_pairs(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
-            f = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
-            g = esd(Spectrum(np.sort(rng.standard_normal(rng.integers(1, 9)))))
+            a = np.sort(rng.standard_normal(rng.integers(1, 9)))
+            b = np.sort(rng.standard_normal(rng.integers(1, 9)))
             for l in (2, 5, 11, 40):
-                assert chaining_check(f, g, l)
+                assert chaining_check(a, b, l)
 
     def test_sqrt_k_specialization(self):
         # l = floor(sqrt(k)) + 1 turns 1/l into at most 1/sqrt(k)
@@ -272,9 +272,9 @@ class TestChaining:
             assert 1.0 / l <= 1.0 / math.sqrt(k)
 
     def test_rejects_small_l(self):
-        f = esd(Spectrum(np.array([0.0])))
+        a = np.array([0.0])
         with pytest.raises(ValueError):
-            chaining_check(f, f, 1)
+            chaining_check(a, a, 1)
 
 
 class TestExactDistribution:
@@ -316,24 +316,14 @@ def lattice_table(rng, rows, k):
     return np.sort(values, axis=1)
 
 
-def cdf_stack(cdfs, pad=np.nan):
-    """`oracle.chaining_checks`' (jumps, cum, sizes) table of StepCdfs, one
-    row each, as wide as the largest and filled with `pad` past each size."""
-    width = max(f.jumps.size for f in cdfs)
-    jumps, cum = np.full((2, len(cdfs), width), pad)
-    for i, f in enumerate(cdfs):
-        jumps[i, :f.jumps.size], cum[i, :f.cum.size] = f.jumps, f.cum
-    return jumps, cum, [f.jumps.size for f in cdfs]
-
-
-def esd_stack(rows):
-    """The same table of the ESDs of ascending value rows, as `verify` builds
-    it: every copy of a value is a jump, with cum (j + 1) / size."""
-    sizes = np.array([row.size for row in rows])
-    jumps = np.full((len(rows), sizes.max()), np.nan)
+def padded(rows, width=None):
+    """`oracle.chaining_checks`' table of ascending sample rows, as `verify`
+    builds it: as wide as the largest row, or `width`, with +inf past each
+    row's size."""
+    table = np.full((len(rows), width or max(row.size for row in rows)), np.inf)
     for i, row in enumerate(rows):
-        jumps[i, :row.size] = row
-    return jumps, np.arange(1, sizes.max() + 1) / sizes[:, None], sizes
+        table[i, :row.size] = row
+    return table
 
 
 def array_pass_tables():
@@ -412,23 +402,19 @@ class TestArrayPasses:
         return rows
 
     @classmethod
-    def chaining_pairs(cls):
-        return [(step_cdf(a), step_cdf(b)) for a, b in cls.chaining_rows()]
-
-    @classmethod
     def all_chaining_rows(cls):
         """`chaining_rows` and then `verify`'s own 200 pairs."""
         drawn = reference.verify_chaining_rows(VERIFY_SEED)
         return cls.chaining_rows() + list(zip(drawn[0::2], drawn[1::2]))
 
     def test_chaining_levels_match_per_level_check(self, former_loops, monkeypatch):
-        # one call on all pairs, as StepCdf tables and as ESD value tables,
-        # against the former per-pair path and the per-level bound
+        # one call on all pairs' padded value tables, against the former
+        # per-pair path and the per-level bound
         import subspec.oracle
-        real = subspec.oracle.stack_sup_distances
+        real = subspec.oracle.pair_distances
         seen = []
-        monkeypatch.setattr(subspec.oracle, "stack_sup_distances",
-                            lambda f, g: seen.append(real(f, g)) or seen[-1])
+        monkeypatch.setattr(subspec.oracle, "pair_distances",
+                            lambda a, b: seen.append(real(a, b)) or seen[-1])
         levels = [*range(2, 13), 40, 7, 2]
         rows = self.all_chaining_rows()
         pairs = [(step_cdf(a), step_cdf(b)) for a, b in rows]
@@ -438,38 +424,36 @@ class TestArrayPasses:
         assert [reference.pair_chaining_checks(f, g, levels).tolist()
                 for f, g in pairs] == expected
         f_rows, g_rows = zip(*rows)
-        f_cdfs, g_cdfs = zip(*pairs)
-        for f, g in ((cdf_stack(f_cdfs), cdf_stack(g_cdfs)),
-                     (esd_stack(f_rows), esd_stack(g_rows))):
-            assert chaining_checks(f, g, levels).tolist() == expected
-        assert len(seen) == 2
-        assert [s.tolist() for s in seen] == [sups, sups]
-        for (f, g), verdicts in zip(self.chaining_pairs(), expected):
-            assert [chaining_check(f, g, l) for l in levels] == verdicts
+        assert chaining_checks(padded(f_rows), padded(g_rows), levels).tolist() == expected
+        assert len(seen) == 1
+        assert seen[0].tolist() == sups
+        for (a, b), verdicts in zip(self.chaining_rows(), expected):
+            assert [chaining_check(a, b, l) for l in levels] == verdicts
 
     def test_chaining_rows_of_other_sizes_do_not_leak(self, former_loops, monkeypatch):
-        # a size-1 row next to a size-8 row, both padded with entries that
-        # would change every answer, or fail the ascending check, if read
+        # a size-1 row next to a size-8 row: the +inf padding of the first
+        # must not count as samples, and no width may change an answer
         rng = np.random.default_rng(13)
         one, eight = np.array([0.3]), np.sort(rng.standard_normal(8))
-        f_cdfs, g_cdfs = (step_cdf(one), step_cdf(eight)), (step_cdf(eight), step_cdf(one))
+        f_rows, g_rows = (one, eight), (eight, one)
         levels = list(range(2, 13))
-        f, g = cdf_stack(f_cdfs, pad=-5.0), cdf_stack(g_cdfs, pad=-5.0)
-        assert f[0][0, 1:].tolist() == [-5.0] * 7
+        f, g = padded(f_rows), padded(g_rows)
+        assert f[0, 1:].tolist() == [np.inf] * 7
         verdicts = chaining_checks(f, g, levels)
+        assert chaining_checks(padded(f_rows, 11), g, levels).tolist() == verdicts.tolist()
         for i in range(2):
-            expected = reference.pair_chaining_checks(f_cdfs[i], g_cdfs[i], levels)
+            expected = reference.pair_chaining_checks(step_cdf(f_rows[i]), step_cdf(g_rows[i]),
+                                                      levels)
             assert verdicts[i].tolist() == expected.tolist()
-            alone = chaining_checks(cdf_stack(f_cdfs[i:i + 1]), cdf_stack(g_cdfs[i:i + 1]),
-                                    levels)
+            alone = chaining_checks(f_rows[i][None], g_rows[i][None], levels)
             assert alone[0].tolist() == expected.tolist()
         # the injected distance shows each row's own bounds
         import subspec.oracle
-        bounds = np.array([[former_loops.chaining_bound(a, b, l) for l in levels]
-                           for a, b in zip(f_cdfs, g_cdfs)])
+        bounds = np.array([[former_loops.chaining_bound(step_cdf(a), step_cdf(b), l)
+                            for l in levels] for a, b in zip(f_rows, g_rows)])
         for j in range(len(levels)):
             s = bounds[:, j]
-            monkeypatch.setattr(subspec.oracle, "stack_sup_distances", lambda f, g, s=s: s)
+            monkeypatch.setattr(subspec.oracle, "pair_distances", lambda a, b, s=s: s)
             assert chaining_checks(f, g, levels).tolist() == (s[:, None] <= bounds).tolist()
 
     def test_chaining_levels_under_an_injected_distance(self, former_loops, monkeypatch):
@@ -479,16 +463,15 @@ class TestArrayPasses:
         import subspec.oracle
         levels = list(range(2, 13))
         rows = self.all_chaining_rows()
-        pairs = [(step_cdf(a), step_cdf(b)) for a, b in rows]
-        bounds = np.array([[former_loops.chaining_bound(f, g, l) for l in levels]
-                           for f, g in pairs])
+        bounds = np.array([[former_loops.chaining_bound(step_cdf(a), step_cdf(b), l)
+                            for l in levels] for a, b in rows])
         f_rows, g_rows = zip(*rows)
-        f, g = esd_stack(f_rows), esd_stack(g_rows)
+        f, g = padded(f_rows), padded(g_rows)
         failures = 0
         for j in range(len(levels)):
             at = bounds[:, j]
             for s, holds in ((at, True), (np.nextafter(at, np.inf), False)):
-                monkeypatch.setattr(subspec.oracle, "stack_sup_distances", lambda f, g, s=s: s)
+                monkeypatch.setattr(subspec.oracle, "pair_distances", lambda a, b, s=s: s)
                 verdicts = chaining_checks(f, g, levels)
                 assert verdicts.tolist() == (s[:, None] <= bounds).tolist()
                 assert verdicts[:, j].tolist() == [holds] * len(rows)
@@ -496,22 +479,19 @@ class TestArrayPasses:
         assert failures > 0
 
     def test_chaining_rejects_bad_levels(self):
-        f = step_cdf(np.array([0.0, 1.0]))
-        one = cdf_stack([f])
+        one = np.array([[0.0, 1.0]])
         for levels in ([], [1], [3, 1], [[2, 3]]):
             with pytest.raises(ValueError):
                 chaining_checks(one, one, levels)
-        jumps, cum, _ = one
         bad = [
-            cdf_stack([f, f]),                      # a second pair count
-            (jumps, cum, [0]),                      # a size below 1
-            (jumps, cum, [3]),                      # a size past the width
-            (jumps, cum, [2, 2]),                   # a size per missing row
-            (jumps, cum, [2.0]),                    # a size that is no integer
-            (jumps[:, ::-1], cum, [2]),             # descending jumps
-            (jumps, cum[:, ::-1], [2]),             # descending cum
-            (jumps[0], cum[0], [2]),                # a 1-D table
-            (jumps, cum[:, :1], [1]),               # cum narrower than jumps
+            np.array([[0.0, 1.0], [0.0, 1.0]]),     # a second pair count
+            np.array([[np.inf, np.inf]]),           # a row with no finite entry
+            one[:, ::-1],                           # a descending row
+            one[0],                                 # a 1-D table
+            np.zeros((1, 0)),                       # a table with no column
+            np.array([[0.0, np.nan]]),              # NaN
+            np.array([[-np.inf, 1.0]]),             # -inf
+            np.array([[0.0, np.inf, 1.0]]),         # a finite value after +inf
         ]
         for table in bad:
             for a, b in ((table, one), (one, table)):

@@ -69,7 +69,7 @@ class TestEval:
 
     def test_eval_many_matches_scalar(self):
         # the array evaluator that sup_distance, sup_distances and the
-        # chaining checks run, against eval and eval_left point by point
+        # reference chaining checks run, against eval and eval_left point by point
         rng = np.random.default_rng(23)
         for trial in range(200):
             size = int(rng.integers(1, 30))
@@ -311,6 +311,20 @@ class TestPairDistances:
         assert self.check(a, b).tolist() == [0.0, 1.0, 0.0, 0.0]
         assert self.check(a2, b2).tolist()[:2] == [0.0, 0.0]
 
+    def test_rows_padded_with_inf(self):
+        # a row's size is its count of finite entries: rows of 1..6 tied
+        # values, padded to tables of equal and of unequal widths
+        rng = np.random.default_rng(36)
+        rows = [np.sort(rng.integers(-2, 3, rng.integers(1, 7)).astype(float))
+                for _ in range(120)]
+        expected = np.array([sup_distance(step_cdf(x), step_cdf(y))
+                             for x, y in zip(rows[0::2], rows[1::2])])
+        assert 0.0 < expected.min() < expected.max() == 1.0
+        for wa, wb in ((6, 6), (6, 9), (11, 6)):
+            a, b = ([np.concatenate((row, np.full(w - row.size, np.inf))) for row in half]
+                    for half, w in ((rows[0::2], wa), (rows[1::2], wb)))
+            assert pair_distances(np.array(a), np.array(b)).tobytes() == expected.tobytes()
+
     def test_temporaries_are_a_multiple_of_the_input(self):
         # a count of entries at or below each merged value would need two
         # (R, 2k, k) boolean arrays, 26 MB here; the sort needs O(R k)
@@ -340,6 +354,23 @@ class TestKolmogorovQ:
         grid = np.linspace(0.05, 3.0, 40)
         vals = [kolmogorov_q(x) for x in grid]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_tiny_lambda_is_one_without_summing(self, monkeypatch):
+        # the series needs about 3.8 / lam terms, 3.8e12 at lam = 1e-12
+        import subspec.spectra
+        real_exp = math.exp
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("more than 1000 terms summed")
+            return real_exp(x)
+
+        monkeypatch.setattr(subspec.spectra.math, "exp", counting)
+        assert kolmogorov_q(1e-12) == 1.0
+        assert kolmogorov_q(np.nextafter(0.1, 1.0)) >= 1.0 - 1e-12
+        assert len(calls) < 1000
 
     def test_against_scipy(self):
         special = pytest.importorskip("scipy.special")

@@ -8,8 +8,8 @@ not depend on the BLAS thread count, nor on the number of processes that
 solve a Jacobi stack; no worker outlives the call that started it, and
 `verify` starts none, and loads no `numpy.random`.  The test process itself
 imported numpy long ago, so the pin, the split and the loaded modules can
-only be seen from a new interpreter; the import-order, fork, PRNG and
-matrix-product guards below read the source instead.
+only be seen from a new interpreter; the import-order, fork, PRNG,
+matrix-product and distance guards below read the source instead.
 """
 
 import ast
@@ -261,6 +261,18 @@ def test_one_function_multiplies_matrices():
                         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and _products(func)]
     assert (products, multiplying) == (1, ["linalg.gram"])
+
+
+def test_one_module_measures_distances():
+    # every sup distance of step CDFs is one of `spectra`'s, and the
+    # chaining check and the CLI call them instead of keeping their own
+    measuring = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        measuring += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and "distance" in func.name]
+    assert {name.split(".")[0] for name in measuring} == {"spectra"}
 
 
 def _loads_numpy_or_package(node: ast.AST) -> bool:

@@ -710,3 +710,11 @@ class TestFunctionValidation:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             FunctionOnSubsets(2, 1, np.array([0.0, np.inf]))
+
+    def test_n_and_k_in_range(self):
+        # n = 9 is past every table; a larger n would ask triple_norm for a
+        # 2^n-entry set table
+        for n, k in ((9, 1), (9, 4), (1, 1), (4, 0), (4, 5)):
+            with pytest.raises(ValueError):
+                FunctionOnSubsets(n, k, np.zeros(max(1, math.comb(n, k))))
+        assert FunctionOnSubsets(8, 8, np.zeros(1)).n == 8
