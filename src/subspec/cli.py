@@ -205,7 +205,7 @@ def cmd_pair(args: argparse.Namespace) -> int:
             "exclude_top": args.exclude_top, "pairs": args.pairs,
             "master_seed": args.seed,
         },
-        "metadata": standard_metadata(),
+        "metadata": standard_metadata(matrix, args.k, args.mode),
         "summary": summary,
         "pairs": [r.to_dict() for r in results],
         "first_pair": {
@@ -317,8 +317,9 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
     chain_violations = int(np.count_nonzero(~chaining_checks(
         values[0::2], values[1::2], range(2, 13))))
     record("chaining", chain_violations, 0.0, chain_violations == 0)
+    largest = max(map(walk.lanczos_tridiagonal, n_values), key=len)  # the largest solve
     return {"n_values": list(n_values), "corrupt": corrupt,
-            "metadata": standard_metadata(),
+            "metadata": standard_metadata(DenseMatrix(largest), len(largest)),
             "walk_reports": walk_reports,
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
@@ -350,7 +351,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "subcommand": "oracle", **matrix_desc, "k": args.k, "mode": args.mode,
             "enumeration_cap": args.cap,
         },
-        "metadata": standard_metadata(),
+        "metadata": standard_metadata(matrix, args.k, args.mode),
         "exact_F": {"jumps": reference.jumps.tolist(), "cum": reference.cum.tolist()},
         "supnorm_distribution": {"values": dist.values.tolist(),
                                  "probabilities": dist.probs.tolist()},

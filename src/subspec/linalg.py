@@ -1,25 +1,39 @@
 """Dense matrix storage and from-scratch symmetric spectral decompositions.
 
-The eigensolver is a cyclic Jacobi iteration over round-robin rotation
-rounds (Brent & Luk 1985).  Within a round the pivot pairs are disjoint,
-so the rotations commute and can be applied as one vectorized block; the
-result is exactly the sequential cyclic sweep, just faster.  Convergence
-is declared when the off-diagonal Frobenius norm (summed directly over
-off-diagonal entries, never by subtracting the diagonal from the total,
-which loses all precision to cancellation) drops below 1e-12 times the
-Frobenius norm of the input.
+`_symmetric_eigenvalues` solves a (B, k, k) stack of real symmetric
+matrices by one of two methods, chosen by k alone.  Both are elementwise
+numpy and `np.sum` over contiguous rows, with no BLAS call, and treat each
+matrix alone (rescale, pivots, bracket, steps), so its eigenvalues are
+bit-identical to a solve of it alone.
 
-The solver works on a (B, k, k) stack of same-order matrices, one round for
-all of them at once.  When B >= k and B * k >= 400 it holds the stack batch
-last, as (k, k, B), so that every gather reads length-B vectors, and
-rotates each pair in all matrices where any of its pivots is hit, masking
-the rest; otherwise it gathers the hit (matrix, pair) cells of the
-(B, k, k) stack.  That is the crossover measured on a 2-vCPU AMD EPYC VM:
-batch last took 0.70-0.73 of the row-major time at B = 240 for k = 5 and
-20, up to 1.3 times as long below B * k = 400 for k <= 5, and within 7% of it
-at B = k for k = 20 to 64.  Each matrix keeps its own rescale, tolerance,
-pivot mask and convergence test, so its eigenvalues are bit-identical to a
-solve of it alone in either layout.
+- Below order 13, cyclic Jacobi in round-robin rounds of disjoint pivot
+  pairs, one vectorized block each (Brent & Luk 1985), until the
+  off-diagonal norm, summed directly, is below 1e-12 times the input's.
+  When B * k >= 400 it holds the stack as (k, k, B) and masks the pairs a
+  matrix does not rotate (0.70-0.73 of the time at B = 240 on an AMD EPYC
+  VM); otherwise it gathers the rotated (matrix, pair) cells.
+- From 13 on, Householder reduction to tridiagonal form, then bisection on
+  Sturm counts (pivots below pivmin set to -pivmin, as LAPACK dstebz) for
+  every eigenvalue at once.  The Gershgorin bracket, widened by 2.1 k eps t
+  (t its largest absolute end), has width W <= 2.01 t, and 53 halvings
+  leave W 2^-54 <= u t, u = 2^-53: one rounding of t.  An eigenvalue is
+  then within (4 k^2 + 9) u |A|_F of A's.  The reflections are exact for
+  A + E, |E|_F <= 2 (k - 2) g_k |A|_F < 4 k^2 u |A|_F (Higham 2002, Thm
+  19.4, g_k = 2ku / (1 - 2ku)); a Sturm count is exact for off-diagonals
+  moved by 2.5u relatively (Demmel 1997, sec. 5.3.4), 5u |A|_F; the bracket
+  adds u t <= 2u |A|_F, the rescale and the midpoint 2u |A|_F.  A row x
+  below 2^-500 is not reflected, a change far below u |A|_F.
+
+The crossover: bisection's time over Jacobi's through this function as the
+CLI runs it, the largest over stacks of rw-covariance, random-gaussian and
+random-pm1 blocks (median of 9, 2-vCPU Intel Xeon VM).  Bisection led in
+every cell from 13 on; at 12 it led here but tied (0.97, 1.00) in two
+cells of another run.
+
+  k        10    11    12    13    16    20    32
+  B = 25   1.14  1.08  0.93  0.84  0.87  0.77  0.70
+  B = 100  1.08  1.04  0.95  0.88  0.68  0.73  0.40
+  B = 250  0.96  0.85  0.81  0.76  0.65  0.52  0.26
 
 `gather_submatrices` is the one principal-block extraction of the package:
 it turns rows of 0-based indices into a (B, k, k) stack with a single
@@ -27,8 +41,8 @@ it turns rows of 0-based indices into a (B, k, k) stack with a single
 per matrix, by `principal_block_solver`:
 
 - a real diagonal M (off-diagonal zeros of either sign): every block is
-  diagonal, which the solver returns at sweep 0, so its eigenvalues come
-  from its k diagonal entries alone and no k x k block is built;
+  diagonal, which Jacobi returns at sweep 0, so its eigenvalues come from
+  its k diagonal entries alone, at any k, and no k x k block is built;
 - any other real M equal to its transpose bit for bit: every block is
   exactly symmetric too and is solved as gathered;
 - any other Hermitian M: every block is guarded at its own scale and
@@ -39,9 +53,10 @@ row holds while solved: its k x k entries, or for a diagonal block 4k
 (index, value and two copies).  Callers bound memory by the rows they
 pass (`sampling.solve_stacks` keeps each stack within
 `sampling.STACK_BYTES`): beyond the output, many stacks peaked under
-tracemalloc at 6.8 times that on the symmetric path, 13.5 on the complex
-Hermitian one (whose embedding doubles the order) and 1.3 on the diagonal
-one, shared by the processes that solve it.
+tracemalloc at 6.9 times that on the symmetric path (k = 12; 3.2 by
+bisection at k = 20), 14.0 on the complex Hermitian one, whose embedding
+doubles the order (k = 6; 8.2 at k = 12), and 1.3 on the diagonal one,
+shared by the processes that solve it.
 
 Singular mode reads the same blocks of one matrix: a row block A = M[S, :]
 has A A* = gram(M)[S, S], so `row_block_solver` forms gram(M) once and
@@ -76,11 +91,13 @@ import numpy as np
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+BISECTION_STEPS = 53
 
-# beyond this order adaptive pivot skipping wins over plain full sweeps
-_ADAPTIVE_MIN_ORDER = 257
+# matrices of this order and above are solved by Householder + bisection,
+# below it by Jacobi (crossover in the module docstring)
+_BISECTION_MIN_ORDER = 13
 
-# B matrices of order n are solved batch last when B >= n and B * n >= this
+# B matrices of order n are solved by Jacobi batch last when B * n >= this
 _BATCH_LAST_MIN_SIZE = 400
 
 # B * n^3 of B order-n matrices that pays for a process (crossover in README)
@@ -132,6 +149,12 @@ class DenseMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @cached_property
+    def is_diagonal(self) -> bool:
+        """Real, square and zero (of either sign) off the diagonal."""
+        return (not self.is_complex and self.is_square()
+                and np.count_nonzero(self.data) == np.count_nonzero(self.data.diagonal()))
 
     @cached_property
     def row_blocks(self) -> BlockSolver:
@@ -201,18 +224,17 @@ def principal_block_solver(m: DenseMatrix) -> BlockSolver:
     """Check that M is square and Hermitian, then return the eigensolver for
     its principal blocks.  A real diagonal M's blocks are solved from their
     diagonal entries alone; those of another real M equal to its transpose
-    bit for bit are exactly symmetric too and go to the bare Jacobi solver
-    as gathered; any other M's go through `eigenvalues_hermitian_stack`,
+    bit for bit are exactly symmetric too and go to the bare solver as
+    gathered; any other M's go through `eigenvalues_hermitian_stack`,
     each guarded at its own scale."""
     if not m.is_square():
         raise ValueError("not square")
     symmetric = False
-    if not m.is_complex:
+    if m.is_diagonal:  # symmetric too: test it first
         diagonal = m.data.diagonal()
-        # -0.0 counts as zero, and a diagonal M is symmetric: test it first
-        if np.count_nonzero(m.data) == np.count_nonzero(diagonal):
-            return BlockSolver("diagonal", lambda idx: _diagonal_eigenvalues(diagonal[idx]),
-                               lambda k: 4 * k * diagonal.itemsize)
+        return BlockSolver("diagonal", lambda idx: _diagonal_eigenvalues(diagonal[idx]),
+                           lambda k: 4 * k * diagonal.itemsize)
+    if not m.is_complex:
         bits = m.data.view(np.int64)
         symmetric = np.array_equal(bits, bits.T)
     if not symmetric:
@@ -221,6 +243,17 @@ def principal_block_solver(m: DenseMatrix) -> BlockSolver:
     return BlockSolver("symmetric" if symmetric else "hermitian",
                        lambda idx: solve(gather_submatrices(m, idx)),
                        lambda k: k * k * m.data.itemsize)
+
+
+def eigensolver_metadata(m: DenseMatrix, k: int, mode: str = "eigen") -> str:
+    """The method and settings that solve M's k x k blocks in mode "eigen"
+    or "singular" (those of gram(M)), by the order solved: 2k on a complex
+    M's embedding, else k.  Diagonal blocks need none and keep Jacobi's."""
+    diagonal = m.row_blocks.path == "diagonal" if mode == "singular" else m.is_diagonal
+    if not diagonal and k * (2 if m.is_complex else 1) >= _BISECTION_MIN_ORDER:
+        return f"eigensolver=householder-bisection;bisection_steps={BISECTION_STEPS}"
+    return (f"eigensolver=jacobi-cyclic;jacobi_tol={JACOBI_TOL:g};"
+            f"jacobi_max_sweeps={JACOBI_MAX_SWEEPS}")
 
 
 # a nonzero row of the rescaled M must reach this: below it, its Gram entries
@@ -257,11 +290,11 @@ def row_block_solver(m: DenseMatrix) -> BlockSolver:
 
 
 def _diagonal_eigenvalues(d: np.ndarray) -> np.ndarray:
-    """`_symmetric_eigenvalues` of the diagonal matrices with the rows of a
-    (B, k) array on their diagonals, bit for bit.  Such a matrix has no
-    off-diagonal mass after its rescale, so the solver returns it at sweep
-    0 as its sorted rescaled diagonal times the rescale factor; the same
-    sort of the same row also orders signed zeros alike."""
+    """`_jacobi` of the diagonal matrices with the rows of a (B, k) array on
+    their diagonals, bit for bit.  Such a matrix has no off-diagonal mass
+    after its rescale, so Jacobi returns it at sweep 0 as its sorted
+    rescaled diagonal times the rescale factor; the same sort of the same
+    row also orders signed zeros alike."""
     rescale = _rescale_factors(np.abs(d).max(axis=1))[:, None]
     return np.sort(d / rescale, axis=1) * rescale
 
@@ -467,9 +500,10 @@ def _sweep_batch_last(a: np.ndarray, threshold: np.ndarray) -> np.ndarray:
 
 def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of every matrix of a (B, n, n) stack of real symmetric
-    matrices by blocked cyclic Jacobi: a (B, n) array, rows ascending.  A
-    float64 `a` is overwritten: callers pass a stack they just built.  A
-    worker's RuntimeError is raised here with its message."""
+    matrices, by Jacobi below order `_BISECTION_MIN_ORDER` and Householder +
+    bisection from it on: a (B, n) array, rows ascending.  A float64 `a` is
+    overwritten: callers pass a stack they just built.  A worker's
+    RuntimeError is raised here with its message."""
     a = np.asarray(a, dtype=np.float64)
     count, n = a.shape[:2]
     # one process per _PART_MIN_WORK of the stack's work, at most one per row
@@ -477,8 +511,13 @@ def _symmetric_eigenvalues(a: np.ndarray) -> np.ndarray:
     parts = min(count, count * n**3 // _PART_MIN_WORK)
     parts = min(parts, _fork_cpus()) if parts >= 2 else 1
     bounds = [count * i // parts for i in range(parts + 1)]
-    def solve(part: np.ndarray) -> np.ndarray:  # in the layout the part's size favours
-        return _jacobi(part, batch_last=len(part) >= max(n, _BATCH_LAST_MIN_SIZE / n))
+    def solve(part: np.ndarray) -> np.ndarray:  # by the method the order favours
+        if n >= _BISECTION_MIN_ORDER:
+            rescale = _rescale_factors(np.abs(part).max(axis=(1, 2)))[:, None]
+            part /= rescale[:, :, None]
+            with np.errstate(over="ignore"):  # an eigenvalue past the float range is inf
+                return _bisection(*_tridiagonal(part)) * rescale
+        return _jacobi(part, batch_last=len(part) * n >= _BATCH_LAST_MIN_SIZE)
     out = np.empty((count, n))
     with forked([(partial(solve, a[start:stop]), out[start:stop])
                  for start, stop in zip(bounds[1:-1], bounds[2:])]) as join:
@@ -543,9 +582,9 @@ def _fork_cpus() -> int:
 
 
 def _jacobi(a: np.ndarray, batch_last: bool) -> np.ndarray:
-    """`_symmetric_eigenvalues` of a float64 stack, swept as it is or on its
-    (n, n, B) transpose; a matrix leaves the stack at the sweep where it
-    converges."""
+    """Eigenvalues of a float64 stack by blocked cyclic Jacobi, swept as it
+    is or on its (n, n, B) transpose; a matrix leaves the stack at the sweep
+    where it converges."""
     count, n = a.shape[:2]
     if n == 1 or not count:
         return a.reshape(count, n)
@@ -562,7 +601,6 @@ def _jacobi(a: np.ndarray, batch_last: bool) -> np.ndarray:
     batch, rows, sweep = (2, 0, _sweep_batch_last) if batch_last else (0, 1, _sweep_row_major)
     out = np.empty((count, n), dtype=np.float64)
     active = np.arange(count)  # row of `out` for each matrix of `a`
-    adaptive = n >= _ADAPTIVE_MIN_ORDER
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(JACOBI_MAX_SWEEPS):
             done = off <= target
@@ -574,5 +612,52 @@ def _jacobi(a: np.ndarray, batch_last: bool) -> np.ndarray:
                     return out
                 a = a.compress(keep, axis=batch)
                 active, rescale, target, off = active[keep], rescale[keep], target[keep], off[keep]
-            off = sweep(a, (off if adaptive else target) / n)
+            off = sweep(a, target / n)
     raise RuntimeError("eigensolver did not converge")
+
+
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals (B, n) and off-diagonals (B, n - 1) of tridiagonal
+    matrices similar to a (B, n, n) symmetric stack, which is overwritten:
+    step j reflects row j right of the diagonal, x, by I - w w^T, w = (x +
+    sign(x_0) |x| e_1) / sqrt(|x| (|x| + |x_0|)), unless |x| < 2^-500."""
+    for j in range(a.shape[1] - 2):
+        x = a[:, j, j + 1:]
+        norm = np.sqrt(np.sum(x * x, axis=1))
+        w, alpha = x.copy(), np.copysign(norm, x[:, 0])
+        w[:, 0] += alpha
+        h = np.sqrt(norm * (norm + np.abs(x[:, 0])))
+        w *= np.divide(1.0, h, out=np.zeros_like(h), where=norm >= 2.0**-500)[:, None]
+        rest = a[:, j + 1:, j + 1:]
+        p = np.sum(rest * w[:, None, :], axis=2)
+        q = p - (0.5 * np.sum(w * p, axis=1))[:, None] * w
+        rest -= w[:, :, None] * q[:, None, :] + q[:, :, None] * w[:, None, :]
+        x[:, 0] = -alpha
+    return a.diagonal(axis1=1, axis2=2), a.diagonal(1, axis1=1, axis2=2)
+
+
+def _bisection(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal matrices with diagonals d
+    (B, n) and off-diagonals e (B, n - 1), by BISECTION_STEPS halvings of
+    the Gershgorin bracket on Sturm counts; rows are ascending, as two
+    indices' brackets part only at a midpoint they share."""
+    count, n = d.shape
+    e2 = np.ascontiguousarray(np.square(e).T)
+    pivmin = np.finfo(np.float64).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
+    radius = np.abs(np.pad(e, ((0, 0), (1, 1))))
+    radius = radius[:, 1:] + radius[:, :-1]
+    lo, hi = (d - radius).min(axis=1), (d + radius).max(axis=1)
+    pad = 2.1 * n * np.finfo(np.float64).eps * np.maximum(np.abs(lo), np.abs(hi))
+    lo, hi = (np.repeat(bound[None], n, axis=0) for bound in (lo - pad, hi + pad))
+    dt, q = d.T.copy(), np.empty((n, n, count))
+    t, small = np.empty((n, count)), np.empty((n, count), dtype=bool)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        for i in range(n):  # q[i]: the i-th pivot of T - mid I, for every index
+            np.subtract(dt[i], mid, out=q[i])
+            if i:  # at most max(e^2) / pivmin <= 1 / tiny: no overflow
+                q[i] -= np.divide(e2[i - 1], q[i - 1], out=t)
+            np.copyto(q[i], -pivmin, where=np.less(np.abs(q[i], out=t), pivmin, out=small))
+        below = np.count_nonzero(q < 0.0, axis=0) > np.arange(n)[:, None]
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return (0.5 * (lo + hi)).T

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DenseMatrix, JACOBI_MAX_SWEEPS, JACOBI_TOL
+from .linalg import DenseMatrix, eigensolver_metadata
 from .oracle import DEFAULT_ENUMERATION_CAP, exact_F
 from . import sampling
 from .sampling import PRNG_NAME, derive_sample_seed, draw_subsets, solve_stacks
@@ -125,11 +125,11 @@ class EstimateReport:
         }
 
 
-def standard_metadata(extra: str = "") -> str:
-    """PRNG and eigensolver identification embedded in every report."""
-    base = (f"prng={PRNG_NAME};eigensolver=jacobi-cyclic;"
-            f"jacobi_tol={JACOBI_TOL:g};jacobi_max_sweeps={JACOBI_MAX_SWEEPS}")
-    return base + (";" + extra if extra else "")
+def standard_metadata(m: DenseMatrix, k: int, mode: str = "eigen", extra: str = "") -> str:
+    """PRNG and eigensolver identification embedded in every report: how
+    M's k x k blocks are solved (`linalg.eigensolver_metadata`)."""
+    solver = eigensolver_metadata(m, k, mode)
+    return f"prng={PRNG_NAME};{solver}" + (";" + extra if extra else "")
 
 
 def _sampled_spectra(m: DenseMatrix, k: int, mode: str, n_samples: int,
@@ -176,7 +176,7 @@ def estimate_supnorm(m: DenseMatrix, k: int, mode: str, n_samples: int,
     return EstimateReport(
         mode=mode, n=m.rows, k=k, n_samples=n_samples, master_seed=master_seed,
         f_hat=f_hat, mean_supnorm=mean, supnorm_quantiles=quantiles,
-        metadata=standard_metadata(metadata_note), samples=samples)
+        metadata=standard_metadata(m, k, mode, metadata_note), samples=samples)
 
 
 def empirical_tail(report: EstimateReport, r_grid: np.ndarray) -> TailCurve:

@@ -163,8 +163,15 @@ def kernel_errors(table: np.ndarray, n: int) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=8)
 def spectral_gap(n: int) -> float:
-    """One minus the second-largest kernel eigenvalue.  The kernel has one
-    distinct eigenvalue per value of 1/n + ((n - 1)/n) r(lambda) over the
+    """One minus the second-largest kernel eigenvalue, an eigenvalue of
+    `lanczos_tridiagonal(n)`."""
+    return 1.0 - float(eigenvalues_hermitian(DenseMatrix(lanczos_tridiagonal(n))).values[-2])
+
+
+@lru_cache(maxsize=8)
+def lanczos_tridiagonal(n: int) -> np.ndarray:
+    """A read-only tridiagonal matrix with every distinct kernel eigenvalue.
+    The kernel has one per value of 1/n + ((n - 1)/n) r(lambda) over the
     partitions lambda of n (Diaconis & Shahshahani 1981), so Lanczos from
     a Gaussian start drawn from `Xoshiro256pp`, reorthogonalized twice
     against the whole basis at every step, finds a new direction of norm
@@ -194,7 +201,8 @@ def spectral_gap(n: int) -> float:
         beta = math.sqrt(np.sum(w * w))
         if beta <= _LANCZOS_BREAKDOWN:
             tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            return 1.0 - float(eigenvalues_hermitian(DenseMatrix(tridiagonal)).values[-2])
+            tridiagonal.setflags(write=False)
+            return tridiagonal
         betas.append(beta)
         basis.append(w / beta)
     raise RuntimeError(f"Lanczos on the n = {n} walk kernel found no breakdown "

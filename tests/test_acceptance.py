@@ -33,6 +33,7 @@ def report(criterion, ok, detail):
 
 def fresh_gap(n):
     walk.spectral_gap.cache_clear()
+    walk.lanczos_tridiagonal.cache_clear()
     start = time.perf_counter()
     gap = walk.spectral_gap(n)
     return gap, time.perf_counter() - start

@@ -463,6 +463,31 @@ class TestVerify:
         assert 0 < len(built) <= 27
 
 
+SOLVERS = {"jacobi": "eigensolver=jacobi-cyclic;jacobi_tol=1e-12;jacobi_max_sweeps=100",
+           "bisection": "eigensolver=householder-bisection;bisection_steps=53"}
+
+
+class TestSolverMetadata:
+    @pytest.mark.parametrize("command, k, method", [
+        ("pair", 12, "jacobi"), ("pair", 13, "bisection"), ("oracle", 12, "jacobi"),
+        ("oracle", 13, "bisection"), ("oracle-singular", 13, "bisection")])
+    def test_pair_and_oracle_name_the_method_of_order_k(self, tmp_path, command, k, method):
+        out = tmp_path / "out.json"
+        args = {"pair": ["pair", "--pairs", "2", "--exclude-top", "0"], "oracle": ["oracle"],
+                "oracle-singular": ["oracle", "--mode", "singular"]}[command]
+        assert run(*args, "--ensemble", "random-gaussian", "--n", "14", "--k", str(k),
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text())["metadata"] == \
+            f"prng=splitmix64+xoshiro256++;{SOLVERS[method]}"
+
+    def test_verify_names_the_method_of_its_lanczos_order(self):
+        # its largest solve: the gap's tridiagonal, of order 9 at n = 6 and
+        # 15 at n = 7
+        for n_values, method in (([3, 6], "jacobi"), ([7], "bisection")):
+            assert run_verification(n_values)["metadata"] == \
+                f"prng=splitmix64+xoshiro256++;{SOLVERS[method]}"
+
+
 class TestOracle:
     def test_half_ones_mean(self, tmp_path):
         out = tmp_path / "o.json"

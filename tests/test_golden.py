@@ -42,9 +42,12 @@ GOLDEN = {
     "verify --n 3 4 5 --self-test-corrupt":
         (1, "d6538e61ac69c277710030aba1af6edd79f3de9f882e6bd3ac0ab910322faf51"),
     "verify --n 7 8":
-        (0, "0edba20ddd903dbe2bf19743d980b3df7d89899da9f4f24ca7a7b9e562a32e83"),
+        (0, "9c147e267b8773ab03d17cd68adefc47d861dd40fb82369d3a4b946ee5fc8f94"),
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
-        (0, "bd2655ecffba89d501554ff658230249c584ec2cf4049f5b9491bb894ab998a6"),
+        (0, "fdb5c4b40371563d987b9d796dcc50dbd4f697078e80b5a3a7724862eec56974"),
+    # order 32, solved by Householder + bisection
+    "estimate --ensemble random-gaussian --n 64 --k 32 --samples 20 --seed 1":
+        (0, "6ee80505c1f25584662d0e348280a0a8b40e6a7bde868cccfa8aa49341690d39"),
     "estimate --ensemble rw-covariance --n 40 --k 12 --samples 110 --seed 3":
         (0, "5e8e4628080430c3e1af2bd5725873daaea26475174c2c7445ba758161420993"),
     "estimate --ensemble half-ones --n 1024 --k 256 --samples 100 --seed 3":
@@ -84,11 +87,13 @@ def test_output_bytes_unchanged(tmp_path, config):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# entries solved in stacks of many blocks at the default stack budget, all
-# but `pair` (40 blocks of order 8) batch last; the singular `oracle` entry
-# solves the 126 blocks of gram(M) in one stack
+# entries solved in stacks of many blocks at the default stack budget: the
+# two of order 20 and 32 by bisection, the others by Jacobi, all but `pair`
+# (40 blocks of order 8) batch last; the singular `oracle` entry solves the
+# 126 blocks of gram(M) in one stack
 ONE_BLOCK_PER_STACK = [
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3",
+    "estimate --ensemble random-gaussian --n 64 --k 32 --samples 20 --seed 1",
     "oracle --ensemble rw-covariance --n 11 --k 5 --x 10 30",
     "oracle --ensemble random-gaussian --n 9 --k 4 --matrix-seed 3 --mode singular "
     "--x -1 0 1",
@@ -100,7 +105,7 @@ ONE_BLOCK_PER_STACK = [
 @pytest.mark.skipif(_platform_mismatch() is not None, reason=str(_platform_mismatch()))
 @pytest.mark.parametrize("config", ONE_BLOCK_PER_STACK)
 def test_output_bytes_unchanged_one_block_per_stack(tmp_path, monkeypatch, config):
-    # with a budget of one byte every stack holds one block, which the
-    # solver takes row-major: the layout must not change a byte
+    # with a budget of one byte every stack holds one block, which Jacobi
+    # takes row-major: neither the layout nor a stack's size may change a byte
     monkeypatch.setattr(sampling, "STACK_BYTES", 1)
     test_output_bytes_unchanged(tmp_path, config)

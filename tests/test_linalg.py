@@ -4,6 +4,7 @@ import math
 import os
 import threading
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -80,12 +81,11 @@ def _symmetric_eigenvalues(a):
 
     target = linalg_mod.JACOBI_TOL * float(np.sqrt(np.sum(a * a)))
     rounds = rotation_rounds_loop(n)
-    adaptive = n >= linalg_mod._ADAPTIVE_MIN_ORDER
     for _ in range(linalg_mod.JACOBI_MAX_SWEEPS):
         off = _off_norm(a)
         if off <= target:
             return np.sort(np.diag(a)) * rescale
-        threshold = off / n if adaptive else target / n
+        threshold = target / n
         for p_all, q_all in rounds:
             apq = a[p_all, q_all]
             mask = np.abs(apq) > threshold
@@ -127,6 +127,13 @@ def per_matrix_eigenvalues(data):
         doubled = _symmetric_eigenvalues(np.block([[h.real, -h.imag], [h.imag, h.real]]))
         return 0.5 * (doubled[0::2] + doubled[1::2])
     return _symmetric_eigenvalues(0.5 * (data + data.T))
+
+
+@pytest.fixture
+def jacobi_only(monkeypatch):
+    """`_symmetric_eigenvalues` by Jacobi at every order, as the per-matrix
+    oracle solves: the crossover to bisection moved out of reach."""
+    monkeypatch.setattr(linalg_mod, "_BISECTION_MIN_ORDER", 10**9)
 
 
 def principal_blocks(m, k, count, seed):
@@ -355,13 +362,13 @@ class TestBatchedSolver:
     @pytest.mark.parametrize("case", ["rw-covariance-k20", "rw-covariance-k5", "gaussian",
                                       "pm1", "half-ones-ties", "complex-file", "order-1",
                                       "order-2", "mixed-scales", "mixed-symmetry"])
-    def test_matches_per_matrix_solver(self, case, tmp_path):
+    def test_matches_per_matrix_solver(self, case, tmp_path, jacobi_only):
         blocks = stack_cases(tmp_path)[case]
         got = eigenvalues_hermitian_stack(np.array(blocks))
         expected = np.array([per_matrix_eigenvalues(b) for b in blocks])
         assert got.tobytes() == expected.tobytes()
 
-    def test_orders_past_one_reduction_block(self):
+    def test_orders_past_one_reduction_block(self, jacobi_only):
         # 96^2 entries exceed numpy's 8192-element reduction buffer; the
         # per-matrix sums of a stack must still match a sum of one matrix
         rng = np.random.default_rng(43)
@@ -488,7 +495,7 @@ class TestLayouts:
                                       "order-1", "order-2", "odd-order", "mixed-sweeps",
                                       "below-order", "above-order",
                                       "past-one-reduction-block"])
-    def test_layouts_agree(self, case):
+    def test_layouts_agree(self, case, jacobi_only):
         stack = np.array(layout_cases()[case])
         expected = np.array([_symmetric_eigenvalues(b) for b in stack])
         for batch_last in (False, True):
@@ -530,9 +537,9 @@ class TestLayouts:
         with pytest.raises(RuntimeError, match="did not converge"):
             linalg_mod._jacobi(stack, batch_last)
 
-    def test_layout_rule(self, monkeypatch):
-        # batch last when B >= n and B * n >= 400, from B and n alone; the
-        # split is off, so the stub runs in this process only
+    def test_layout_rule(self, monkeypatch, jacobi_only):
+        # batch last when B * n >= 400, from B and n alone; the split is off,
+        # so the stub runs in this process only
         chosen = []
         monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: 1)
         monkeypatch.setattr(linalg_mod, "_jacobi", lambda a, batch_last: (
@@ -541,13 +548,13 @@ class TestLayouts:
                          (462, 5), (250, 20), (63, 64), (64, 64)]:
             linalg_mod._symmetric_eigenvalues(np.zeros((count, n, n)))
         assert chosen == [False, True, True, False, False, False, True,
-                          True, True, False, True]
+                          True, True, True, True]
 
     @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
     @pytest.mark.parametrize("count, n, parts, expected", [
         (59, 20, 3, [False, True, True]), (60, 20, 3, [True, True, True]),
-        (250, 20, 2, [True, True]), (64, 64, 2, [False, False])])
-    def test_layout_rule_per_part(self, monkeypatch, count, n, parts, expected):
+        (250, 20, 2, [True, True]), (64, 64, 2, [True, True])])
+    def test_layout_rule_per_part(self, monkeypatch, jacobi_only, count, n, parts, expected):
         # each part of a split stack takes the layout of its own B (rows
         # 19, 20, 20 of 59); the stub answers with its choice in every row,
         # which is how a worker's choice comes back
@@ -705,6 +712,149 @@ class TestSplit:
         assert got.tobytes() == expected.tobytes()
 
 
+def bisection_cases():
+    """Stacks of order 13 and above, which `_symmetric_eigenvalues` solves by
+    Householder + bisection: the order-5 to 7 edge stacks of `layout_cases`
+    (signed zeros, tiny pivots, rescales by 1e+-101, 1e+-150 and 1e+-200)
+    as block-diagonal matrices of three copies, so that every eigenvalue is
+    an exact triple tie, and the order-20 and order-91 stacks as they are."""
+    cases = layout_cases()
+    lifted = {name: np.kron(np.eye(3), np.array(cases[name]))
+              for name in ("theta-zero", "tiny-pivots", "signed-zeros", "rescaled", "odd-order",
+                           "mixed-sweeps")}
+    # rows right of the diagonal whose squares are subnormal (left as they
+    # are) or just above 2^-1000 (reflected), next to entries of 1e100
+    rng = np.random.default_rng(48)
+    tiny = np.repeat(np.diag(np.arange(1.0, 17.0))[None], 6, axis=0)
+    for matrix, scale, coupling in zip(tiny, (1.0, 1e100, 1.0, 1e100, 1.0, 1e-100),
+                                       (1e-160, 1e-160, 1e-150, 1e-150, 1e-140, 1e-230)):
+        matrix *= scale
+        rows = rng.permutation(16)[:5]
+        matrix[rows, (rows + 3) % 16] = matrix[(rows + 3) % 16, rows] = coupling
+    return lifted | {name: np.array(cases[name])
+                     for name in ("below-order", "above-order", "past-one-reduction-block")
+                     } | {"tiny-rows": tiny}
+
+
+BISECTION_CASES = list(bisection_cases())
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def exact_count_below(d, e, x):
+    """How many eigenvalues of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e lie below the rational x: the sign changes
+    along the leading principal minors of T - x I, in integers (Sylvester's
+    law of inertia).  Past a zero minor x moves down by 2^-1100."""
+    for y in (Fraction(x), Fraction(x) - Fraction(1, 2**1100)):
+        exact = [Fraction(v) for v in (*d, *e)]
+        scale = max(v.denominator for v in (*exact, y))
+        shifted = [int(v * scale) - int(y * scale) for v in exact[:len(d)]]
+        squares = [int(v * scale) ** 2 for v in exact[len(d):]]
+        prev, minor, changes = 0, 1, 0
+        for i, diagonal in enumerate(shifted):
+            prev, minor = minor, diagonal * minor - (squares[i - 1] * prev if i else 0)
+            if minor == 0:
+                break
+            changes += (minor < 0) != (prev < 0)
+        else:
+            return changes
+    raise AssertionError("zero minor at x and just below it")
+
+
+def gershgorin_norm(d, e):
+    """max(|lower end|, |upper end|) of the Gershgorin bracket of (d, e)."""
+    radius = np.abs(np.concatenate([[0.0], e])) + np.abs(np.concatenate([e, [0.0]]))
+    return max(abs(float(np.min(d - radius))), abs(float(np.max(d + radius))))
+
+
+class TestBisection:
+    """Householder + bisection, the method from `_BISECTION_MIN_ORDER` on."""
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_rows_do_not_depend_on_the_stack(self, case, monkeypatch):
+        # alone, in the stack and in the reversed stack; no Jacobi call
+        stack = bisection_cases()[case]
+        assert stack.shape[1] >= linalg_mod._BISECTION_MIN_ORDER
+        monkeypatch.setattr(linalg_mod, "_jacobi", None)
+        got = linalg_mod._symmetric_eigenvalues(stack.copy())
+        reverse = linalg_mod._symmetric_eigenvalues(stack[::-1].copy())[::-1]
+        assert got.tobytes() == reverse.tobytes()
+        for matrix, row in zip(stack, got):
+            assert linalg_mod._symmetric_eigenvalues(matrix[None].copy())[0].tobytes() == \
+                row.tobytes()
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_within_the_error_bound_of_lapack(self, case):
+        # the module docstring's bound, (4 n^2 + 9) u |A|_F, for each of the
+        # two solvers: LAPACK's reduction and tridiagonal solve are of the
+        # same class
+        stack = bisection_cases()[case]
+        n = stack.shape[1]
+        got = linalg_mod._symmetric_eigenvalues(stack.copy())
+        amax = np.abs(stack).max(axis=(1, 2))
+        scale = np.where(amax > 0, amax, 1.0)
+        frobenius = scale * np.sqrt(np.sum((stack / scale[:, None, None]) ** 2, axis=(1, 2)))
+        bound = 2 * (4 * n * n + 9) * UNIT_ROUNDOFF * frobenius
+        assert np.all(np.abs(got - np.linalg.eigvalsh(stack)).max(axis=1) <= bound)
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_sturm_certificate(self, case):
+        # the exact count of T's eigenvalues below lambda_i - tol is at most
+        # i, and below lambda_i + tol more than i, with tol the bracket's
+        # half-width and the floating counts' backward error (docstring)
+        stack = bisection_cases()[case].copy()
+        stack /= linalg_mod._rescale_factors(np.abs(stack).max(axis=(1, 2)))[:, None, None]
+        d, e = linalg_mod._tridiagonal(stack)
+        self.check_certificate(d, e, linalg_mod._bisection(d, e))
+
+    @staticmethod
+    def check_certificate(d, e, values):
+        n = d.shape[1]
+        for di, ei, row in zip(d, e, values):
+            pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(ei * ei, initial=0.0)))
+            tol = Fraction(8 * UNIT_ROUNDOFF * gershgorin_norm(di, ei) + 4 * n * pivmin)
+            for i, value in enumerate(row):
+                assert exact_count_below(di, ei, Fraction(value) - tol) <= i
+                assert exact_count_below(di, ei, Fraction(value) + tol) >= i + 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_and_empty_stacks(self, n):
+        assert linalg_mod._bisection(np.zeros((0, n)), np.zeros((0, n - 1))).shape == (0, n)
+        rng = np.random.default_rng(47 + n)
+        d = np.concatenate([rng.standard_normal((6, n)), np.zeros((1, n)), np.ones((1, n))])
+        e = np.concatenate([rng.standard_normal((6, n - 1)), np.zeros((2, n - 1))])
+        got = linalg_mod._bisection(d, e)
+        assert got.shape == (8, n)
+        for row, alone in zip(got, (linalg_mod._bisection(d[i:i + 1], e[i:i + 1])
+                                    for i in range(8))):
+            assert row.tobytes() == alone[0].tobytes()
+        assert got[6].tolist() == [0.0] * n
+        self.check_certificate(d, e, got)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_eigenvalue_past_the_float_range(self, n):
+        # 1e308 * n is no float: either method gives inf, silently, and the
+        # spectrum refuses it (a warning would fail this test)
+        with pytest.raises(ValueError, match="must be finite"):
+            eigenvalues_hermitian(dm(np.full((n, n), 1e308)))
+
+    def test_method_by_order(self, monkeypatch):
+        # Jacobi below the crossover, Householder + bisection from it on,
+        # whatever the stack's size
+        calls = []
+        monkeypatch.setattr(linalg_mod, "_fork_cpus", lambda: 1)
+        monkeypatch.setattr(linalg_mod, "_jacobi", lambda a, batch_last: (
+            calls.append(("jacobi", a.shape[1])), np.zeros(a.shape[:2]))[1])
+        monkeypatch.setattr(linalg_mod, "_bisection", lambda d, e: (
+            calls.append(("bisection", d.shape[1])), np.zeros(d.shape))[1])
+        crossover = linalg_mod._BISECTION_MIN_ORDER
+        for count in (1, 250):
+            for n in (crossover - 1, crossover, 64):
+                linalg_mod._symmetric_eigenvalues(np.zeros((count, n, n)))
+        expected = [("jacobi", crossover - 1), ("bisection", crossover), ("bisection", 64)]
+        assert calls == expected * 2
+
+
 class TestRotationRounds:
     def test_matches_the_loop_schedule(self):
         for n in [*range(1, 100), 256, 257, 720]:
@@ -778,7 +928,7 @@ class TestPrincipalBlockSolver:
 def gathered_block_eigenvalues(m, idx):
     """The path the diagonal one replaces: the batched Jacobi solver over the
     gathered k x k blocks, kept as the oracle for it."""
-    return linalg_mod._symmetric_eigenvalues(gather_submatrices(m, idx))
+    return linalg_mod._jacobi(gather_submatrices(m, idx), False)
 
 
 def diagonal_cases(tmp_path):

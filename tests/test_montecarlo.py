@@ -235,6 +235,25 @@ class TestEstimateSupnorm:
         assert "xoshiro256++" in report.metadata
         assert "jacobi" in report.metadata
 
+    @pytest.mark.parametrize("case, k, mode, method", [
+        ("symmetric", 12, "eigen", "jacobi"), ("symmetric", 13, "eigen", "bisection"),
+        ("complex", 6, "eigen", "jacobi"), ("complex", 7, "eigen", "bisection"),
+        ("diagonal", 40, "eigen", "jacobi"), ("gram", 12, "singular", "jacobi"),
+        ("gram", 13, "singular", "bisection"), ("diagonal", 20, "singular", "jacobi")])
+    def test_metadata_names_the_method_of_the_solved_order(self, case, k, mode, method):
+        # the order solved is k, 2k for the complex embedding and k for the
+        # blocks of gram(M); diagonal blocks reach no solver and keep
+        # Jacobi's string, whose bytes their solve has
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((40, 40))
+        m = {"symmetric": random_symmetric(40, 3, "gaussian"),
+             "complex": DenseMatrix(x + x.T + 1j * (x - x.T)), "diagonal": half_ones_diagonal(40),
+             "gram": DenseMatrix(rng.standard_normal((40, 30)))}[case]
+        report = estimate_supnorm(m, k, mode, 4, 0, estimate_F(m, k, mode, 4, 1))
+        solver = {"jacobi": "eigensolver=jacobi-cyclic;jacobi_tol=1e-12;jacobi_max_sweeps=100",
+                  "bisection": "eigensolver=householder-bisection;bisection_steps=53"}[method]
+        assert report.metadata == f"prng=splitmix64+xoshiro256++;{solver}"
+
 
 def deduplicated_sampled_spectra(m, k, mode, n_samples, master_seed, reference):
     """The former `montecarlo._sampled_spectra`, kept as the oracle: all

@@ -228,11 +228,13 @@ def closed_form_spectrum(n):
 
 @pytest.fixture
 def fresh_gaps():
-    """`spectral_gap` with its cache emptied before and after the test, for
-    tests that patch what it calls."""
+    """`spectral_gap` with its cache and `lanczos_tridiagonal`'s emptied
+    before and after the test, for tests that patch what they call."""
     spectral_gap.cache_clear()
+    walk_mod.lanczos_tridiagonal.cache_clear()
     yield spectral_gap
     spectral_gap.cache_clear()
+    walk_mod.lanczos_tridiagonal.cache_clear()
 
 
 class TestSpectralGap:
