@@ -233,8 +233,8 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
     """The inequality suite: kernel sanity, spectral gap, one-step norm
     budget, gap concentration, rank steps, exact tails, chaining.
 
-    Each n's walk report holds the clean kernel's errors and its gap; with
-    `corrupt`, the kernel-validity check alone sees row 0 step to itself."""
+    Each n's walk report holds the clean class chain's errors and its gap;
+    with `corrupt`, the kernel-validity check alone sees an extra self-step."""
     checks: list[dict] = []
     walk_reports: list[dict] = []
 
@@ -243,12 +243,12 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
                        "pass": bool(ok), **extra})
 
     for n in n_values:
-        table = walk.neighbor_table(n)
-        row_err, rev_err, inv_err = clean = walk.kernel_errors(table, n)
+        sizes, counts = walk.class_chain(n)
+        row_err, rev_err, inv_err = clean = walk.class_chain_errors(n, sizes, counts)
         if corrupt:
-            table = table.copy()
-            table[0, 0] = 0
-            row_err, rev_err, inv_err = walk.kernel_errors(table, n)
+            counts = counts.copy()
+            counts[0, 0] += 1
+            row_err, rev_err, inv_err = walk.class_chain_errors(n, sizes, counts)
         record(f"kernel-validity-n{n}", max(row_err, rev_err, inv_err), 1e-14,
                max(row_err, rev_err, inv_err) <= 1e-14,
                row_sum_error=row_err, reversibility_error=rev_err,
@@ -266,7 +266,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
             "random": random_symmetric(n, 101, "gaussian"),
         }
         r_grid = np.linspace(0.0, 5.0, 26)
-        perms, pairs = walk.permutations(n), walk.transpositions(n)
+        pairs = walk.transpositions(n)
         rng = Xoshiro256pp.from_seed(VERIFY_SEED + n)
         for label, matrix in matrices.items():
             tables = {k: subset_spectra(matrix, k) for k in range(1, n)}
@@ -286,7 +286,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
                         ok = ok and row["pass"]
                 record(f"gap-concentration-n{n}-k{k}-{label}", worst_excess, 0.0, ok)
 
-                sigmas, taus = zip(*((perms[rng.next_below(len(perms))],
+                sigmas, taus = zip(*((walk.unrank(n, rng.next_below(math.factorial(n))),
                                       pairs[rng.next_below(len(pairs))]) for _ in range(40)))
                 ranks, gaps = walk.rank_step_check(matrix, tables[k], sigmas, taus)
                 violations = int(np.count_nonzero((ranks > 2) | (gaps > 2.0 / k + 1e-12)))
@@ -317,7 +317,7 @@ def run_verification(n_values: Sequence[int], corrupt: bool = False) -> dict:
     chain_violations = int(np.count_nonzero(~chaining_checks(
         values[0::2], values[1::2], range(2, 13))))
     record("chaining", chain_violations, 0.0, chain_violations == 0)
-    largest = max(map(walk.lanczos_tridiagonal, n_values), key=len)  # the largest solve
+    largest = walk.class_kernel(max(n_values))  # the largest solve
     return {"n_values": list(n_values), "corrupt": corrupt,
             "metadata": standard_metadata(DenseMatrix(largest), len(largest)),
             "walk_reports": walk_reports,

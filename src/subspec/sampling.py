@@ -5,7 +5,7 @@ derives one 64-bit seed per sample index from the master seed
 (`derive_sample_seed`), and each sample runs its own xoshiro256++ stream
 seeded from four splitmix64 outputs of it (`Xoshiro256pp.from_seed`), so
 it sees the same draws whatever samples are drawn with it and in whatever
-order.  `verify` and `walk.spectral_gap` draw from the same generator.
+order.  `verify` draws its rank steps and chaining ESDs from it too.
 
 Bounded integers use the multiply-shift reduction (x * bound) >> 64.  It
 consumes exactly one 64-bit draw per integer, which keeps the number of

@@ -1,17 +1,16 @@
 """The random-transpositions walk on the symmetric group, made concrete.
 
-States are permutations in one-line notation, the rows of the read-only
-(n!, n) array `permutations(n)`, which lists them in lexicographic order.
-One step holds with probability 1/n or composes on the right with a
-uniformly random transposition (probability 2/n^2 each), i.e. swaps two
-positions of the one-line word.  The uniform measure is invariant and the
-kernel is symmetric, so everything reversible-chain-shaped can be checked
-on `neighbor_table(n)`, which holds the whole kernel: `kernel_errors`
-gives its row-sum, detailed-balance and invariance errors, and
-`spectral_gap` the kernel's gap; the CLI's `verify` reports these per n.
-`neighbor_table` reads each row of `permutations(n)` as a base-n numeral;
-these codes increase along the rows, so the row of a swapped word is found
-by `searchsorted` on them.
+States are permutations in one-line notation.  One step holds with
+probability 1/n or composes on the right with a uniformly random
+transposition (probability 2/n^2 each), i.e. swaps two positions of the
+one-line word.  The step law is a class function, so seen through cycle
+type the walk is a Markov chain on the p(n) partitions of n, 22 at n = 8:
+`class_chain(n)`, in integer transposition counts, which
+`class_chain_errors` checks in exact integers.  It has every distinct
+eigenvalue of the walk, one per character (Diaconis & Shahshahani 1981),
+so `spectral_gap` is one solve of order p(n); the CLI's `verify` reports
+these per n.  Its rank steps decode a drawn rank with `unrank`, so no
+path builds a row per permutation.
 
 A permutation acts on the matrix only through its selected set, its first
 k entries, a bitmask that one 2^n lookup maps to its row of
@@ -29,9 +28,10 @@ the float mean that a superlevel threshold starts from, can differ from
 S_n's by an ulp or two; a count moves only where a value ties the
 threshold in exact arithmetic.
 
-Every table, and so `verify`, stops at n = MAX_PERM_N = 8.  The dense
-`kernel_matrix`, which only the tests use as an oracle, stops at n = 6
-(720^2 floats).
+The class chain takes any n, but `verify` and `FunctionOnSubsets` stop at
+n = MAX_PERM_N = 8: the observables and rank steps grow with C(n, k)
+subsets and 2^n-entry lookups, and no larger n has been timed or checked.
+The dense `kernel_matrix`, a test oracle, stops at n = 6 (720^2 floats).
 
 The ESD observables and the one-step ESD gap read rows of the
 `oracle.subset_spectra(m, k)` table and solve no subset themselves.  The
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -60,17 +61,10 @@ import numpy as np
 from .linalg import (DenseMatrix, _hermitized, _require_hermitian_stack, eigenvalues_hermitian,
                      eigenvalues_hermitian_stack, gather_submatrices)
 from .oracle import pointwise_profile, subset_table
-from .sampling import Xoshiro256pp
 from .spectra import pair_distances
 
-MAX_DENSE_N = 6  # the largest n of a dense kernel
-# the largest n of `permutations`, of every table and so of `verify --n`
+# the largest n of `verify --n` and of a `FunctionOnSubsets`
 MAX_PERM_N = 8
-# the `Xoshiro256pp` seed of `spectral_gap`'s start vector, and the norm at
-# or below which a new Krylov direction counts as zero: up to n = 8, kept
-# directions have norms of 0.033 and more, the one after them 5.8e-13 or less
-_LANCZOS_SEED = 1
-_LANCZOS_BREAKDOWN = 1e-8
 # the rel_tol at which `rank_step_check` ranks its one-step differences
 RANK_STEP_REL_TOL = 1e-7
 
@@ -100,113 +94,88 @@ def transpositions(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
 
 
-@lru_cache(maxsize=8)
-def permutations(n: int) -> np.ndarray:
-    """Read-only (n!, n) array whose rows are the permutations of 0..n-1 in
-    lexicographic order."""
-    if not 1 <= n <= MAX_PERM_N:
-        raise ValueError(f"n must lie in [1, {MAX_PERM_N}]")
-    words = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(words, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
-    perms.setflags(write=False)
-    return perms
-
-
-@lru_cache(maxsize=8)
-def neighbor_table(n: int) -> np.ndarray:
-    """neighbor_table(n)[r, t] is the row of `permutations(n)` that holds row
-    r with the positions of transposition t swapped (one walk step via
-    transposition t)."""
-    if not 2 <= n <= MAX_PERM_N:
-        raise ValueError(f"n must lie in [2, {MAX_PERM_N}]")
-    perms = permutations(n)
-    # row r as a base-n numeral: increasing in r, and below 8^8 for n <= 8
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = (perms * place).sum(axis=1)
-    i, j = np.array(transpositions(n)).T
-    # swapping positions i and j moves the code by (p_j - p_i)(n^(n-1-i) - n^(n-1-j))
-    swapped = codes[:, None] + (perms[:, j] - perms[:, i]) * (place[i] - place[j])
-    table = np.searchsorted(codes, swapped)
-    table.setflags(write=False)
-    return table
+def unrank(n: int, rank: int) -> list[int]:
+    """The permutation of 0..n-1 of the given lexicographic rank, in
+    one-line notation: its factorial-base digit at place p picks the entry."""
+    pool = list(range(n))
+    return [pool.pop(rank // math.factorial(p) % (p + 1)) for p in range(n - 1, -1, -1)]
 
 
 def kernel_matrix(n: int) -> np.ndarray:
-    """Dense transition kernel: 1/n on the diagonal, 2/n^2 per transposition."""
-    if not 2 <= n <= MAX_DENSE_N:
-        raise ValueError(f"n must lie in [2, {MAX_DENSE_N}] for dense kernels")
-    table = neighbor_table(n)
-    size = table.shape[0]
-    kernel = np.zeros((size, size), dtype=np.float64)
-    np.fill_diagonal(kernel, 1.0 / n)
-    rows = np.repeat(np.arange(size), table.shape[1])
-    kernel[rows, table.ravel()] = 2.0 / (n * n)
+    """Dense transition kernel on the permutations of 0..n-1, 2 <= n <= 6,
+    in lexicographic order: 1/n on the diagonal, 2/n^2 per transposition."""
+    if not 2 <= n <= 6:
+        raise ValueError("n must lie in [2, 6] for dense kernels")
+    words = list(itertools.permutations(range(n)))
+    rank = {word: r for r, word in enumerate(words)}
+    kernel = np.eye(len(words)) / n
+    for r, word in enumerate(words):
+        for i, j in transpositions(n):
+            swapped = list(word)
+            swapped[i], swapped[j] = word[j], word[i]
+            kernel[r, rank[tuple(swapped)]] = 2.0 / (n * n)
     return kernel
 
 
-def kernel_errors(table: np.ndarray, n: int) -> tuple[float, float, float]:
-    """(row-sum, detailed-balance, invariance) errors, under the uniform
-    measure, of the kernel of a neighbour table of S_n: 1/n to stay, 2/n^2
-    per step.  A step to its own row or repeating another costs that row
-    2/n^2; one that its transposition does not undo breaks symmetry by
-    2/n^2; each step more or fewer than C(n, 2) into a state moves its
-    measure by 2/n^2 / n!.  So all three are 0 for `neighbor_table(n)`."""
-    size, steps = table.shape
-    rows, weight = np.arange(size)[:, None], 2.0 / (n * n)
-    ordered = np.sort(table, axis=1)
-    reached = ((np.diff(ordered, axis=1, prepend=-1) != 0) & (ordered != rows)).sum(axis=1)
-    counts = np.bincount(table.ravel(), minlength=size)
-    return (weight * float(steps - reached.min()),
-            weight * float(not np.all(table[table, np.arange(steps)] == rows)),
-            weight * float(np.abs(counts - steps).max()) / size)
+def _partitions(n: int, largest: int) -> list[tuple[int, ...]]:
+    """The partitions of n into parts of at most `largest`, reverse lexicographic."""
+    return [(first, *rest) for first in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - first, first)] if n else [()]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
+def class_chain(n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(sizes, counts) of the walk on the cycle types `_partitions(n, n)`:
+    each class's size n!/z_mu as a Python int, and the read-only matrix
+    whose [i, j] counts the transpositions from type i to type j.  Joining
+    cycles of lengths a and b takes a*b of them; cutting one of length a
+    into d and a - d takes a for d < a/2 and a/2 for d = a/2."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    types = _partitions(n, n)
+    row_of = {parts: i for i, parts in enumerate(types)}
+    counts = np.zeros((len(types), len(types)), dtype=np.int64)
+    for i, parts in enumerate(types):
+        for x, y in itertools.combinations(range(len(parts)), 2):
+            joined = parts[:x] + parts[x + 1:y] + parts[y + 1:] + (parts[x] + parts[y],)
+            counts[i, row_of[tuple(sorted(joined, reverse=True))]] += parts[x] * parts[y]
+        for x, a in enumerate(parts):
+            for d in range(1, a // 2 + 1):
+                cut = tuple(sorted(parts[:x] + parts[x + 1:] + (d, a - d), reverse=True))
+                counts[i, row_of[cut]] += a if 2 * d < a else d
+    sizes = tuple(math.factorial(n) // math.prod(part ** m * math.factorial(m) for part, m
+                                                 in Counter(parts).items()) for parts in types)
+    counts.setflags(write=False)
+    return sizes, counts
+
+
+def class_chain_errors(n: int, sizes: Sequence[int],
+                       counts: np.ndarray) -> tuple[float, float, float]:
+    """(row-sum, detailed-balance, invariance) errors of a class chain, in
+    units of 2/n^2, from exact integers: the largest |row sum - C(n, 2)|,
+    and over n! those of the flows F[mu, nu] = |C_mu| c(mu, nu): the
+    largest |F - F^T|, and |column sum - C(n, 2) |C_nu|| or |sum |C_mu| - n!|."""
+    c, z = counts.astype(object), np.array(sizes, dtype=object)
+    steps, total, weight = math.comb(n, 2), math.factorial(n), 2.0 / (n * n)
+    flows = z[:, None] * c
+    invariance = max(np.abs(flows.sum(axis=0) - steps * z).max(), abs(z.sum() - total))
+    return (weight * np.abs(c.sum(axis=1) - steps).max(),
+            weight * (np.abs(flows - flows.T).max() / total), weight * (invariance / total))
+
+
+def class_kernel(n: int) -> np.ndarray:
+    """sqrt(P o P^T), elementwise, for the class chain's kernel P = I/n +
+    (2/n^2) counts: by detailed balance D^1/2 P D^-1/2, with D the class
+    measure, and bitwise symmetric, each entry a product of the same floats."""
+    sizes, counts = class_chain(n)
+    kernel = np.eye(len(sizes)) / n + (2.0 / (n * n)) * counts
+    return np.sqrt(kernel * kernel.T)
+
+
+@lru_cache(maxsize=16)
 def spectral_gap(n: int) -> float:
-    """One minus the second-largest kernel eigenvalue, an eigenvalue of
-    `lanczos_tridiagonal(n)`."""
-    return 1.0 - float(eigenvalues_hermitian(DenseMatrix(lanczos_tridiagonal(n))).values[-2])
-
-
-@lru_cache(maxsize=8)
-def lanczos_tridiagonal(n: int) -> np.ndarray:
-    """A read-only tridiagonal matrix with every distinct kernel eigenvalue.
-    The kernel has one per value of 1/n + ((n - 1)/n) r(lambda) over the
-    partitions lambda of n (Diaconis & Shahshahani 1981), so Lanczos from
-    a Gaussian start drawn from `Xoshiro256pp`, reorthogonalized twice
-    against the whole basis at every step, finds a new direction of norm
-    zero after exactly that many steps; the tridiagonal matrix then holds
-    every distinct eigenvalue.  The matvec gathers on `neighbor_table` and
-    every inner product is an `np.sum`, so no BLAS call touches the bytes.
-    r(lambda) is an integer over C(n, 2) in [-1, 1], so there are at most
-    n(n - 1) + 1 distinct eigenvalues (and at most n!); raises RuntimeError
-    if no direction vanishes within that many steps."""
-    table = neighbor_table(n)
-    size = table.shape[0]
-    steps = min(size, n * (n - 1) + 1)
-    rng = Xoshiro256pp.from_seed(_LANCZOS_SEED)
-    q = np.fromiter((rng.next_gaussian() for _ in range(size)), dtype=np.float64, count=size)
-    basis = [q / math.sqrt(np.sum(q * q))]
-    alphas: list[float] = []
-    betas: list[float] = []
-    while len(basis) <= steps:
-        q, qs = basis[-1], np.array(basis)
-        w = q / n + (2.0 / (n * n)) * np.sum(q[table], axis=1)
-        alpha = 0.0
-        for _ in range(2):
-            coeffs = np.sum(qs * w, axis=1)
-            w = w - np.sum(coeffs[:, None] * qs, axis=0)
-            alpha += float(coeffs[-1])
-        alphas.append(alpha)
-        beta = math.sqrt(np.sum(w * w))
-        if beta <= _LANCZOS_BREAKDOWN:
-            tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            tridiagonal.setflags(write=False)
-            return tridiagonal
-        betas.append(beta)
-        basis.append(w / beta)
-    raise RuntimeError(f"Lanczos on the n = {n} walk kernel found no breakdown "
-                       f"within {steps} steps")
+    """One minus the walk's second-largest eigenvalue, that of `class_kernel(n)`."""
+    return 1.0 - float(eigenvalues_hermitian(DenseMatrix(class_kernel(n))).values[-2])
 
 
 def _bitmasks(sets: np.ndarray) -> np.ndarray:
@@ -314,7 +283,7 @@ def rank_step_check(m: DenseMatrix, table: np.ndarray,
     of a Hermitian M, for k = table.shape[1]: per step, the rank of
     A(sigma) - A(sigma tau) and the sup-norm gap of the two ESDs, as
     (ranks, gaps) arrays.  Each sigma is a permutation of 0..n-1 in
-    one-line notation, such as a row of `permutations(n)`.
+    one-line notation, such as `unrank(n, r)`.
 
     The submatrices keep the permutation's own row/column order; that is what
     confines the difference to one changed position (rank at most 2).  All

@@ -5,10 +5,14 @@ kept as the oracles the array paths are compared with.
 lexicographic rank one digit at a time; `neighbor_table` and `subset_rows`
 are the former `walk` tables built from them with Python loops and
 tuple-keyed dicts, and `swap_rows` is `walk._swap_table` built the same
-way.  `FunctionOnSn`, `triple_norm`, `dirichlet_form`, `variance_mu` and
-`verify_gap_concentration` are the former `walk` functions on S_n, one
-value per row of `walk.permutations(n)`, and `lift` carries a
-`walk.FunctionOnSubsets` there through each permutation's selected set.
+way.  `sn_words` and `sn_neighbor_table` are the former array tables
+`walk.permutations` and `walk.neighbor_table`, which no path of the
+package builds any more; the S_n functions below gather on them, because
+the loop-built table is slow to build at n = 8.  `FunctionOnSn`, `triple_norm`,
+`dirichlet_form`, `variance_mu` and `verify_gap_concentration` are the
+former `walk` functions on S_n, one value per row of `sn_words(n)`, and
+`lift` carries a `walk.FunctionOnSubsets` there through each
+permutation's selected set.
 `quantile_grid` is the former one-level quantile grid of `spectra`, on
 the former `spectra.quantiles`, and `pair_chaining_checks` the former
 one-pair `oracle.chaining_checks`, which measured every level of two
@@ -34,6 +38,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -43,8 +48,7 @@ from subspec.linalg import (DenseMatrix, _hermitian_gaps, _require_hermitian_sta
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
 from subspec.sampling import Xoshiro256pp
 from subspec.spectra import StepCdf, sup_distance
-from subspec.walk import (FunctionOnSubsets, _bitmasks, _set_rows, gap_concentration_bound,
-                          neighbor_table as walk_neighbor_table, permutations)
+from subspec.walk import FunctionOnSubsets, _bitmasks, _set_rows, gap_concentration_bound
 
 MAX_PERM_N = 8
 
@@ -114,6 +118,32 @@ def neighbor_table(n: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def sn_words(n: int) -> np.ndarray:
+    """Read-only (n!, n) array of the permutations of 0..n-1 in
+    lexicographic order, as `itertools.permutations` lists them."""
+    words = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(words, dtype=np.intp, count=math.factorial(n) * n).reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
+
+
+@lru_cache(maxsize=8)
+def sn_neighbor_table(n: int) -> np.ndarray:
+    """`neighbor_table(n)` by one array pass, read-only: each row of
+    `sn_words(n)` read as a base-n numeral, these codes increasing along
+    the rows, so the row of a swapped word is found by `searchsorted`."""
+    words = sn_words(n)
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = (words * place).sum(axis=1)
+    i, j = np.array(list(itertools.combinations(range(n), 2))).T
+    # swapping positions i and j moves the code by (p_j - p_i)(n^(n-1-i) - n^(n-1-j))
+    swapped = codes[:, None] + (words[:, j] - words[:, i]) * (place[i] - place[j])
+    table = np.searchsorted(codes, swapped)
+    table.setflags(write=False)
+    return table
+
+
 def subset_rows(n: int, k: int) -> np.ndarray:
     """[r] is the lexicographic row of the set of permutation r's first k
     entries among the k-subsets of {1..n}, found in a tuple-keyed dict."""
@@ -139,7 +169,7 @@ def swap_rows(n: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FunctionOnSn:
-    """Real function on S_n, one value per row of `walk.permutations(n)`."""
+    """Real function on S_n, one value per row of `sn_words(n)`."""
 
     n: int
     values: np.ndarray
@@ -148,13 +178,12 @@ class FunctionOnSn:
 def lift(f: FunctionOnSubsets) -> FunctionOnSn:
     """f as a function on S_n: each permutation takes the value of the set
     of its first k entries."""
-    rows = _set_rows(f.n, f.k)[_bitmasks(permutations(f.n)[:, :f.k])]
+    rows = _set_rows(f.n, f.k)[_bitmasks(sn_words(f.n)[:, :f.k])]
     return FunctionOnSn(f.n, f.values[rows])
 
 
 def _neighbor_diffs(f: FunctionOnSn) -> np.ndarray:
-    table = walk_neighbor_table(f.n)
-    return f.values[:, None] - f.values[table]
+    return f.values[:, None] - f.values[sn_neighbor_table(f.n)]
 
 
 def dirichlet_form(f: FunctionOnSn) -> float:

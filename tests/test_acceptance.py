@@ -33,7 +33,7 @@ def report(criterion, ok, detail):
 
 def fresh_gap(n):
     walk.spectral_gap.cache_clear()
-    walk.lanczos_tridiagonal.cache_clear()
+    walk.class_chain.cache_clear()
     start = time.perf_counter()
     gap = walk.spectral_gap(n)
     return gap, time.perf_counter() - start
@@ -69,11 +69,12 @@ def test_criterion_1_spectral_gap_fast():
 
 
 def test_criterion_2_kernel_validity():
+    # the class chain's exact checks, past `verify`'s cap of 8
     worst = 0.0
-    for n in range(2, walk.MAX_PERM_N + 1):
-        errors = walk.kernel_errors(walk.neighbor_table(n), n)
+    for n in range(2, 13):
+        errors = walk.class_chain_errors(n, *walk.class_chain(n))
         worst = max(worst, *errors)
-    report("2-kernel-validity", worst == 0.0, f"max error = {worst:.2e} for n <= 8")
+    report("2-kernel-validity", worst == 0.0, f"max error = {worst:.2e} for n <= 12")
 
 
 def test_criterion_3_one_step_norm_budget():

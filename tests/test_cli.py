@@ -304,8 +304,8 @@ class TestVerify:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_walk_reports_match_checks(self, corrupt):
         # each n's walk report holds the numbers of its kernel-validity and
-        # spectral-gap checks; a corrupted neighbour table fails its check,
-        # by 2/n^2, while the report keeps the clean table's errors
+        # spectral-gap checks; a corrupted class chain fails its check, by
+        # 2/n^2, while the report keeps the clean chain's errors
         report = run_verification([3, 4], corrupt=corrupt)
         checks = {c["check"]: c for c in report["checks"]}
         keys = ["row_sum_error", "reversibility_error", "invariance_error"]
@@ -316,7 +316,7 @@ class TestVerify:
             kernel, gap = checks[f"kernel-validity-n{n}"], checks[f"spectral-gap-n{n}"]
             assert (entry["gap"], entry["gap_theory"]) == (gap["gap"], gap["gap_theory"])
             clean = [entry[key] for key in keys]
-            assert clean == list(walk.kernel_errors(walk.neighbor_table(n), n)) == [0.0] * 3
+            assert clean == list(walk.class_chain_errors(n, *walk.class_chain(n))) == [0.0] * 3
             assert kernel["measured"] == (2.0 / (n * n) if corrupt else 0.0)
             assert kernel["pass"] is not corrupt
             assert ([kernel[key] for key in keys] == clean) is not corrupt
@@ -341,16 +341,20 @@ class TestVerify:
         assert run("verify", "--n", "1", "--out", str(tmp_path / "x.json")) == 2
 
     def test_builds_no_dense_kernel(self, tmp_path, monkeypatch):
-        # the neighbour table holds the whole kernel, so no n! x n! matrix
-        def dense(n):
-            raise AssertionError(f"dense kernel built for n = {n}")
+        # the class chain holds the kernel's facts, so no path lists the n!
+        # permutations, let alone builds an n! x n! matrix
+        def dense(*args):
+            raise AssertionError("the permutations were listed")
         monkeypatch.setattr(walk, "kernel_matrix", dense)
-        assert run("verify", "--n", "2", "3", "4", "5", "6",
+        monkeypatch.setattr(itertools, "permutations", dense)
+        walk.spectral_gap.cache_clear()
+        walk.class_chain.cache_clear()
+        assert run("verify", "--n", "2", "3", "4", "5", "6", "7", "8",
                    "--out", str(tmp_path / "v.json")) == 0
 
     def test_largest_orders(self, tmp_path):
-        # n = 7 and 8, past the dense kernel's cap; a corrupted table fails
-        # the kernel-validity check alone
+        # n = 7 and 8, past the dense kernel's cap; a corrupted class chain
+        # fails the kernel-validity check alone
         out = tmp_path / "v.json"
         assert run("verify", "--n", "7", "8", "--out", str(out)) == 0
         assert json.loads(out.read_text())["pass"] is True
@@ -481,8 +485,8 @@ class TestSolverMetadata:
             f"prng=splitmix64+xoshiro256++;{SOLVERS[method]}"
 
     def test_verify_names_the_method_of_its_lanczos_order(self):
-        # its largest solve: the gap's tridiagonal, of order 9 at n = 6 and
-        # 15 at n = 7
+        # its largest solve: the symmetrized class chain, of order p(6) = 11
+        # and p(7) = 15
         for n_values, method in (([3, 6], "jacobi"), ([7], "bisection")):
             assert run_verification(n_values)["metadata"] == \
                 f"prng=splitmix64+xoshiro256++;{SOLVERS[method]}"

@@ -38,11 +38,11 @@ GOLDEN = {
     "verify --n 2":
         (0, "e389ff587fffd170c34151ad1ac5a0ac72089c060cf143a868ff646aeae9b0e1"),
     "verify --n 3 4 5":
-        (0, "dafc2358b3637b0153e33e19434ded24110b1c7080c3ac2a0ac1c01c42de4e7b"),
+        (0, "db9f3477ed24968b76c07da5e51fd31953215102b7ef06d2ecd7c5cf85480fad"),
     "verify --n 3 4 5 --self-test-corrupt":
-        (1, "d6538e61ac69c277710030aba1af6edd79f3de9f882e6bd3ac0ab910322faf51"),
+        (1, "09012b0acbd33ea3ecd48c47173ae951c3a577204cb2192d7cfd59dcc576f1d0"),
     "verify --n 7 8":
-        (0, "9c147e267b8773ab03d17cd68adefc47d861dd40fb82369d3a4b946ee5fc8f94"),
+        (0, "6600f6331256c5b9dcdb752edea5cf99d21390b4f40148766e26222a25db6715"),
     "estimate --ensemble rw-covariance --n 100 --k 20 --samples 25 --seed 3":
         (0, "fdb5c4b40371563d987b9d796dcc50dbd4f697078e80b5a3a7724862eec56974"),
     # order 32, solved by Householder + bisection

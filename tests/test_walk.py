@@ -1,23 +1,24 @@
+import ast
 import functools
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subspec.walk as walk_mod
-from subspec.cli import main as cli_main
 from subspec.ensembles import half_ones_diagonal, random_symmetric, rw_covariance
 from subspec.linalg import DenseMatrix, Spectrum, eigenvalues_hermitian, gram, numerical_rank
 from subspec.montecarlo import pointwise_tail_bound
 from subspec.oracle import subset_spectra, subset_table
 from subspec.sampling import SubsetSample, principal_submatrix, row_submatrix
 from subspec.spectra import esd, step_cdf, sup_distance
-from subspec.walk import (FunctionOnSubsets, _bitmasks, _set_rows, _swap_table,
-                          esd_observable, esd_observable_grid, gap_concentration_bound,
-                          kernel_errors, kernel_matrix, neighbor_table, permutations,
-                          rank_step_check, spectral_gap, transpositions, triple_norm,
+from subspec.walk import (FunctionOnSubsets, _bitmasks, _partitions, _set_rows, _swap_table,
+                          class_chain, class_chain_errors, class_kernel, esd_observable,
+                          esd_observable_grid, gap_concentration_bound, kernel_matrix,
+                          rank_step_check, spectral_gap, transpositions, triple_norm, unrank,
                           verify_gap_concentration, verify_triple_norm_bound)
 
 import reference
@@ -56,34 +57,39 @@ class TestPermIndex:
 
 
 class TestPermutationArrays:
-    """The array tables of `walk` against the rank loops and tuple-keyed
-    dicts they replaced (`tests/reference.py`)."""
+    """`walk.unrank`, `walk.kernel_matrix` and the array tables of
+    `tests/reference.py` against `itertools`, the rank loops and the
+    tuple-keyed dicts."""
 
     def test_rows_are_unranked_permutations(self):
+        # `verify`'s sigma of a drawn rank r is row r of the lexicographic list
         for n in range(1, 7):
-            perms = permutations(n)
-            assert perms.shape == (math.factorial(n), n)
-            assert [tuple(p) for p in perms.tolist()] == [
-                perm_unrank(n, r) for r in range(math.factorial(n))]
+            assert [tuple(unrank(n, r)) for r in range(math.factorial(n))] == \
+                list(itertools.permutations(range(n)))
+        rng = np.random.default_rng(33)
         for n in (7, 8):
-            perms = permutations(n)
-            assert perms.shape == (math.factorial(n), n)
-            for r in (0, 1, 719, 5039, 12345 % math.factorial(n), math.factorial(n) - 1):
-                assert tuple(perms[r].tolist()) == perm_unrank(n, r)
-        assert not permutations(4).flags.writeable
-        for n in (0, 9):
-            with pytest.raises(ValueError):
-                permutations(n)
+            words = list(itertools.permutations(range(n)))
+            for r in rng.integers(0, math.factorial(n), 1000).tolist():
+                assert tuple(unrank(n, r)) == words[r]
+        for n in range(1, 9):
+            assert reference.sn_words(n).tolist() == [
+                list(word) for word in itertools.permutations(range(n))]
 
     def test_neighbor_table_matches_loop(self):
         for n in range(2, 9):
-            assert np.array_equal(neighbor_table(n), reference.neighbor_table(n))
-        with pytest.raises(ValueError):
-            neighbor_table(9)
+            assert np.array_equal(reference.sn_neighbor_table(n), reference.neighbor_table(n))
+        # the dense kernel: 1/n on the diagonal, 2/n^2 at each neighbour of
+        # the loop-built table, 0 elsewhere
+        for n in range(2, 7):
+            expected = np.zeros((math.factorial(n), math.factorial(n)))
+            np.fill_diagonal(expected, 1.0 / n)
+            for r, row in enumerate(reference.neighbor_table(n).tolist()):
+                expected[r, row] = 2.0 / (n * n)
+            assert kernel_matrix(n).tobytes() == expected.tobytes()
 
     def test_set_rows_match_dict(self):
         for n in range(1, 9):
-            perms = permutations(n)
+            perms = reference.sn_words(n)
             for k in range(1, n + 1):
                 rows = _set_rows(n, k)[_bitmasks(perms[:, :k])]
                 assert np.array_equal(rows, reference.subset_rows(n, k))
@@ -143,40 +149,40 @@ class TestKernel:
             np.testing.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-15)
 
     def test_table_errors_are_zero(self):
-        for n in range(2, 9):
-            assert kernel_errors(neighbor_table(n), n) == (0.0, 0.0, 0.0)
+        # the class chain's exact integer checks, past `verify`'s cap
+        for n in range(2, 13):
+            sizes, counts = class_chain(n)
+            assert class_chain_errors(n, sizes, counts) == (0.0, 0.0, 0.0)
 
     def test_errors_tiny(self):
         # the dense oracle, by row and column sums of the n! x n! kernel
         for n in range(2, 7):
             assert max(reference.kernel_errors(kernel_matrix(n))) <= 1e-14
 
-    @staticmethod
-    def corrupted_tables(n):
-        """Row 0's first step, moved: onto its second step, onto row 0
-        itself, and onto a state that is no neighbour of row 0, so that
-        the transposition does not undo it."""
-        table = neighbor_table(n)
-        outside = next(r for r in range(table.shape[0])
-                       if r != 0 and r not in table[0])
-        for target in (table[0, 1], 0, outside):
-            corrupted = table.copy()
-            corrupted[0, 0] = target
-            yield corrupted
-
-    def test_corruption_detected(self, monkeypatch):
-        # each corrupted table fails the table check, and the dense kernel
-        # built from it fails the dense oracle
-        for n in (3, 4):
-            repeat, self_step, not_undone = self.corrupted_tables(n)
-            weight = 2.0 / (n * n)
-            assert kernel_errors(repeat, n)[:2] == (weight, weight)
-            assert kernel_errors(self_step, n)[:2] == (weight, weight)
-            assert kernel_errors(not_undone, n)[:2] == (0.0, weight)
-            for table in (repeat, self_step, not_undone):
-                assert kernel_errors(table, n)[2] > 0.0
-                monkeypatch.setattr(walk_mod, "neighbor_table", lambda _: table)
-                assert max(reference.kernel_errors(kernel_matrix(n))) > 0.0
+    def test_corruption_detected(self):
+        # the class chain's check: an extra self-step breaks the row sum and
+        # the flow into the n-cycles, |C_(n)| = (n - 1)!; a step moved from
+        # the first neighbour type to the n-cycles themselves breaks detailed
+        # balance and invariance, each by |C_(n)| / n! in units of 2/n^2;
+        # one class's size off by one breaks both and sum |C_mu| = n!
+        for n in (3, 4, 8):
+            sizes, counts = class_chain(n)
+            weight, share = 2.0 / (n * n), math.factorial(n - 1) / math.factorial(n)
+            assert sizes[0] == math.factorial(n - 1)
+            self_step, moved = counts.copy(), counts.copy()
+            self_step[0, 0] += 1
+            first = int(np.flatnonzero(counts[0])[0])
+            moved[0, first] -= 1
+            moved[0, 0] += 1
+            assert class_chain_errors(n, sizes, self_step) == (weight, 0.0, weight * share)
+            assert class_chain_errors(n, sizes, moved) == (0.0, weight * share, weight * share)
+            row, balance, invariance = class_chain_errors(n, sizes[:-1] + (2,), counts)
+            assert row == 0.0 and balance > 0.0 and invariance > 0.0
+        # the dense oracle, on a kernel with one step moved onto the diagonal
+        kernel = kernel_matrix(4)
+        kernel[0, np.flatnonzero(kernel[0])[1]] = 0.0
+        kernel[0, 0] += 2.0 / 16
+        assert max(reference.kernel_errors(kernel)) > 0.0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -228,45 +234,91 @@ def closed_form_spectrum(n):
 
 @pytest.fixture
 def fresh_gaps():
-    """`spectral_gap` with its cache and `lanczos_tridiagonal`'s emptied
-    before and after the test, for tests that patch what they call."""
+    """`spectral_gap` with its cache emptied before and after the test, for
+    tests that patch what it calls."""
     spectral_gap.cache_clear()
-    walk_mod.lanczos_tridiagonal.cache_clear()
     yield spectral_gap
     spectral_gap.cache_clear()
-    walk_mod.lanczos_tridiagonal.cache_clear()
+
+
+def cycle_type(word):
+    """The cycle lengths of a permutation in one-line notation, nonincreasing."""
+    seen, lengths = set(), []
+    for start in range(len(word)):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start, length = word[start], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+class TestClassChain:
+    """The walk through cycle type against the walk on S_n and the
+    characters of S_n."""
+
+    def test_lumps_the_neighbor_table(self):
+        # every permutation of a type reaches each type by exactly that many
+        # transpositions (the loop-built table), and the types' sizes count them
+        for n in range(2, 9):
+            types = _partitions(n, n)
+            row_of = {parts: i for i, parts in enumerate(types)}
+            of = np.array([row_of[cycle_type(word)] for word in itertools.permutations(range(n))])
+            reached = np.zeros((of.size, len(types)), dtype=np.int64)
+            np.add.at(reached, (np.arange(of.size)[:, None], of[reference.neighbor_table(n)]), 1)
+            sizes, counts = class_chain(n)
+            assert np.array_equal(reached, counts[of])
+            assert list(sizes) == np.bincount(of).tolist() and sum(sizes) == math.factorial(n)
+            assert counts.dtype == np.int64 and not counts.flags.writeable
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_eigenvalues_are_the_characters(self, n):
+        # one eigenvalue 1/n + ((n - 1)/n) r(lambda) per partition lambda,
+        # r(lambda) = sum_j lambda_j (lambda_j - 2j + 1) / (n (n - 1)); the
+        # solves of order p(n) <= 77 land within 1e-14 (1.5e-15 at n = 6)
+        r = [sum(part * (part - 2 * j + 1) for j, part in enumerate(shape, 1)) / (n * (n - 1))
+             for shape in partitions(n)]
+        expected = np.sort([1.0 / n + (n - 1) / n * value for value in r])
+        got = eigenvalues_hermitian(DenseMatrix(class_kernel(n))).values
+        assert np.abs(got - expected).max() <= 1e-14
+
+    def test_kernel_is_the_symmetrized_chain(self):
+        # bitwise symmetric, and D^1/2 P D^-1/2 for the class measure D
+        for n in range(2, 13):
+            kernel = class_kernel(n)
+            assert np.array_equal(kernel, kernel.T)
+            sizes, counts = class_chain(n)
+            p = np.eye(len(sizes)) / n + (2.0 / (n * n)) * counts
+            root = np.sqrt(np.array(sizes, dtype=np.float64))
+            assert np.abs(kernel - root[:, None] * p / root[None, :]).max() <= 1e-15
+
+    def test_rejects_n_below_two(self):
+        for n in (1, 0, -1):
+            with pytest.raises(ValueError):
+                class_chain(n)
 
 
 class TestSpectralGap:
     def test_small_n_equals_two_over_n(self):
         for n in range(2, 9):
-            assert abs(spectral_gap(n) - 2.0 / n) <= 1e-12
+            assert abs(spectral_gap(n) - 2.0 / n) <= 1e-14
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_lanczos_steps_are_the_distinct_eigenvalues(self, n, monkeypatch, fresh_gaps):
-        # the tridiagonal matrix has one row per Lanczos step
+    def test_gap_is_one_solve_of_order_p(self, n, monkeypatch, fresh_gaps):
+        # the symmetrized class chain, one row per partition of n
         orders = []
         real = walk_mod.eigenvalues_hermitian
         monkeypatch.setattr(walk_mod, "eigenvalues_hermitian",
                             lambda m: orders.append(m.rows) or real(m))
         fresh_gaps(n)
-        assert orders == [len({value for value, _ in closed_form_eigenvalues(n)})]
+        assert orders == [len(list(partitions(n)))]
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_lanczos_gap_matches_the_dense_solve(self, n):
+        # the class chain's gap against the n! x n! kernel's
         dense = eigenvalues_hermitian(DenseMatrix(kernel_matrix(n))).values
         assert abs(spectral_gap(n) - (1.0 - dense[-2])) <= 1e-12
-
-    def test_no_breakdown_raises(self, monkeypatch, fresh_gaps, tmp_path):
-        monkeypatch.setattr(walk_mod, "_LANCZOS_BREAKDOWN", -1.0)
-        with pytest.raises(RuntimeError, match="no breakdown within 6 steps"):
-            fresh_gaps(3)
-        # n(n - 1) + 1 steps, not n!, bound the run and its basis
-        with pytest.raises(RuntimeError, match="no breakdown within 57 steps"):
-            fresh_gaps(8)
-        out = tmp_path / "verify.json"
-        assert cli_main(["verify", "--n", "3", "--out", str(out)]) == 1
-        assert not out.exists()
 
     def test_closed_form_ingredients(self):
         assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
@@ -390,15 +442,15 @@ class TestTripleNorm:
             assert low <= row["measure"] <= high and low <= other["measure"] <= high
         return ties
 
-    def test_observables_build_no_sn_table(self, monkeypatch):
-        # at n = 8 no observable gathers a row per permutation: the subset
-        # tables and the swap table carry them
-        def sn_table(n):
-            raise AssertionError(f"an n! = {math.factorial(n)}-row table was built")
+    def test_observables_build_no_sn_table(self, monkeypatch, fresh_gaps):
+        # at n = 8 neither the gap nor an observable lists the permutations:
+        # the class chain, the subset tables and the swap table carry them
+        def sn_table(*args):
+            raise AssertionError("the permutations were listed")
 
-        gap = spectral_gap(8)
-        monkeypatch.setattr(walk_mod, "permutations", sn_table)
-        monkeypatch.setattr(walk_mod, "neighbor_table", sn_table)
+        monkeypatch.setattr(itertools, "permutations", sn_table)
+        monkeypatch.setattr(walk_mod, "kernel_matrix", sn_table)
+        gap = fresh_gaps(8)
         m = random_symmetric(8, 101, "gaussian")
         for k in range(2, 8):
             table, xs = subset_spectra(m, k), np.linspace(-3.0, 3.0, 20)
@@ -408,7 +460,8 @@ class TestTripleNorm:
                 assert all(row["pass"] for row in verify_gap_concentration(f, [0.0, 1.0], gap))
 
     def test_neighbor_table_is_involution(self):
-        table = neighbor_table(4)
+        # the S_n oracle's steps: each transposition undoes itself
+        table = reference.sn_neighbor_table(4)
         for t in range(table.shape[1]):
             assert np.all(table[table[:, t], t] == np.arange(24))
 
@@ -654,7 +707,7 @@ class TestRankStepCheck:
         # those by the singular values of the former batched Gram path
         rng = np.random.default_rng(12)
         for n in (3, 4, 5, 6):
-            perms = permutations(n)
+            perms = reference.sn_words(n)
             taus = [tuple(rng.choice(n, 2, replace=False)) for _ in perms]
             after = perms.copy()
             for row, (i, j) in zip(after, taus):
@@ -714,9 +767,27 @@ class TestFunctionValidation:
             FunctionOnSubsets(2, 1, np.array([0.0, np.inf]))
 
     def test_n_and_k_in_range(self):
-        # n = 9 is past every table; a larger n would ask triple_norm for a
-        # 2^n-entry set table
+        # n = 9 is past `verify`'s cap; a larger n would ask triple_norm for
+        # a 2^n-entry set table
         for n, k in ((9, 1), (9, 4), (1, 1), (4, 0), (4, 5)):
             with pytest.raises(ValueError):
                 FunctionOnSubsets(n, k, np.zeros(max(1, math.comb(n, k))))
         assert FunctionOnSubsets(8, 8, np.zeros(1)).n == 8
+
+
+def _permutation_calls(node):
+    """The `itertools.permutations` calls, by attribute or imported name, inside `node`."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and ast.unparse(sub.func) in ("itertools.permutations", "permutations")]
+
+
+def test_only_the_dense_oracle_lists_permutations():
+    # no path of the package builds a row per permutation but the test-only
+    # dense kernel, which stops at n = 6
+    calls, listing = 0, []
+    for path in sorted(Path(walk_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += len(_permutation_calls(tree))
+        listing += [f"{path.stem}.{func.name}" for func in ast.walk(tree)
+                    if isinstance(func, ast.FunctionDef) and _permutation_calls(func)]
+    assert (calls, listing) == (1, ["walk.kernel_matrix"])
