@@ -2,9 +2,9 @@
 
 `_symmetric_eigenvalues` solves a (B, k, k) stack of real symmetric
 matrices by one of two methods, chosen by k alone.  Both are elementwise
-numpy and `np.sum` over contiguous rows, with no BLAS call, and treat each
-matrix alone (rescale, pivots, bracket, steps), so its eigenvalues are
-bit-identical to a solve of it alone.
+numpy and `np.sum` over contiguous rows, and treat each matrix alone
+(rescale, pivots, bracket, steps), so its eigenvalues are bit-identical to
+a solve of it alone.
 
 - Below order 13, cyclic Jacobi in round-robin rounds of disjoint pivot
   pairs, one vectorized block each (Brent & Luk 1985), until the
@@ -24,54 +24,55 @@ bit-identical to a solve of it alone.
   adds u t <= 2u |A|_F, the rescale and the midpoint 2u |A|_F.  A row x
   below 2^-500 is not reflected, a change far below u |A|_F.
 
-The crossover: bisection's time over Jacobi's through this function as the
-CLI runs it, the largest over stacks of rw-covariance, random-gaussian and
-random-pm1 blocks (median of 9, 2-vCPU Intel Xeon VM).  Bisection led in
-every cell from 13 on; at 12 it led here but tied (0.97, 1.00) in two
-cells of another run.
+LAPACK proposes and bisection decides.  `_eigenvalue_hint` (the one LAPACK
+call) gives each lane (index i, matrix) an eigenvalue h of T, and two counts
+check its window [a, b] = h -+ 4.2 k eps t: count(a) <= i < count(b), else
+the lane takes (-inf, inf).  Of its 53 midpoints, those at or below a keep
+lo = mid, those at or above b hi = mid, as counts there would (the count is
+non-decreasing in x: Demmel, Dhillon & Ren 1995, ETNA 3), and only those
+strictly inside are counted: no bit depends on h.  Proof: rounding is
+monotone, and so is clamp(y) = (-pivmin if |y| < pivmin, else y), never 0.
+Take x < x', pivots q_j, N_j the negatives among q_0 .. q_{j-1}, and H_j:
+N_j(x) < N_j(x'), or N_j(x) = N_j(x') and q_j(x) >= q_j(x').  H_0 holds, and
+H_j gives N_{j+1}(x) <= N_{j+1}(x'), equal only if q_j(x) >= q_j(x') share a
+sign or q_j(x) < 0 < q_j(x'); as e^2 / q falls where q rises on each sign,
+fl(e^2 / q_j(x)) <= fl(e^2 / q_j(x')) then, so H_{j+1} holds.  Why 4.2:
+LAPACK's eigenvalues of T lie within p(k) eps |T|_2 <= p(k) eps t of T's
+(Users' Guide, sec. 4.7, p "modestly growing") and the count passes i
+within 2.5 eps t (+ 4k pivmin) of T's (above), so the window holds for
+p(k) <= 4k from k = 13.  No lane of 220,000 (order-20 blocks of the four
+ensembles) failed, of the test stacks only zero matrices' (t = 0) did.
+Bisection led Jacobi at every k = 10-32 and B = 1-250 measured (README);
+13 stays, as a lower crossover would move output bytes.
 
-  k        10    11    12    13    16    20    32
-  B = 25   1.14  1.08  0.93  0.84  0.87  0.77  0.70
-  B = 100  1.08  1.04  0.95  0.88  0.68  0.73  0.40
-  B = 250  0.96  0.85  0.81  0.76  0.65  0.52  0.26
-
-`gather_submatrices` is the one principal-block extraction of the package:
-it turns rows of 0-based indices into a (B, k, k) stack with a single
-`np.take`.  How a matrix's principal blocks are solved is decided once
-per matrix, by `principal_block_solver`:
-
-- a real diagonal M (off-diagonal zeros of either sign): every block is
-  diagonal, which Jacobi returns at sweep 0, so its eigenvalues come from
-  its k diagonal entries alone, at any k, and no k x k block is built;
-- any other real M equal to its transpose bit for bit: every block is
-  exactly symmetric too and is solved as gathered;
-- any other Hermitian M: every block is guarded at its own scale and
-  symmetrized first.
+`gather_submatrices`, a single `np.take` of 0-based index rows into a
+(B, k, k) stack, is the package's one principal-block extraction.
+`principal_block_solver` decides once per matrix how its blocks are solved:
+a real diagonal M's (off-diagonal zeros of either sign) from their k
+diagonal entries alone, as Jacobi returns a diagonal block at sweep 0, with
+no block built; another real M's, if M equals its transpose bit for bit, as
+gathered, being exactly symmetric too; any other Hermitian M's each guarded
+at its own scale and symmetrized first.
 
 The `BlockSolver` it returns takes index rows and states the bytes one
 row holds while solved: its k x k entries, or for a diagonal block 4k
-(index, value and two copies).  Callers bound memory by the rows they
-pass (`sampling.solve_stacks` keeps each stack within
-`sampling.STACK_BYTES`): beyond the output, many stacks peaked under
-tracemalloc at 6.9 times that on the symmetric path (k = 12; 3.2 by
-bisection at k = 20), 14.0 on the complex Hermitian one, whose embedding
-doubles the order (k = 6; 8.2 at k = 12), and 1.3 on the diagonal one,
-shared by the processes that solve it.
+(index, value and two copies).  Callers bound memory by the rows they pass
+(`sampling.solve_stacks`, each stack within `sampling.STACK_BYTES`): beyond
+the output, many stacks peaked under tracemalloc at 6.9 times that by
+Jacobi (k = 12), 4.5 by bisection (k = 20), 14.0 on the complex path, whose
+embedding doubles the order (k = 6; 10.9 at k = 12), and 1.3 when diagonal.
 
-Singular mode reads the same blocks of one matrix: a row block A = M[S, :]
-has A A* = gram(M)[S, S], so `row_block_solver` forms gram(M) once and
-hands it to `principal_block_solver`, which picks the path for it; its
-blocks are budgeted like any others.  The matrix keeps that solver
-(`DenseMatrix.row_blocks`), so a run that solves its row blocks in several
-passes forms gram(M) once.  `singular_values` and `numerical_rank` of one
-matrix are that solver on its one block of all rows, so `gram` is the
-package's one matrix product.
+Singular mode reads the same blocks: a row block A = M[S, :] has A A* =
+gram(M)[S, S], so `row_block_solver` forms gram(M) once, kept on the matrix
+(`DenseMatrix.row_blocks`) for every later pass, and hands it to
+`principal_block_solver`, which picks the path and budget for its blocks.
+`singular_values` and `numerical_rank` of one matrix are that solver on its
+one block of all rows, so `gram` is the package's one matrix product.
 
 A stack with B * k^3 >= 2 * `_PART_MIN_WORK` is cut into row ranges, at most
-one per CPU, when the process runs one OS thread (`_fork_cpus`); each
-range but the first is solved in a forked worker, and the bytes do not
-depend on the cut.  `forked` is the package's one way of running work in
-another process.
+one per CPU, when the process runs one OS thread (`_fork_cpus`); each but
+the first is solved in a worker forked by `forked`, the package's one way
+of running work in another process, and the bytes do not depend on the cut.
 
 Complex Hermitian matrices X + iY are reduced to the real symmetric
 doubling [[X, -Y], [Y, X]], whose spectrum is the original spectrum with
@@ -636,6 +637,36 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a.diagonal(axis1=1, axis2=2), a.diagonal(1, axis1=1, axis2=2)
 
 
+def _eigenvalue_hint(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """LAPACK's eigenvalues of the tridiagonals (d, e), or NaN if it fails."""
+    count, n = d.shape
+    t = np.zeros((count, n * n))
+    t[:, ::n + 1], t[:, n::n + 1] = d, e  # eigvalsh reads the lower triangle
+    try:
+        return np.linalg.eigvalsh(t.reshape(count, n, n))
+    except np.linalg.LinAlgError:
+        return np.full(d.shape, np.nan)
+
+
+def _sturm_counts(dt: np.ndarray, e2: np.ndarray, pivmin: np.ndarray, x: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
+    """The negative pivots of T - x I at each point of x, for dt and e2 down
+    their first axis; `work` holds two arrays of the pivots' shape.  The pass
+    is rerun clamped only if an unclamped pivot is below pivmin."""
+    q, t = work
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for clamp in (False, True):
+            np.subtract(dt, x, out=q)
+            for i in range(len(q)):
+                if i:  # clamped: at most max(e^2) / pivmin <= 1 / tiny, no overflow
+                    q[i] -= np.divide(e2[i - 1], q[i - 1], out=t[i])
+                if clamp:
+                    np.copyto(q[i], -pivmin, where=np.abs(q[i]) < pivmin)
+            # not abs(q).min(): a NaN after one lane's 0/0 would hide another's
+            if clamp or not np.less(np.abs(q, out=t), pivmin).any():
+                return np.count_nonzero(q < 0.0, axis=0)
+
+
 def _bisection(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric tridiagonal matrices with diagonals d
     (B, n) and off-diagonals e (B, n - 1), by BISECTION_STEPS halvings of
@@ -649,15 +680,24 @@ def _bisection(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     lo, hi = (d - radius).min(axis=1), (d + radius).max(axis=1)
     pad = 2.1 * n * np.finfo(np.float64).eps * np.maximum(np.abs(lo), np.abs(hi))
     lo, hi = (np.repeat(bound[None], n, axis=0) for bound in (lo - pad, hi + pad))
-    dt, q = d.T.copy(), np.empty((n, n, count))
-    t, small = np.empty((n, count)), np.empty((n, count), dtype=bool)
+    hint = _eigenvalue_hint(d, e).T
+    a, b = hint - 2 * pad, hint + 2 * pad
+    held = np.isfinite(a) & np.isfinite(b)
+    a[~held] = b[~held] = 0.0  # no count at a non-finite point
+    dt, index, work = d.T.copy(), np.arange(n)[:, None], np.empty((2, n, n, count))
+    def counts(x: np.ndarray) -> np.ndarray:  # at every lane's point
+        return _sturm_counts(dt[:, None], e2[:, None], pivmin, x, work)
+    held &= (counts(a) <= index) & (counts(b) > index)
+    a[~held], b[~held] = -np.inf, np.inf
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        for i in range(n):  # q[i]: the i-th pivot of T - mid I, for every index
-            np.subtract(dt[i], mid, out=q[i])
-            if i:  # at most max(e^2) / pivmin <= 1 / tiny: no overflow
-                q[i] -= np.divide(e2[i - 1], q[i - 1], out=t)
-            np.copyto(q[i], -pivmin, where=np.less(np.abs(q[i], out=t), pivmin, out=small))
-        below = np.count_nonzero(q < 0.0, axis=0) > np.arange(n)[:, None]
+        inside = (a < mid) & (mid < b)
+        below = mid >= b  # the count is at most the index up to a, above it from b on
+        if 2 * np.count_nonzero(inside) > inside.size:
+            below = counts(mid) > index
+        elif inside.any():
+            i, m = np.nonzero(inside)
+            below[i, m] = _sturm_counts(dt[:, m], e2[:, m], pivmin[m], mid[i, m],
+                                        work.reshape(2, n, -1)[:, :, :len(m)]) > i
         lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
     return (0.5 * (lo + hi)).T

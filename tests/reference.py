@@ -29,7 +29,8 @@ formatter of `cli`, and `tail_csv`, `distribution_csv`, `pair_csv`,
 `singular_values_stack` is the former batched Gram path of `linalg`, one
 BLAS product per stack of matrices, and `row_block_singular_values` the
 former singular-mode path of `sampling`, which gathered every row block and
-handed it to that path.
+handed it to that path.  `bisection` is the former `linalg._bisection`,
+which ran a clamped Sturm count at every one of its 53 midpoints.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from typing import Sequence
 
 import numpy as np
 
-from subspec.linalg import (DenseMatrix, _hermitian_gaps, _require_hermitian_stack,
-                            _rescale_factors, eigenvalues_hermitian_stack)
+from subspec.linalg import (BISECTION_STEPS, DenseMatrix, _hermitian_gaps,
+                            _require_hermitian_stack, _rescale_factors,
+                            eigenvalues_hermitian_stack)
 from subspec.oracle import DEFAULT_ENUMERATION_CAP, exact_pointwise_profile
 from subspec.sampling import Xoshiro256pp
 from subspec.spectra import StepCdf, sup_distance
@@ -395,3 +397,30 @@ def cdf_csv(f) -> str:
     for x, c in zip(f.jumps, f.cum):
         lines.append(f"{x:.17g},{c:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def bisection(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal matrices with diagonals d
+    (B, n) and off-diagonals e (B, n - 1), by BISECTION_STEPS halvings of
+    the Gershgorin bracket on Sturm counts; rows are ascending, as two
+    indices' brackets part only at a midpoint they share."""
+    count, n = d.shape
+    e2 = np.ascontiguousarray(np.square(e).T)
+    pivmin = np.finfo(np.float64).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
+    radius = np.abs(np.pad(e, ((0, 0), (1, 1))))
+    radius = radius[:, 1:] + radius[:, :-1]
+    lo, hi = (d - radius).min(axis=1), (d + radius).max(axis=1)
+    pad = 2.1 * n * np.finfo(np.float64).eps * np.maximum(np.abs(lo), np.abs(hi))
+    lo, hi = (np.repeat(bound[None], n, axis=0) for bound in (lo - pad, hi + pad))
+    dt, q = d.T.copy(), np.empty((n, n, count))
+    t, small = np.empty((n, count)), np.empty((n, count), dtype=bool)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        for i in range(n):  # q[i]: the i-th pivot of T - mid I, for every index
+            np.subtract(dt[i], mid, out=q[i])
+            if i:  # at most max(e^2) / pivmin <= 1 / tiny: no overflow
+                q[i] -= np.divide(e2[i - 1], q[i - 1], out=t)
+            np.copyto(q[i], -pivmin, where=np.less(np.abs(q[i], out=t), pivmin, out=small))
+        below = np.count_nonzero(q < 0.0, axis=0) > np.arange(n)[:, None]
+        lo, hi = np.where(below, lo, mid), np.where(below, mid, hi)
+    return (0.5 * (lo + hi)).T

@@ -22,7 +22,7 @@ from subspec.montecarlo import estimate_F
 from subspec.oracle import subset_spectra
 from subspec.sampling import draw_subsets, solve_subsets
 
-from reference import is_hermitian, row_block_singular_values
+from reference import bisection, is_hermitian, row_block_singular_values
 
 
 def dm(rows):
@@ -853,6 +853,103 @@ class TestBisection:
                 linalg_mod._symmetric_eigenvalues(np.zeros((count, n, n)))
         expected = [("jacobi", crossover - 1), ("bisection", crossover), ("bisection", 64)]
         assert calls == expected * 2
+
+
+def tridiagonals(stack):
+    """(d, e) of a stack, rescaled and reduced as `_symmetric_eigenvalues`
+    hands it to `_bisection`."""
+    stack = np.array(stack, dtype=np.float64)
+    stack /= linalg_mod._rescale_factors(np.abs(stack).max(axis=(1, 2)))[:, None, None]
+    return tuple(part.copy() for part in linalg_mod._tridiagonal(stack))
+
+
+def ensemble_stack(name, n, count):
+    """`count` order-n principal blocks of the named ensemble's matrix of
+    order 2n + 10, at rows drawn from a seeded generator."""
+    m = make_matrix(name, 2 * n + 10, n).data
+    idx = np.sort(np.random.default_rng(n * count).random((count, m.shape[0])).argsort(axis=1)
+                  [:, :n], axis=1)
+    return m[idx[:, :, None], idx[:, None, :]]
+
+
+ORACLE_STACKS = BISECTION_CASES + [f"{name}-{n}-{count}" for name in ENSEMBLES
+                                   for n in (13, 20, 32, 64) for count in (1, 25, 250)]
+
+
+def oracle_stack(case):
+    if case in BISECTION_CASES:
+        return bisection_cases()[case]
+    name, n, count = case.rsplit("-", 2)
+    return ensemble_stack(name, int(n), int(count))
+
+
+def width(d, e):
+    """The half-width of `_bisection`'s window about each hint of (d, e)."""
+    return 4.2 * d.shape[1] * np.finfo(np.float64).eps * np.array(
+        [gershgorin_norm(di, ei) for di, ei in zip(d, e)])[:, None]
+
+
+def counts_along(d, e, x):
+    """`_sturm_counts` of the one tridiagonal (d, e) at every point of x."""
+    e2 = np.square(e)[:, None]
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(e2.max(initial=0.0)))
+    return linalg_mod._sturm_counts(d[:, None], e2, pivmin, x,
+                                    np.empty((2, len(d), len(x))))
+
+
+class TestVerifiedHint:
+    """`_bisection` counts only at midpoints LAPACK's hint cannot decide; its
+    eigenvalues are those of the former 53-step bisection, whatever the hint."""
+
+    @pytest.mark.parametrize("case", ORACLE_STACKS)
+    def test_matches_the_former_bisection_under_any_hint(self, case, monkeypatch):
+        d, e = tridiagonals(oracle_stack(case))
+        expected = bisection(d, e).tobytes()
+        lapack = linalg_mod._eigenvalue_hint
+        signs = np.where(np.arange(d.shape[1]) % 2, np.inf, -np.inf)
+        for hint in (lapack, lambda d, e: np.full(d.shape, np.nan),
+                     lambda d, e: np.broadcast_to(signs, d.shape),
+                     lambda d, e: lapack(d, e)[::-1],
+                     lambda d, e: lapack(d, e) * (1 + 1e-9),
+                     lambda d, e: np.zeros(d.shape)):
+            monkeypatch.setattr(linalg_mod, "_eigenvalue_hint", hint)
+            assert linalg_mod._bisection(d, e).tobytes() == expected
+        monkeypatch.setattr(linalg_mod, "_eigenvalue_hint", lapack)
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        assert np.isnan(lapack(d, e)).all()
+        assert linalg_mod._bisection(d, e).tobytes() == expected
+
+    def test_zero_over_zero_next_to_a_tiny_pivot(self):
+        # both brackets are symmetric, so the first midpoint is 0 in every
+        # lane: the first matrix's first pivot there is 0 and its next
+        # off-diagonal 0, so its unclamped pass divides 0 by 0; the second's
+        # is 1e-310, below pivmin, which the clamp turns negative
+        d = np.tile([0.0] + [v for i in range(1, 7) for v in (i, -i)], (2, 1))
+        d[1, 0] = 1e-310
+        e = np.zeros((2, 12))
+        assert [counts_along(di, ei, np.zeros(1))[0] for di, ei in zip(d, e)] == [7, 7]
+        assert linalg_mod._bisection(d, e).tobytes() == bisection(d, e).tobytes()
+
+    @pytest.mark.parametrize("case", BISECTION_CASES)
+    def test_counts_rise_with_x(self, case):
+        # the float count is non-decreasing in x (module docstring), at and
+        # next to every eigenvalue and every end of a window
+        d, e = tridiagonals(bisection_cases()[case])
+        hint, half = linalg_mod._eigenvalue_hint(d, e), width(d, e)
+        for di, ei, points in zip(d, e, np.concatenate(
+                [linalg_mod._bisection(d, e), hint - half, hint + half], axis=1)):
+            x = np.unique(np.concatenate([points, np.nextafter(points, -np.inf),
+                                          np.nextafter(points, np.inf)]))
+            assert np.all(np.diff(counts_along(di, ei, x)) >= 0)
+
+    def test_hint_is_lapacks_on_the_tridiagonal(self):
+        d, e = tridiagonals(ensemble_stack("random-gaussian", 20, 5))
+        dense = [np.diag(di) + np.diag(ei, 1) + np.diag(ei, -1) for di, ei in zip(d, e)]
+        assert linalg_mod._eigenvalue_hint(d, e).tobytes() == \
+            np.linalg.eigvalsh(np.array(dense)).tobytes()
 
 
 class TestRotationRounds:

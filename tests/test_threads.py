@@ -9,13 +9,14 @@ solve a Jacobi stack; no worker outlives the call that started it, and
 `verify` starts none, and loads no `numpy.random`.  The test process itself
 imported numpy long ago, so the pin, the split and the loaded modules can
 only be seen from a new interpreter; the import-order, fork, PRNG,
-matrix-product and distance guards below read the source instead.
+matrix-product, LAPACK and distance guards below read the source instead.
 """
 
 import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,9 +29,8 @@ SRC = Path(subspec.__file__).resolve().parent
 TASKS = Path("/proc/self/task")
 needs_proc = pytest.mark.skipif(not TASKS.is_dir(), reason="no per-thread /proc entries")
 
-# a singular-mode run whose one BLAS call, the 200 x 200 product gram(M)
-# (n * n * n = 8e6 multiply-adds), crosses OpenBLAS's one-thread limit for
-# gemm (262144)
+# a singular-mode run whose product gram(M), 200 x 200 (n * n * n = 8e6
+# multiply-adds), crosses OpenBLAS's one-thread limit for gemm (262144)
 SINGULAR_RUN = ["estimate", "--ensemble", "random-gaussian", "--n", "200", "--k", "40",
                 "--samples", "5", "--seed", "1", "--mode", "singular"]
 
@@ -258,7 +258,8 @@ def _products(node: ast.AST) -> int:
 
 
 def test_one_function_multiplies_matrices():
-    # gram(M) is the package's one matrix product, and so its one BLAS call
+    # gram(M) is the package's one matrix product; the eigenvalue hint's
+    # LAPACK call, guarded below, is its other use of BLAS
     products, multiplying = 0, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -267,6 +268,30 @@ def test_one_function_multiplies_matrices():
                         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and _products(func)]
     assert (products, multiplying) == (1, ["linalg.gram"])
+
+
+def _lapack_uses(node: ast.AST) -> int:
+    """How many references to numpy.linalg, as `np.linalg` or `numpy.linalg`
+    or in an import, appear inside `node`."""
+    return sum(isinstance(sub, ast.Attribute) and sub.attr == "linalg"
+               and ast.unparse(sub.value) in ("np", "numpy")
+               or isinstance(sub, (ast.Import, ast.ImportFrom))
+               and re.search(r"\bnumpy\b.*\blinalg\b", ast.unparse(sub)) is not None
+               for sub in ast.walk(node))
+
+
+def test_one_function_calls_lapack():
+    # LAPACK proposes and bisection decides: numpy.linalg is read only by
+    # the hint that `linalg._bisection` checks with Sturm counts
+    uses, calling = 0, {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses += _lapack_uses(tree)
+        calling |= {f"{path.stem}.{func.name}": _lapack_uses(func) for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _lapack_uses(func)}
+    assert list(calling) == ["linalg._eigenvalue_hint"]
+    assert uses == calling["linalg._eigenvalue_hint"]
 
 
 def test_one_module_measures_distances():
